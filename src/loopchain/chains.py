@@ -4,9 +4,14 @@ Everything downstream (bar/cobar constructions, Hochschild complexes, the
 simplicial chain functor) is built out of four values defined here: rings,
 basis tokens, sparse elements, and graded linear maps.  All arithmetic is
 exact: integers are Python ints, prime fields are ints reduced mod p.
-"""
 
-from functools import lru_cache
+Sums have one home, Element: its constructor is the one loop that merges
+(token, coefficient) pairs, reduces them mod p and drops zero terms.  Every
+sum in the library is built through it, by the constructor on a list of
+pairs or by the combinators on top of it: Element.apply (linear extension),
+Element.bilinear (bilinear extension) and tensor_product (the tensor fold
+into tensor or word tokens).
+"""
 
 
 class Ring:
@@ -23,9 +28,6 @@ class Ring:
     @property
     def is_field(self):
         return self.p is not None
-
-    def normalize(self, n):
-        return n % self.p if self.p else n
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.p == other.p
@@ -151,8 +153,14 @@ def sort_key(tok):
 # ---------------------------------------------------------------------------
 # Koszul sign engine
 
-# Every sign in this library is produced by one of the two functions below,
-# applied to the symbol reordering a formula performs.
+# Every sign in this library is (-1)^e for an exponent e; koszul_sign and
+# operator_application_sign compute e from the symbol reordering a formula
+# performs, and parity_sign turns an exponent into the sign.
+
+
+def parity_sign(exponent):
+    """(-1)^exponent."""
+    return -1 if exponent % 2 else 1
 
 
 def koszul_sign(degrees, permutation):
@@ -169,12 +177,7 @@ def koszul_sign(degrees, permutation):
         for p in range(q):
             if permutation[p] > permutation[q]:
                 exponent += degrees[permutation[p]] * degrees[permutation[q]]
-    return -1 if exponent % 2 else 1
-
-
-def reorder_sign(degrees, new_order):
-    """Alias of koszul_sign with the reading used by internal formulas."""
-    return koszul_sign(degrees, new_order)
+    return parity_sign(exponent)
 
 
 def operator_application_sign(op_degrees, symbol_degrees):
@@ -187,7 +190,7 @@ def operator_application_sign(op_degrees, symbol_degrees):
     for fq, xq in zip(op_degrees, symbol_degrees):
         exponent += fq * left
         left += xq
-    return -1 if exponent % 2 else 1
+    return parity_sign(exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +198,13 @@ def operator_application_sign(op_degrees, symbol_degrees):
 
 
 class Element:
-    """Sparse formal sum of tokens with nonzero ring coefficients."""
+    """Sparse formal sum of tokens with nonzero ring coefficients.
+
+    terms maps each token to its coefficient, reduced mod p over F_p; zero
+    terms are dropped.  _add is the one loop that writes terms: the
+    constructor feeds it (token, coefficient) pairs, and apply, bilinear
+    and tensor_product build their sums through the constructor.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -203,15 +212,23 @@ class Element:
         self.ring = ring
         self.terms = {}
         if terms:
-            for tok, c in terms.items() if isinstance(terms, dict) else terms:
-                self._accumulate(tok, c)
+            self._add(terms.items() if isinstance(terms, dict) else terms)
+
+    def _add(self, pairs):
+        terms = self.terms
+        get = terms.get
+        p = self.ring.p
+        for tok, c in pairs:
+            c += get(tok, 0)
+            if p:
+                c %= p
+            if c:
+                terms[tok] = c
+            else:
+                terms.pop(tok, None)
 
     def _accumulate(self, tok, c):
-        c = self.ring.normalize(self.terms.get(tok, 0) + c)
-        if c:
-            self.terms[tok] = c
-        else:
-            self.terms.pop(tok, None)
+        self._add(((tok, c),))
 
     @classmethod
     def zero(cls, ring):
@@ -236,25 +253,16 @@ class Element:
         return degs.pop()
 
     def __add__(self, other):
-        out = Element(self.ring, dict(self.terms))
-        for t, c in other.terms.items():
-            out._accumulate(t, c)
-        return out
+        return Element(self.ring, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
-        out = Element(self.ring, dict(self.terms))
-        for t, c in other.terms.items():
-            out._accumulate(t, -c)
-        return out
+        return self + other.scale(-1)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
-        out = Element(self.ring)
-        for t, v in self.terms.items():
-            out._accumulate(t, c * v)
-        return out
+        return Element(self.ring, [(t, c * v) for t, v in self.terms.items()])
 
     def items(self):
         return self.terms.items()
@@ -262,14 +270,18 @@ class Element:
     def coefficient(self, tok):
         return self.terms.get(tok, 0)
 
-    def map_terms(self, fn):
-        """Apply fn(token, coeff) -> Element and sum the results."""
-        out = Element(self.ring)
-        for t, c in self.terms.items():
-            img = fn(t, c)
-            for t2, c2 in img.terms.items():
-                out._accumulate(t2, c2)
-        return out
+    def apply(self, fn):
+        """Linear extension: the sum of c * fn(t) over the terms c*t, where
+        fn maps a token to an Element."""
+        return Element(self.ring, [(u, c * cu) for t, c in self.terms.items()
+                                   for u, cu in fn(t).terms.items()])
+
+    def bilinear(self, other, fn):
+        """Bilinear extension: the sum of c1 * c2 * fn(t1, t2) over the terms
+        c1*t1 of self and c2*t2 of other, where fn returns an Element."""
+        right = other.terms.items()
+        return Element(self.ring, [(u, c1 * c2 * cu) for t1, c1 in self.terms.items()
+                                   for t2, c2 in right for u, cu in fn(t1, t2).terms.items()])
 
     def __eq__(self, other):
         return (
@@ -291,16 +303,23 @@ class Element:
         return " ".join(bits)
 
 
-def tensor_elements(ring, *elements):
-    """Tensor product of elements (no signs: elements, not maps)."""
-    out = Element.from_token(ring, tensor_token())
-    for e in elements:
-        nxt = Element(ring)
-        for t1, c1 in out.terms.items():
-            for t2, c2 in e.terms.items():
-                nxt._accumulate(tensor_token(*(t1.data + (t2,))), c1 * c2)
-        out = nxt
-    return out
+def _flat_tensor(tokens):
+    return tensor_token(*tokens)
+
+
+def tensor_product(ring, factors, coeff=1, join=_flat_tensor):
+    """coeff * (x_1 (x) ... (x) x_k) for Elements x_i, with no signs.
+
+    Each choice of a term c_i*t_i from every factor contributes
+    coeff * c_1...c_k * join((t_1, ..., t_k)).  join defaults to the flat
+    tensor token; word_token makes the product a word of letters.  Callers
+    pass the Koszul sign of their rearrangement in coeff.
+    """
+    partial = [((), coeff)]
+    for x in factors:
+        items = x.terms.items()
+        partial = [(ts + (t,), c * ct) for ts, c in partial for t, ct in items]
+    return Element(ring, [(join(ts), c) for ts, c in partial])
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +353,7 @@ class LinearMap:
     def __call__(self, x):
         if isinstance(x, Token):
             return self._image(x)
-        out = Element(self.ring)
-        for t, c in x.terms.items():
-            for t2, c2 in self._image(t).terms.items():
-                out._accumulate(t2, c * c2)
-        return out
+        return x.apply(self._image)
 
     def then(self, g):
         """g o self (apply self first)."""
@@ -397,15 +412,7 @@ def tensor_maps(maps):
         if tok.kind != "tensor" or len(tok.data) != len(maps):
             raise ValueError("expected %d-fold tensor token, got %r" % (len(maps), tok))
         sign = operator_application_sign(op_degrees, [t.degree for t in tok.data])
-        images = [m(t) for m, t in zip(maps, tok.data)]
-        out = Element.from_token(ring, tensor_token())
-        for img in images:
-            nxt = Element(ring)
-            for t1, c1 in out.terms.items():
-                for t2, c2 in img.terms.items():
-                    nxt._accumulate(tensor_token(*(t1.data + (t2,))), c1 * c2)
-            out = nxt
-        return out.scale(sign)
+        return tensor_product(ring, [m(t) for m, t in zip(maps, tok.data)], sign)
 
     return LinearMap(ring, shift, fn, "(x)".join(m.name for m in maps))
 
@@ -501,7 +508,7 @@ def verify_chain_map(f, src, dst, through_degree):
 
     Returns (True, None) or (False, first offending token).
     """
-    sign = -1 if f.shift % 2 else 1
+    sign = parity_sign(f.shift)
     for n in range(through_degree + 1):
         for tok in src.basis.basis(n):
             lhs = dst.d(f(tok))
@@ -529,18 +536,13 @@ def dualize(x, through_degree=None):
         inner = tok.data if tok.kind == "dual" else dual_token(tok)
         n = tok.degree
         src_deg = n - x.d.shift
-        out = Element(ring)
         if src_deg > n_max or src_deg < 0:
-            return out
+            return Element(ring)
         # Koszul transpose; the +1 twist on shift +1 inputs encodes the
         # signed evaluation identification, making dualize an involution.
-        exponent = n if x.d.shift == -1 else n + 1
-        sign = -1 if exponent % 2 else 1
-        for y in x.basis.basis(src_deg):
-            c = x.d(y).coefficient(inner)
-            if c:
-                out._accumulate(dual_token(y), sign * c)
-        return out
+        sign = parity_sign(n if x.d.shift == -1 else n + 1)
+        column = [(y, x.d(y).coefficient(inner)) for y in x.basis.basis(src_deg)]
+        return Element(ring, [(dual_token(y), sign * c) for y, c in column if c])
 
     shift = -x.d.shift
     return ChainComplex(basis, LinearMap(ring, shift, dfn, "d*"), name="dual(%s)" % x.name)

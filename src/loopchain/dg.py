@@ -8,13 +8,9 @@ and Hirsch coalgebra structures on cobar constructions.
 
 from .chains import (
     ChainComplex, Element, GradedBasis, InfiniteTypeError, LinearMap,
-    add_maps, compose, identity_map, operator_application_sign,
-    reorder_sign, suspend, desuspend, tensor_token, word_token,
+    add_maps, identity_map, koszul_sign, parity_sign, suspend, desuspend,
+    tensor_map, tensor_maps, tensor_product, tensor_token, word_token,
 )
-
-
-def _signed(exp):
-    return -1 if exp % 2 else 1
 
 
 def unit_augmentation(ring, unit_token):
@@ -54,12 +50,7 @@ class DGAlgebra:
 
     def multiply(self, x, y):
         """Product of two elements (no Koszul signs: values, not maps)."""
-        out = Element(self.ring)
-        for s, c in x.items():
-            for t, c2 in y.items():
-                for u, c3 in self._mult(s, t).items():
-                    out._accumulate(u, c * c2 * c3)
-        return out
+        return x.bilinear(y, self._mult)
 
     def multiply_all(self, elements):
         out = Element.from_token(self.ring, self.unit)
@@ -69,12 +60,7 @@ class DGAlgebra:
 
     def mult_on_pairs(self, x):
         """Apply multiplication to an element of binary tensor tokens."""
-        out = Element(self.ring)
-        for t, c in x.items():
-            a, b = t.data
-            for u, c2 in self._mult(a, b).items():
-                out._accumulate(u, c * c2)
-        return out
+        return x.apply(lambda t: self._mult(*t.data))
 
     def aug_ideal_basis(self, n):
         toks = self.complex.basis.basis(n)
@@ -96,14 +82,11 @@ class DGAlgebra:
                 for c in toks:
                     if a.degree + b.degree + c.degree > through_degree:
                         continue
-                    lhs = self.multiply(self.mult_elem(a, b), self.element(c))
-                    rhs = self.multiply(self.element(a), self.mult_elem(b, c))
+                    lhs = self.multiply(self.mult(a, b), self.element(c))
+                    rhs = self.multiply(self.element(a), self.mult(b, c))
                     if lhs != rhs:
                         return (a, b, c)
         return None
-
-    def mult_elem(self, a, b):
-        return self._mult(a, b)
 
     def check_mult_is_chain_map(self, through_degree):
         """d(ab) = (da)b + (-1)^|a| a(db) on basis pairs."""
@@ -113,7 +96,7 @@ class DGAlgebra:
                     for b in self.complex.basis.basis(m):
                         lhs = self.d(self._mult(a, b))
                         rhs = self.multiply(self.d(a), self.element(b)) + \
-                            self.multiply(self.element(a), self.d(b)).scale(_signed(n))
+                            self.multiply(self.element(a), self.d(b)).scale(parity_sign(n))
                         if lhs != rhs:
                             return (a, b)
         return None
@@ -144,49 +127,22 @@ class DGCoalgebra:
     def comult(self, tok):
         return self._comult(tok)
 
-    def comult_element(self, x):
-        out = Element(self.ring)
-        for t, c in x.items():
-            for u, c2 in self._comult(t).items():
-                out._accumulate(u, c * c2)
-        return out
-
     def reduced_comult(self, tok):
         """Drop terms with a degree-0 factor; valid for connected coalgebras."""
-        out = Element(self.ring)
         if tok.degree == 0:
-            return out
-        for t, c in self._comult(tok).items():
-            a, b = t.data
-            if a.degree > 0 and b.degree > 0:
-                out._accumulate(t, c)
-        return out
+            return Element(self.ring)
+        return Element(self.ring, [(t, c) for t, c in self._comult(tok).items()
+                                   if t.data[0].degree > 0 and t.data[1].degree > 0])
 
     def reduced_comult_iterated(self, tok, k):
         """Delta-bar^(k): element with k-fold tensor tokens (left-iterated)."""
-        ring = self.ring
-        if k == 1:
-            return Element.from_token(ring, tensor_token(tok)) if tok.degree > 0 else Element(ring)
-        prev = self.reduced_comult_iterated(tok, k - 1)
-        out = Element(ring)
-        for t, c in prev.items():
-            first, rest = t.data[0], t.data[1:]
-            for u, c2 in self.reduced_comult(first).items():
-                out._accumulate(tensor_token(*(u.data + rest)), c * c2)
-        return out
+        if tok.degree == 0:
+            return Element(self.ring)
+        return _split_first_iterated(self.ring, tok, self.reduced_comult, k)
 
     def comult_iterated(self, tok, k):
         """Full Delta^(k) as an element of k-fold tensor tokens."""
-        ring = self.ring
-        if k == 1:
-            return Element.from_token(ring, tensor_token(tok))
-        prev = self.comult_iterated(tok, k - 1)
-        out = Element(ring)
-        for t, c in prev.items():
-            first, rest = t.data[0], t.data[1:]
-            for u, c2 in self._comult(first).items():
-                out._accumulate(tensor_token(*(u.data + rest)), c * c2)
-        return out
+        return _split_first_iterated(self.ring, tok, self._comult, k)
 
     def is_connected(self):
         return self.complex.basis.basis(0) == [self.counit_token]
@@ -197,24 +153,16 @@ class DGCoalgebra:
     def check_coassociativity(self, through_degree):
         for n in range(through_degree + 1):
             for tok in self.complex.basis.basis(n):
-                lhs = Element(self.ring)
-                rhs = Element(self.ring)
-                for t, c in self._comult(tok).items():
-                    a, b = t.data
-                    for u, c2 in self._comult(a).items():
-                        lhs._accumulate(tensor_token(*(u.data + (b,))), c * c2)
-                    for u, c2 in self._comult(b).items():
-                        rhs._accumulate(tensor_token(*((a,) + u.data)), c * c2)
-                if lhs != rhs:
+                if self.comult_iterated(tok, 3) != _split_last(self.ring, tok, self._comult):
                     return tok
         return None
 
     def check_comult_is_chain_map(self, through_degree):
-        dT = add_maps(tensor_maps_pair(self.d, identity_map(self.ring)),
-                      tensor_maps_pair(identity_map(self.ring), self.d))
+        dT = add_maps(tensor_map(self.d, identity_map(self.ring)),
+                      tensor_map(identity_map(self.ring), self.d))
         for n in range(through_degree + 1):
             for tok in self.complex.basis.basis(n):
-                if dT(self._comult(tok)) != self.comult_element(self.d(tok)):
+                if dT(self._comult(tok)) != self.d(tok).apply(self._comult):
                     return tok
         return None
 
@@ -226,18 +174,27 @@ class DGCoalgebra:
         return True
 
 
-def tensor_maps_pair(f, g):
-    from .chains import tensor_map
-    return tensor_map(f, g)
+def _split_first_iterated(ring, tok, split, k):
+    """(split (x) Id^(k-2)) ... (split (x) Id) split (tok): the left-iterated
+    k-fold splitting of tok, in flat k-fold tensor tokens."""
+    out = Element.from_token(ring, tensor_token(tok))
+    for _ in range(k - 1):
+        out = Element(ring, [(tensor_token(*(u.data + t.data[1:])), c * cu)
+                             for t, c in out.items() for u, cu in split(t.data[0]).items()])
+    return out
+
+
+def _split_last(ring, tok, split):
+    """(Id (x) split) split (tok) in flat 3-fold tensor tokens."""
+    return Element(ring, [(tensor_token(t.data[0], *u.data), c * cu)
+                          for t, c in split(tok).items() for u, cu in split(t.data[1]).items()])
 
 
 def twist_tensor(ring, x):
     """Symmetry isomorphism on binary tensor tokens with Koszul sign."""
-    out = Element(ring)
-    for t, c in x.items():
-        a, b = t.data
-        out._accumulate(tensor_token(b, a), c * _signed(a.degree * b.degree))
-    return out
+    return Element(ring, [(tensor_token(*t.data[::-1]),
+                           c * parity_sign(t.data[0].degree * t.data[1].degree))
+                          for t, c in x.items()])
 
 
 class HopfAlgebra:
@@ -268,19 +225,12 @@ class HopfAlgebra:
     def comult(self, tok):
         return self._comult(tok)
 
-    def comult_element(self, x):
-        out = Element(self.ring)
-        for t, c in x.items():
-            for u, c2 in self._comult(t).items():
-                out._accumulate(u, c * c2)
-        return out
-
     def as_coalgebra(self):
         return DGCoalgebra(self.complex, self.unit, self._comult, self.counit, self.name)
 
     def comult_power(self, tok, r):
         """Full Delta^(r) with values in flat r-fold tensor tokens."""
-        return self.as_coalgebra().comult_iterated(tok, r)
+        return _split_first_iterated(self.ring, tok, self._comult, r)
 
     def is_cocommutative(self, through_degree):
         return self.as_coalgebra().is_cocommutative(through_degree)
@@ -293,7 +243,7 @@ class HopfAlgebra:
             for m in range(through_degree + 1 - n):
                 for a in A.complex.basis.basis(n):
                     for b in A.complex.basis.basis(m):
-                        lhs = self.comult_element(A.mult(a, b))
+                        lhs = A.mult(a, b).apply(self._comult)
                         rhs = sq.multiply(self._comult(a), self._comult(b))
                         if lhs != rhs:
                             return (a, b)
@@ -324,7 +274,6 @@ class TwistingCochain:
 
     def brown_defect(self, tok):
         """d t(c) + t(d c) - m (t (x) t) Delta(c)."""
-        from .chains import tensor_map
         t2 = tensor_map(self.map, self.map)
         lhs = self.target.d(self.map(tok)) + self.map(self.source.d(tok))
         rhs = self.target.mult_on_pairs(t2(self.source.comult(tok)))
@@ -383,28 +332,23 @@ def bar_construction(A, max_degree=None):
 
     def differential(tok):
         letters = tok.data
-        out = Element(ring)
+        pairs = []
         prefix_deg = 0
         for j, letter in enumerate(letters):
             a = desuspend(letter)
-            passage = _signed(prefix_deg)
+            passage = parity_sign(prefix_deg)
             # internal part: s(da_j), entering with operator degree -1
-            for u, c in A.d(a).items():
-                if u != A.unit:
-                    out._accumulate(
-                        word_token(letters[:j] + (suspend(u),) + letters[j + 1:]),
-                        -passage * c)
+            pairs += [(word_token(letters[:j] + (suspend(u),) + letters[j + 1:]), -passage * c)
+                      for u, c in A.d(a).items() if u != A.unit]
             # merge part: s(a_j a_{j+1})
             if j + 1 < len(letters):
                 b = desuspend(letters[j + 1])
-                merge_sign = passage * _signed(letter.degree)
-                for u, c in A.mult(a, b).items():
-                    if u != A.unit:
-                        out._accumulate(
-                            word_token(letters[:j] + (suspend(u),) + letters[j + 2:]),
-                            merge_sign * c)
+                merge_sign = passage * parity_sign(letter.degree)
+                pairs += [(word_token(letters[:j] + (suspend(u),) + letters[j + 2:]),
+                           merge_sign * c)
+                          for u, c in A.mult(a, b).items() if u != A.unit]
             prefix_deg += letter.degree
-        return out
+        return Element(ring, pairs)
 
     d = LinearMap(ring, -1, differential, "d_Bar")
     cx = ChainComplex(basis, d, name="Bar(%s)" % A.name)
@@ -412,33 +356,26 @@ def bar_construction(A, max_degree=None):
 
     def comult(tok):
         letters = tok.data
-        out = Element(ring)
-        for k in range(len(letters) + 1):
-            out._accumulate(tensor_token(word_token(letters[:k]), word_token(letters[k:])), 1)
-        return out
+        return Element(ring, [(tensor_token(word_token(letters[:k]), word_token(letters[k:])), 1)
+                              for k in range(len(letters) + 1)])
 
     return DGCoalgebra(cx, empty, comult, name="Bar(%s)" % A.name)
 
 
+def bar_word(ring, elements, unit):
+    """s x_1 | ... | s x_k for algebra elements x_i, dropping unit terms."""
+    letters = [Element(ring, [(suspend(u), c) for u, c in x.items() if u != unit])
+               for x in elements]
+    return tensor_product(ring, letters, join=word_token)
+
+
 def bar_map(g, A, Aprime, max_degree=None):
     """Bar functor on an algebra map g: letterwise application."""
-    ring = A.ring
 
     def fn(tok):
-        out = Element.from_token(ring, word_token(()))
-        for letter in tok.data:
-            a = desuspend(letter)
-            img = g(a)
-            nxt = Element(ring)
-            for w, c in out.items():
-                for u, c2 in img.items():
-                    if u == Aprime.unit:
-                        continue
-                    nxt._accumulate(word_token(w.data + (suspend(u),)), c * c2)
-            out = nxt
-        return out
+        return bar_word(A.ring, [g(desuspend(letter)) for letter in tok.data], Aprime.unit)
 
-    return LinearMap(ring, 0, fn, "Bar(g)")
+    return LinearMap(A.ring, 0, fn, "Bar(g)")
 
 
 # ---------------------------------------------------------------------------
@@ -473,27 +410,22 @@ def cobar_construction(C, max_degree=None):
     def letter_image(letter):
         """d on a generator: -s^{-1}(dc) + sum +- s^{-1}c_i | s^{-1}c^i."""
         c = suspend(letter)
-        out = Element(ring)
-        for u, coeff in C.d(c).items():
-            if u.degree > 0:
-                out._accumulate(word_token((desuspend(u),)), -coeff)
-        for t, coeff in C.reduced_comult(c).items():
-            a, b = t.data
-            sign = _signed(a.degree)
-            out._accumulate(word_token((desuspend(a), desuspend(b))), sign * coeff)
-        return out
+        return Element(ring, [(word_token((desuspend(u),)), -coeff)
+                              for u, coeff in C.d(c).items() if u.degree > 0] +
+                       [(word_token((desuspend(t.data[0]), desuspend(t.data[1]))),
+                         parity_sign(t.data[0].degree) * coeff)
+                        for t, coeff in C.reduced_comult(c).items()])
 
     def differential(tok):
         letters = tok.data
-        out = Element(ring)
+        pairs = []
         prefix_deg = 0
         for j, letter in enumerate(letters):
-            passage = _signed(prefix_deg)
-            for w, c in letter_image(letter).items():
-                out._accumulate(word_token(letters[:j] + w.data + letters[j + 1:]),
-                                passage * c)
+            passage = parity_sign(prefix_deg)
+            pairs += [(word_token(letters[:j] + w.data + letters[j + 1:]), passage * c)
+                      for w, c in letter_image(letter).items()]
             prefix_deg += letter.degree
-        return out
+        return Element(ring, pairs)
 
     d = LinearMap(ring, -1, differential, "d_Cobar")
     cx = ChainComplex(basis, d, name="Cobar(%s)" % C.name)
@@ -510,18 +442,10 @@ def cobar_map(f, C, Cprime, max_degree=None):
     ring = C.ring
 
     def fn(tok):
-        out = Element.from_token(ring, word_token(()))
-        for letter in tok.data:
-            c = suspend(letter)
-            img = f(c)
-            nxt = Element(ring)
-            for w, cf in out.items():
-                for u, c2 in img.items():
-                    if u.degree == 0:
-                        continue
-                    nxt._accumulate(word_token(w.data + (desuspend(u),)), cf * c2)
-            out = nxt
-        return out
+        letters = [Element(ring, [(desuspend(u), c) for u, c in f(suspend(letter)).items()
+                                  if u.degree > 0])
+                   for letter in tok.data]
+        return tensor_product(ring, letters, join=word_token)
 
     return LinearMap(ring, 0, fn, "Cobar(f)")
 
@@ -580,30 +504,14 @@ def coalgebra_realization(t):
     C = t.source
     A = t.target
 
+    def word(tens):
+        return bar_word(ring, [t.map(factor) for factor in tens.data], A.unit)
+
     def fn(tok):
         if tok.degree == 0:
             return Element.from_token(ring, word_token(()))
-        out = Element(ring)
-        for k in range(1, tok.degree + 1):
-            for tens, c in C.reduced_comult_iterated(tok, k).items():
-                acc = Element.from_token(ring, word_token(()))
-                ok = True
-                for factor in tens.data:
-                    img = t.map(factor)
-                    nxt = Element(ring)
-                    for w, cw in acc.items():
-                        for u, cu in img.items():
-                            if u == A.unit:
-                                continue
-                            nxt._accumulate(word_token(w.data + (suspend(u),)), cw * cu)
-                    acc = nxt
-                    if acc.is_zero():
-                        ok = False
-                        break
-                if ok:
-                    for w, cw in acc.items():
-                        out._accumulate(w, c * cw)
-        return out
+        return Element(ring, [term for k in range(1, tok.degree + 1)
+                              for term in C.reduced_comult_iterated(tok, k).apply(word).items()])
 
     return LinearMap(ring, 0, fn, "beta_t")
 
@@ -650,12 +558,13 @@ def cobar_bar_section(A):
 # Tensor products of algebras and coalgebras
 
 
-def tensor_algebra(*algebras, max_degree=None):
-    """Componentwise algebra on flat tensor tokens with Koszul signs."""
-    ring = algebras[0].ring
+def _tensor_complex(factors, max_degree):
+    """Basis of flat tensor tokens and the Koszul-signed Leibniz differential
+    for the tensor product of the complexes of the given (co)algebras."""
+    ring = factors[0].ring
     if max_degree is None:
-        max_degree = min(a.max_degree for a in algebras)
-    n_factors = len(algebras)
+        max_degree = min(f.max_degree for f in factors)
+    n_factors = len(factors)
 
     def basis_fn(n):
         out = []
@@ -668,41 +577,36 @@ def tensor_algebra(*algebras, max_degree=None):
             for d in range(0, remaining + 1):
                 if i == n_factors - 1 and d != remaining:
                     continue
-                for t in algebras[i].complex.basis.basis(d):
+                for t in factors[i].complex.basis.basis(d):
                     build(i + 1, remaining - d, prefix + [t])
 
         build(0, n, [])
         return out
 
-    name = "(x)".join(a.name for a in algebras)
+    name = "(x)".join(f.name for f in factors)
     basis = GradedBasis(ring, basis_fn, max_degree, name)
-    maps = [a.complex.d for a in algebras]
-    from .chains import tensor_maps
     d = None
     for i in range(n_factors):
         slot = [identity_map(ring)] * n_factors
-        slot[i] = maps[i]
+        slot[i] = factors[i].complex.d
         term = tensor_maps(slot)
         d = term if d is None else add_maps(d, term)
-    cx = ChainComplex(basis, d, name)
+    return ChainComplex(basis, d, name)
+
+
+def tensor_algebra(*algebras, max_degree=None):
+    """Componentwise algebra on flat tensor tokens with Koszul signs."""
+    ring = algebras[0].ring
+    n_factors = len(algebras)
+    cx = _tensor_complex(algebras, max_degree)
     unit = tensor_token(*[a.unit for a in algebras])
+    order = [k for i in range(n_factors) for k in (i, n_factors + i)]
 
     def mult(s, t):
         a_parts, b_parts = s.data, t.data
-        degrees = [x.degree for x in a_parts] + [x.degree for x in b_parts]
-        order = []
-        for i in range(n_factors):
-            order.extend([i, n_factors + i])
-        sign = reorder_sign(degrees, order)
-        factor_products = [algebras[i].mult(a_parts[i], b_parts[i]) for i in range(n_factors)]
-        out = Element.from_token(ring, tensor_token())
-        for img in factor_products:
-            nxt = Element(ring)
-            for t1, c1 in out.items():
-                for t2, c2 in img.items():
-                    nxt._accumulate(tensor_token(*(t1.data + (t2,))), c1 * c2)
-            out = nxt
-        return out.scale(sign)
+        sign = koszul_sign([x.degree for x in a_parts + b_parts], order)
+        return tensor_product(ring, [algebras[i].mult(a_parts[i], b_parts[i])
+                                     for i in range(n_factors)], sign)
 
     def aug(tok):
         v = 1
@@ -710,68 +614,30 @@ def tensor_algebra(*algebras, max_degree=None):
             v *= a.augmentation(part)
         return v
 
-    return DGAlgebra(cx, unit, mult, aug, name)
+    return DGAlgebra(cx, unit, mult, aug, cx.name)
 
 
 def tensor_coalgebra(*coalgebras, max_degree=None):
     """Componentwise coalgebra on flat tensor tokens with Koszul signs."""
     ring = coalgebras[0].ring
-    if max_degree is None:
-        max_degree = min(c.max_degree for c in coalgebras)
     n_factors = len(coalgebras)
-
-    def basis_fn(n):
-        out = []
-
-        def build(i, remaining, prefix):
-            if i == n_factors:
-                if remaining == 0:
-                    out.append(tensor_token(*prefix))
-                return
-            for d in range(0, remaining + 1):
-                if i == n_factors - 1 and d != remaining:
-                    continue
-                for t in coalgebras[i].complex.basis.basis(d):
-                    build(i + 1, remaining - d, prefix + [t])
-
-        build(0, n, [])
-        return out
-
-    name = "(x)".join(c.name for c in coalgebras)
-    basis = GradedBasis(ring, basis_fn, max_degree, name)
-    from .chains import tensor_maps
-    d = None
-    for i in range(n_factors):
-        slot = [identity_map(ring)] * n_factors
-        slot[i] = coalgebras[i].complex.d
-        term = tensor_maps(slot)
-        d = term if d is None else add_maps(d, term)
-    cx = ChainComplex(basis, d, name)
+    cx = _tensor_complex(coalgebras, max_degree)
     counit_tok = tensor_token(*[c.counit_token for c in coalgebras])
+    # the unshuffle (x1,y1,...,xn,yn) -> (x1..xn, y1..yn)
+    order = list(range(0, 2 * n_factors, 2)) + list(range(1, 2 * n_factors, 2))
+
+    def unshuffle(pairs):
+        return tensor_token(tensor_token(*[t.data[0] for t in pairs]),
+                            tensor_token(*[t.data[1] for t in pairs]))
+
+    def unshuffle_sign(tok):
+        left, right = tok.data
+        return koszul_sign([u.degree for xy in zip(left.data, right.data) for u in xy], order)
 
     def comult(tok):
-        # expand factorwise, then unshuffle (x1,y1,...,xn,yn) -> (x..., y...)
-        parts = tok.data
-        out = Element(ring)
-        expansions = [list(coalgebras[i].comult(parts[i]).items()) for i in range(n_factors)]
-
-        def build(i, acc_tokens, acc_coeff):
-            if i == n_factors:
-                degrees = []
-                for x, y in acc_tokens:
-                    degrees.extend([x.degree, y.degree])
-                order = [2 * i for i in range(n_factors)] + [2 * i + 1 for i in range(n_factors)]
-                sign = reorder_sign(degrees, order)
-                left = tensor_token(*[x for x, _ in acc_tokens])
-                right = tensor_token(*[y for _, y in acc_tokens])
-                out._accumulate(tensor_token(left, right), acc_coeff * sign)
-                return
-            for t, c in expansions[i]:
-                x, y = t.data
-                build(i + 1, acc_tokens + [(x, y)], acc_coeff * c)
-
-        build(0, [], 1)
-        return out
+        expanded = tensor_product(ring, [c.comult(part) for c, part in zip(coalgebras, tok.data)],
+                                  join=unshuffle)
+        return Element(ring, [(t, c * unshuffle_sign(t)) for t, c in expanded.items()])
 
     def counit(tok):
         v = 1
@@ -779,7 +645,7 @@ def tensor_coalgebra(*coalgebras, max_degree=None):
             v *= c.counit(part)
         return v
 
-    return DGCoalgebra(cx, counit_tok, comult, counit, name)
+    return DGCoalgebra(cx, counit_tok, comult, counit, cx.name)
 
 
 def hopf_tensor_power(H, r, max_degree=None):
@@ -803,18 +669,16 @@ def cartesian_product(t, tprime, source=None, target=None):
 
     def fn(tok):
         c, cprime = tok.data
-        out = Element(ring)
-        if cprime.degree == 0:
-            eps = tprime.source.counit(cprime)
-            if eps:
-                for u, coeff in t.map(c).items():
-                    out._accumulate(tensor_token(u, tprime.target.unit), coeff * eps)
-        if c.degree == 0:
-            eps = t.source.counit(c)
-            if eps:
-                for u, coeff in tprime.map(cprime).items():
-                    out._accumulate(tensor_token(t.target.unit, u), coeff * eps)
-        return out
+        pairs = []
+        eps = tprime.source.counit(cprime) if cprime.degree == 0 else 0
+        if eps:
+            pairs += [(tensor_token(u, tprime.target.unit), coeff * eps)
+                      for u, coeff in t.map(c).items()]
+        eps = t.source.counit(c) if c.degree == 0 else 0
+        if eps:
+            pairs += [(tensor_token(t.target.unit, u), coeff * eps)
+                      for u, coeff in tprime.map(cprime).items()]
+        return Element(ring, pairs)
 
     return TwistingCochain(C, A, LinearMap(ring, -1, fn, "t*t'"), "%s*%s" % (t.name, tprime.name))
 
@@ -835,7 +699,6 @@ def cobar_tensor_splitting(C, Cprime, cobars=None):
 
 def convolution(H, f, g):
     """f * g = mu (f (x) g) delta on a Hopf algebra."""
-    from .chains import tensor_map
     ring = H.ring
     fg = tensor_map(f, g)
 
@@ -852,12 +715,8 @@ def convolution_power(H, r):
     ring = H.ring
 
     def fn(tok):
-        out = Element(ring)
-        for t, c in H.comult_power(tok, r).items():
-            prod = H.algebra.multiply_all([Element.from_token(ring, u) for u in t.data])
-            for u, c2 in prod.items():
-                out._accumulate(u, c * c2)
-        return out
+        return H.comult_power(tok, r).apply(
+            lambda t: H.algebra.multiply_all([Element.from_token(ring, u) for u in t.data]))
 
     return LinearMap(ring, 0, fn, "lambda_%d" % r)
 
@@ -895,17 +754,7 @@ class HirschCoalgebra:
 
     def iterated_psi(self, tok, r):
         """psi^(r)(word) as an element of flat r-fold tensor tokens."""
-        ring = self.ring
-        out = Element.from_token(ring, tensor_token(tok))
-        while r > 1:
-            nxt = Element(ring)
-            for t, c in out.items():
-                first, rest = t.data[0], t.data[1:]
-                for u, c2 in self.psi(first).items():
-                    nxt._accumulate(tensor_token(*(u.data + rest)), c * c2)
-            out = nxt
-            r -= 1
-        return out
+        return _split_first_iterated(self.ring, tok, self.psi, r)
 
     def loop_hopf(self):
         """The chain Hopf algebra (Cobar C, psi)-with values through pairs."""
@@ -937,15 +786,7 @@ class HirschCoalgebra:
         for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
             for c in self.C.complex.basis.basis(n):
                 w = word_token((desuspend(c),))
-                lhs = self.iterated_psi(w, 3)
-                # right-iterated for comparison
-                ring = self.ring
-                rhs = Element(ring)
-                for t, cf in self.psi(w).items():
-                    a, b = t.data
-                    for u, c2 in self.psi(b).items():
-                        rhs._accumulate(tensor_token(a, *u.data), cf * c2)
-                if lhs != rhs:
+                if self.iterated_psi(w, 3) != _split_last(self.ring, w, self.psi):
                     return c
         return None
 
@@ -965,10 +806,7 @@ def hirsch_primitive(C, cobar=None, overrides=None, name=""):
         if letter in overrides:
             return overrides[letter]
         w = word_token((letter,))
-        out = Element(ring)
-        out._accumulate(tensor_token(w, empty), 1)
-        out._accumulate(tensor_token(empty, w), 1)
-        return out
+        return Element(ring, [(tensor_token(w, empty), 1), (tensor_token(empty, w), 1)])
 
     return HirschCoalgebra(C, omega, gen, name=name)
 
@@ -986,15 +824,10 @@ def suspension_hirsch(EL_chains, lower_comult, cobar=None, name=""):
     empty = word_token(())
 
     def gen(letter):
-        c = suspend(letter)
-        out = Element(ring)
-        out._accumulate(tensor_token(word_token((letter,)), empty), 1)
-        out._accumulate(tensor_token(empty, word_token((letter,))), 1)
-        for t, coeff in lower_comult(c).items():
-            u, v = t.data
-            out._accumulate(
-                tensor_token(word_token((desuspend(u),)), word_token((desuspend(v),))),
-                coeff)
-        return out
+        w = word_token((letter,))
+        return Element(ring, [(tensor_token(w, empty), 1), (tensor_token(empty, w), 1)] +
+                       [(tensor_token(word_token((desuspend(t.data[0]),)),
+                                      word_token((desuspend(t.data[1]),))), coeff)
+                        for t, coeff in lower_comult(suspend(letter)).items()])
 
     return HirschCoalgebra(EL_chains, omega, gen, name=name)

@@ -9,11 +9,11 @@ group rings of C_2 and S_3 in an augmentation-aligned basis.
 import json
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, generator, reorder_sign,
+    ChainComplex, Element, GradedBasis, LinearMap, generator, koszul_sign,
     tensor_token, word_token, desuspend, zero_map, RINGS, ZZ, F2,
 )
 from .dg import (
-    DGAlgebra, DGCoalgebra, HopfAlgebra, HirschCoalgebra, hirsch_primitive,
+    DGAlgebra, DGCoalgebra, HopfAlgebra, hirsch_primitive, suspension_hirsch,
     tensor_algebra, cobar_construction,
 )
 from .groups import BUILTIN_GROUPS
@@ -21,6 +21,15 @@ from .groups import BUILTIN_GROUPS
 
 # ---------------------------------------------------------------------------
 # Coalgebra fixtures
+
+
+def _primitive_comult(ring, one):
+    """The comultiplication with every token other than one primitive."""
+    def comult(tok):
+        if tok == one:
+            return Element(ring, [(tensor_token(one, one), 1)])
+        return Element(ring, [(tensor_token(one, tok), 1), (tensor_token(tok, one), 1)])
+    return comult
 
 
 def sphere_coalgebra(n, ring=ZZ, max_degree=None):
@@ -32,16 +41,7 @@ def sphere_coalgebra(n, ring=ZZ, max_degree=None):
     basis = GradedBasis(ring, {0: [one], n: [y]}, max_degree, "C(S%d)" % n)
     cx = ChainComplex(basis, zero_map(ring, -1), "C(S%d)" % n)
 
-    def comult(tok):
-        out = Element(ring)
-        if tok == one:
-            out._accumulate(tensor_token(one, one), 1)
-        else:
-            out._accumulate(tensor_token(one, y), 1)
-            out._accumulate(tensor_token(y, one), 1)
-        return out
-
-    return DGCoalgebra(cx, one, comult, name="C(S%d)" % n)
+    return DGCoalgebra(cx, one, _primitive_comult(ring, one), name="C(S%d)" % n)
 
 
 def nonreal_aw_coalgebra(ring=ZZ, max_degree=16):
@@ -61,16 +61,12 @@ def nonreal_aw_coalgebra(ring=ZZ, max_degree=16):
     cx = ChainComplex(basis, LinearMap(ring, -1, dfn, "d"), "Cnaw")
 
     def comult(tok):
-        out = Element(ring)
         if tok == u:
-            out._accumulate(tensor_token(u, u), 1)
-            return out
-        out._accumulate(tensor_token(u, tok), 1)
-        out._accumulate(tensor_token(tok, u), 1)
+            return Element(ring, [(tensor_token(u, u), 1)])
+        pairs = [(tensor_token(u, tok), 1), (tensor_token(tok, u), 1)]
         if tok == z:
-            out._accumulate(tensor_token(x, y), 3)
-            out._accumulate(tensor_token(x, yp), -2)
-        return out
+            pairs += [(tensor_token(x, y), 3), (tensor_token(x, yp), -2)]
+        return Element(ring, pairs)
 
     return DGCoalgebra(cx, u, comult, name="Cnaw")
 
@@ -87,11 +83,8 @@ def nonreal_aw_hirsch(ring=ZZ, max_degree=16):
     def w(tok):
         return word_token((desuspend(tok),))
 
-    img = Element(ring)
-    img._accumulate(tensor_token(w(z), empty), 1)
-    img._accumulate(tensor_token(w(yp), w(y)), 1)
-    img._accumulate(tensor_token(w(y), w(yp)), -1)
-    img._accumulate(tensor_token(empty, w(z)), 1)
+    img = Element(ring, [(tensor_token(w(z), empty), 1), (tensor_token(w(yp), w(y)), 1),
+                         (tensor_token(w(y), w(yp)), -1), (tensor_token(empty, w(z)), 1)])
     return C, hirsch_primitive(C, omega, overrides={desuspend(z): img}, name="Hirsch(Cnaw)")
 
 
@@ -109,31 +102,19 @@ def rp_suspension_coalgebra(ring=F2, max_degree=8):
     basis = GradedBasis(ring, basis_fn, max_degree, "C(E RP)")
     cx = ChainComplex(basis, zero_map(ring, -1), "C(E RP)")
 
-    def comult(tok):
-        out = Element(ring)
-        if tok == one:
-            out._accumulate(tensor_token(one, one), 1)
-            return out
-        out._accumulate(tensor_token(one, tok), 1)
-        out._accumulate(tensor_token(tok, one), 1)
-        return out
-
-    return DGCoalgebra(cx, one, comult, name="C(E RP)")
+    return DGCoalgebra(cx, one, _primitive_comult(ring, one), name="C(E RP)")
 
 
 def rp_hirsch(ring=F2, max_degree=8):
     """The suspension Hirsch structure: psi(z_k) = sum z_i (x) z_{k-i},
     transported from the binomial diagonal one level down."""
-    from .dg import suspension_hirsch
     C = rp_suspension_coalgebra(ring, max_degree)
 
     def lower_comult(tok):
-        out = Element(ring)
         k = tok.degree - 1
-        for i in range(1, k):
-            out._accumulate(tensor_token(generator(("y", i), i + 1),
-                                         generator(("y", k - i), k - i + 1)), 1)
-        return out
+        return Element(ring, [(tensor_token(generator(("y", i), i + 1),
+                                            generator(("y", k - i), k - i + 1)), 1)
+                              for i in range(1, k)])
 
     return C, suspension_hirsch(C, lower_comult, name="Hirsch(E RP)")
 
@@ -190,7 +171,7 @@ def monomial_algebra(ring, gens, max_degree, name, truncations=None):
         seq = symbols(es) + symbols(et)
         degrees = [gens[i][1] for i in seq]
         order = sorted(range(len(seq)), key=lambda k: (seq[k], k))
-        sign = reorder_sign(degrees, order)
+        sign = koszul_sign(degrees, order)
         return Element.from_token(ring, _monomial_token(gens, combined), sign)
 
     return DGAlgebra(cx, unit, mult, name=name)
@@ -206,6 +187,7 @@ def primitive_hopf(algebra, through_degree=None):
     ring = algebra.ring
     square = tensor_algebra(algebra, algebra)
     cache = {}
+    primitive = _primitive_comult(ring, algebra.unit)
 
     def comult(tok):
         if tok in cache:
@@ -218,18 +200,12 @@ def primitive_hopf(algebra, through_degree=None):
             for i, e in enumerate(exps):
                 gen_exps = [0] * len(exps)
                 gen_exps[i] = 1
-                g = _monomial_token_from(algebra, gen_exps)
-                prim = Element(ring)
-                prim._accumulate(tensor_token(g, algebra.unit), 1)
-                prim._accumulate(tensor_token(algebra.unit, g), 1)
+                prim = primitive(_monomial_token_from(algebra, gen_exps))
                 for _ in range(e):
                     out = square.multiply(out, prim)
         elif tok.kind == "atom" and isinstance(tok.data, tuple) and tok.data[0] == "pow":
             name, k = tok.data[1], tok.data[2]
-            g = generator(("pow", name, 1), tok.degree // k if k else 0)
-            prim = Element(ring)
-            prim._accumulate(tensor_token(g, algebra.unit), 1)
-            prim._accumulate(tensor_token(algebra.unit, g), 1)
+            prim = primitive(generator(("pow", name, 1), tok.degree // k if k else 0))
             out = Element.from_token(ring, tensor_token(algebra.unit, algebra.unit))
             for _ in range(k):
                 out = square.multiply(out, prim)
@@ -304,33 +280,22 @@ def group_ring_hopf(group, ring=ZZ, max_degree=8):
                         max_degree, "R[%s]" % group.name)
     cx = ChainComplex(basis, zero_map(ring, -1), "R[%s]" % group.name)
 
-    def as_element(g, coeff=1):
-        out = Element(ring)
-        if g != group.unit:
-            out._accumulate(tok(g), coeff)
-        return out
-
     def mult(s, t):
         if s == unit:
             return Element.from_token(ring, t)
         if t == unit:
             return Element.from_token(ring, s)
         g, h = s.data[2], t.data[2]
-        out = as_element(group.mul(g, h))
-        out = out - as_element(g) - as_element(h)
-        return out
+        return Element(ring, [(tok(x), c) for x, c in ((group.mul(g, h), 1), (g, -1), (h, -1))
+                              if x != group.unit])
 
     A = DGAlgebra(cx, unit, mult, name="R[%s]" % group.name)
 
     def comult(t):
-        out = Element(ring)
         if t == unit:
-            out._accumulate(tensor_token(unit, unit), 1)
-            return out
-        out._accumulate(tensor_token(t, t), 1)
-        out._accumulate(tensor_token(t, unit), 1)
-        out._accumulate(tensor_token(unit, t), 1)
-        return out
+            return Element(ring, [(tensor_token(unit, unit), 1)])
+        return Element(ring, [(tensor_token(t, t), 1), (tensor_token(t, unit), 1),
+                              (tensor_token(unit, t), 1)])
 
     return HopfAlgebra(A, comult, name="R[%s]" % group.name)
 
@@ -384,13 +349,8 @@ def dg_fixture_from_dict(doc):
         per_degree.setdefault(t.degree, []).append(t)
 
     def parse_element(entries):
-        out = Element(ring)
-        for coeff, name in entries:
-            if isinstance(name, list):
-                out._accumulate(tensor_token(*[names[n] for n in name]), coeff)
-            else:
-                out._accumulate(names[name], coeff)
-        return out
+        return Element(ring, [(tensor_token(*[names[n] for n in name]) if isinstance(name, list)
+                               else names[name], coeff) for coeff, name in entries])
 
     dtable = {names[k]: parse_element(v) for k, v in doc.get("differential", {}).items()}
 
@@ -402,6 +362,13 @@ def dg_fixture_from_dict(doc):
     bad = cx.check_d_squared(max_degree)
     if bad is not None:
         raise FixtureError("differential does not square to zero at %r" % (bad,))
+
+    if kind in ("hopf", "coalgebra"):
+        ctable = {names[k]: parse_element(v) for k, v in doc.get("comultiplication", {}).items()}
+        primitive = _primitive_comult(ring, unit)
+
+        def comult(tok):
+            return ctable[tok] if tok in ctable else primitive(tok)
 
     if kind in ("algebra", "hopf"):
         mtable = {}
@@ -427,18 +394,6 @@ def dg_fixture_from_dict(doc):
             raise FixtureError("multiplication is not a chain map at %r" % (bad,))
         if kind == "algebra":
             return A
-        ctable = {names[k]: parse_element(v) for k, v in doc.get("comultiplication", {}).items()}
-
-        def comult(tok):
-            if tok in ctable:
-                return ctable[tok]
-            if tok == unit:
-                return Element.from_token(ring, tensor_token(unit, unit))
-            out = Element(ring)
-            out._accumulate(tensor_token(unit, tok), 1)
-            out._accumulate(tensor_token(tok, unit), 1)
-            return out
-
         H = HopfAlgebra(A, comult, name=doc.get("name", "fixture"))
         bad = H.check_comult_is_algebra_map(max_degree)
         if bad is not None:
@@ -446,18 +401,6 @@ def dg_fixture_from_dict(doc):
         return H
 
     if kind == "coalgebra":
-        ctable = {names[k]: parse_element(v) for k, v in doc.get("comultiplication", {}).items()}
-
-        def comult(tok):
-            if tok in ctable:
-                return ctable[tok]
-            if tok == unit:
-                return Element.from_token(ring, tensor_token(unit, unit))
-            out = Element(ring)
-            out._accumulate(tensor_token(unit, tok), 1)
-            out._accumulate(tensor_token(tok, unit), 1)
-            return out
-
         C = DGCoalgebra(cx, unit, comult, name=doc.get("name", "fixture"))
         bad = C.check_coassociativity(max_degree)
         if bad is not None:

@@ -9,21 +9,17 @@ strong-homotopy functoriality, the monoidal isomorphism, the induced
 """
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, generator,
-    operator_application_sign, reorder_sign, suspend, desuspend,
-    tensor_token, word_token,
+    ChainComplex, Element, GradedBasis, LinearMap, identity_map, koszul_sign,
+    operator_application_sign, parity_sign, suspend, desuspend, tensor_map,
+    tensor_product, tensor_token, word_token,
 )
 from .dg import (
-    DGCoalgebra, HopfAlgebra, TwistingCochain, algebra_realization,
-    bar_construction, cobar_construction, coalgebra_realization,
-    couniversal_twisting, hopf_tensor_power, tensor_algebra,
-    tensor_coalgebra, universal_twisting,
+    TwistingCochain, algebra_realization, bar_cobar_unit, bar_construction,
+    bar_word, cartesian_product, cobar_bar_counit, cobar_construction,
+    cobar_tensor_splitting, coalgebra_realization, couniversal_twisting,
+    hopf_tensor_power, twist_tensor, universal_twisting,
 )
 from .snf import HomologyBasis
-
-
-def _signed(exp):
-    return -1 if exp % 2 else 1
 
 
 class CompatibilityError(ValueError):
@@ -78,19 +74,13 @@ class HochschildComplex:
 
     def include_fiber(self, x):
         """M -> H, x |-> counit (x) x."""
-        out = Element(self.ring)
-        for tok, c in x.items():
-            out._accumulate(tensor_token(self.N.counit_token, tok), c)
-        return out
+        return Element(self.ring, [(tensor_token(self.N.counit_token, tok), c)
+                                   for tok, c in x.items()])
 
     def project_base(self, x):
         """H -> N, unit-augmentation component of the M factor."""
-        out = Element(self.ring)
-        for tok, c in x.items():
-            n_tok, m_tok = tok.data
-            if m_tok == self.M.unit:
-                out._accumulate(n_tok, c)
-        return out
+        return Element(self.ring, [(tok.data[0], c) for tok, c in x.items()
+                                   if tok.data[1] == self.M.unit])
 
 
 def hochschild_general(t, N=None, M=None, max_degree=None, name=""):
@@ -123,34 +113,29 @@ def hochschild_general(t, N=None, M=None, max_degree=None, name=""):
 
     def differential(tok):
         y, x = tok.data
-        out = Element(ring)
-        for u, c in N.complex.d(y).items():
-            out._accumulate(tensor_token(u, x), c)
-        sign = _signed(y.degree)
-        for u, c in M.complex.d(x).items():
-            out._accumulate(tensor_token(y, u), sign * c)
+        sign = parity_sign(y.degree)
+        pairs = [(tensor_token(u, x), c) for u, c in N.complex.d(y).items()]
+        pairs += [(tensor_token(y, u), sign * c) for u, c in M.complex.d(x).items()]
         # - (Id (x) m(t (x) Id)) (rho (x) Id): t passes y_j
         for pair, c in N.right_coaction(y).items():
             yj, cj = pair.data
             tv = t.map(cj)
             if tv.is_zero():
                 continue
-            passage = operator_application_sign([0, -1], [yj.degree, cj.degree])
-            for a, ca in tv.items():
-                for m, cm in M.left_action(a, x).items():
-                    out._accumulate(tensor_token(yj, m), -passage * c * ca * cm)
+            coeff = -operator_application_sign([0, -1], [yj.degree, cj.degree]) * c
+            pairs += [(tensor_token(yj, m), coeff * ca * cm)
+                      for a, ca in tv.items() for m, cm in M.left_action(a, x).items()]
         # + move c_i to the end, then apply t there
         for pair, c in N.left_coaction(y).items():
             ci, yi = pair.data
             tv = t.map(ci)
             if tv.is_zero():
                 continue
-            rot = reorder_sign([ci.degree, yi.degree, x.degree], [1, 2, 0])
+            rot = koszul_sign([ci.degree, yi.degree, x.degree], [1, 2, 0])
             app = operator_application_sign([0, 0, -1], [yi.degree, x.degree, ci.degree])
-            for a, ca in tv.items():
-                for m, cm in M.right_action(x, a).items():
-                    out._accumulate(tensor_token(yi, m), rot * app * c * ca * cm)
-        return out
+            pairs += [(tensor_token(yi, m), rot * app * c * ca * cm)
+                      for a, ca in tv.items() for m, cm in M.right_action(x, a).items()]
+        return Element(ring, pairs)
 
     cx = ChainComplex(basis, LinearMap(ring, -1, differential, "d_t"), label)
     return HochschildComplex(t, N, M, cx, label)
@@ -190,11 +175,7 @@ def induced_map(f, g, t, tprime, check_degree=None):
 
     def fn(tok):
         c, a = tok.data
-        out = Element(ring)
-        for u, cu in f(c).items():
-            for v, cv in g(a).items():
-                out._accumulate(tensor_token(u, v), cu * cv)
-        return out
+        return tensor_product(ring, [f(c), g(a)])
 
     return LinearMap(ring, 0, fn, "H(f,g)")
 
@@ -225,13 +206,12 @@ def sh_map(phi, g, t, tprime, check_degree=None):
 
     def fn(tok):
         c, a = tok.data
-        out = Element(ring)
-        if c.degree == 0:
-            for v, cv in g(Element.from_token(ring, a)).items():
-                out._accumulate(tensor_token(tprime.source.counit_token, v), cv)
-            return out
-        expansion = phi(word_token((desuspend(c),)))
         ga = g(Element.from_token(ring, a))
+        if c.degree == 0:
+            return Element(ring, [(tensor_token(tprime.source.counit_token, v), cv)
+                                  for v, cv in ga.items()])
+        expansion = phi(word_token((desuspend(c),)))
+        pairs = []
         for wtok, kappa in expansion.items():
             # work on the native cobar letters: alpha_t' on a single letter
             # is t' of its suspension (degree 0), the kept letter is
@@ -244,30 +224,26 @@ def sh_map(phi, g, t, tprime, check_degree=None):
             degs = [l.degree for l in letters] + [a.degree]
             for i in range(1, k + 1):
                 order = list(range(i - 1, k)) + [k] + list(range(0, i - 1))
-                sign = reorder_sign(degs, order)
+                coeff = kappa * koszul_sign(degs, order)
                 factors = [tprime.map(suspend(letters[j])) for j in range(i, k)] + \
                           [ga] + \
                           [tprime.map(suspend(letters[j])) for j in range(0, i - 1)]
-                prod = A2.multiply_all(factors)
-                coeff = kappa * sign
                 kept = suspend(letters[i - 1])
-                for v, cv in prod.items():
-                    out._accumulate(tensor_token(kept, v), coeff * cv)
-        return out
+                pairs += [(tensor_token(kept, v), coeff * cv)
+                          for v, cv in A2.multiply_all(factors).items()]
+        return Element(ring, pairs)
 
     return LinearMap(ring, 0, fn, "Hsh")
 
 
 def cohoch_retraction(C, cobar=None, max_degree=None):
     """rho-hat: Hoch(Cobar C) -> coHoch(C), a retraction of eta (x) Id."""
-    from .dg import cobar_bar_counit, bar_construction as _bar
     omega = cobar if cobar is not None else cobar_construction(C)
-    bar_omega = _bar(omega)
+    bar_omega = bar_construction(omega)
     t = couniversal_twisting(omega, bar_omega)
     tprime = universal_twisting(C, omega)
     eps = cobar_bar_counit(omega, bar_omega)
-    return sh_map(eps, LinearMap(C.ring, 0, lambda tok: Element.from_token(C.ring, tok), "Id"),
-                  t, tprime)
+    return sh_map(eps, identity_map(C.ring), t, tprime)
 
 
 def sh_map_dual(f, gamma, t, tprime, check_degree=None):
@@ -290,32 +266,17 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
 
     def evaluate_family(elements):
         """t_Bar' gamma on the bar word of suspensions of the elements."""
-        out = Element(ring)
-        stack = [((), 1)]
-        for e in elements:
-            nxt = []
-            for prefix, coeff in stack:
-                for x, cx in e.items():
-                    if x == A.unit:
-                        continue
-                    nxt.append((prefix + (suspend(x),), coeff * cx))
-            stack = nxt
-            if not stack:
-                return out
-        for letters, coeff in stack:
-            img = gamma(word_token(letters))
-            for wt, cw in img.items():
-                if len(wt.data) == 1:
-                    out._accumulate(desuspend(wt.data[0]), coeff * cw)
-        return out
+        return Element(ring, [(desuspend(wt.data[0]), cw)
+                              for wt, cw in bar_word(ring, elements, A.unit).apply(gamma).items()
+                              if len(wt.data) == 1])
 
     def fn(tok):
         c, a = tok.data
-        out = Element(ring)
+        pairs = []
         if a == A.unit:
             # the counit-covector term of the transposed formula
-            for u, cu in f(Element.from_token(ring, c)).items():
-                out._accumulate(tensor_token(u, A2.unit), cu)
+            pairs += [(tensor_token(u, A2.unit), cu)
+                      for u, cu in f(Element.from_token(ring, c)).items()]
         a_el = Element.from_token(ring, a)
         src = t.source
         # native-letter discipline: the slot operators s t (degree 0) and f
@@ -326,7 +287,7 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
             for tens, cd in src.comult_iterated(c, k).items():
                 pieces = tens.data
                 degs = [p.degree for p in pieces] + [a.degree + 1]
-                base = _signed(c.degree)
+                base = parity_sign(c.degree)
                 for i in range(1, k + 1):
                     tail = [t.map(pieces[j]) for j in range(i, k)] + [a_el] + \
                            [t.map(pieces[j]) for j in range(0, i - 1)]
@@ -336,30 +297,25 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
                     if fc.is_zero():
                         continue
                     order = list(range(i - 1, k)) + [k] + list(range(0, i - 1))
-                    rot = reorder_sign(degs, order)
+                    rot = koszul_sign(degs, order)
                     gk = evaluate_family(tail)
                     if gk.is_zero():
                         continue
-                    kept_sign = _signed(pieces[i - 1].degree)
-                    coeff = cd * base * rot * kept_sign
-                    for u, cu in fc.items():
-                        for v, cv in gk.items():
-                            out._accumulate(tensor_token(u, v), coeff * cu * cv)
-        return out
+                    kept_sign = parity_sign(pieces[i - 1].degree)
+                    pairs += tensor_product(ring, [fc, gk], cd * base * rot * kept_sign).items()
+        return Element(ring, pairs)
 
     return LinearMap(ring, 0, fn, "Hsh_dual")
 
 
 def hoch_section(A, bar=None, max_degree=None):
     """sigma-hat: Hoch(A) -> coHoch(Bar A), a section of Id (x) eps."""
-    from .dg import bar_cobar_unit
     barA = bar if bar is not None else bar_construction(A)
     omega_barA = cobar_construction(barA)
     t = couniversal_twisting(A, barA)
     tprime = universal_twisting(barA, omega_barA)
     eta = bar_cobar_unit(barA, omega_barA)
-    ident = LinearMap(A.ring, 0, lambda tok: Element.from_token(A.ring, tok), "Id")
-    return sh_map_dual(ident, eta, t, tprime)
+    return sh_map_dual(identity_map(A.ring), eta, t, tprime)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +330,7 @@ def monoidal_iso(t, tprime):
         cc, aa = tok.data
         c, cp = cc.data
         a, ap = aa.data
-        sign = _signed(cp.degree * a.degree)
+        sign = parity_sign(cp.degree * a.degree)
         return Element.from_token(
             ring, tensor_token(tensor_token(c, a), tensor_token(cp, ap)), sign)
 
@@ -382,7 +338,7 @@ def monoidal_iso(t, tprime):
         ca, cpap = tok.data
         c, a = ca.data
         cp, ap = cpap.data
-        sign = _signed(cp.degree * a.degree)
+        sign = parity_sign(cp.degree * a.degree)
         return Element.from_token(
             ring, tensor_token(tensor_token(c, cp), tensor_token(a, ap)), sign)
 
@@ -396,22 +352,16 @@ def hochschild_comultiplication(t, omega, H, check_degree=None):
 
     Hypothesis: (alpha_t (x) alpha_t) q omega = delta alpha_t (checked on
     generators when check_degree is given)."""
-    from .dg import cobar_tensor_splitting, cartesian_product
     ring = t.ring
     C = t.source
     q, _ = cobar_tensor_splitting(C, C)
     if check_degree is not None:
         alpha = algebra_realization(t)
+        alpha2 = tensor_map(alpha, alpha)
         for n in range(1, check_degree + 1):
             for c in C.complex.basis.basis(n):
                 gen = word_token((desuspend(c),))
-                lhs = Element(ring)
-                for tok, cf in q(omega(gen)).items():
-                    u, v = tok.data
-                    for x, cx in alpha(u).items():
-                        for y, cy in alpha(v).items():
-                            lhs._accumulate(tensor_token(x, y), cf * cx * cy)
-                if lhs != H.comult_element(alpha(gen)):
+                if alpha2(q(omega(gen))) != alpha(gen).apply(H.comult):
                     raise CompatibilityError("(alpha (x) alpha) q omega != delta alpha", c)
     tt = cartesian_product(t, t)
     delta = LinearMap(ring, 0, lambda tok: H.comult(tok), "delta")
@@ -430,7 +380,6 @@ def hochschild_multiplication(t, nu, H, check_degree=None):
 
     Computed through the transposed extended functoriality applied to
     (mu, nu): t*t -> t."""
-    from .dg import cartesian_product
     ring = t.ring
     tt = cartesian_product(t, t)
 
@@ -457,22 +406,16 @@ def check_power_hypotheses(t, hirsch, H, through_degree):
     from (Cobar C, psi) to (H, delta), and delta t is symmetric.
 
     Returns None or the first counterexample token."""
-    from .dg import twist_tensor
     ring = t.ring
     alpha = algebra_realization(t)
+    alpha2 = tensor_map(alpha, alpha)
     C = t.source
     for n in range(1, min(through_degree + 2, C.max_degree + 1)):
         for c in C.complex.basis.basis(n):
             gen = word_token((desuspend(c),))
-            lhs = Element(ring)
-            for tok, cf in hirsch.psi(gen).items():
-                u, v = tok.data
-                for x, cx in alpha(u).items():
-                    for y, cy in alpha(v).items():
-                        lhs._accumulate(tensor_token(x, y), cf * cx * cy)
-            if lhs != H.comult_element(alpha(gen)):
+            if alpha2(hirsch.psi(gen)) != alpha(gen).apply(H.comult):
                 return ("alpha_t is not a coalgebra map", c)
-            dt = H.comult_element(t.map(c))
+            dt = t.map(c).apply(H.comult)
             if twist_tensor(ring, dt) != dt:
                 return ("delta t is not symmetric", c)
     return None
@@ -485,11 +428,7 @@ def power_domain(t, H, r, max_degree=None):
     Hr = hopf_tensor_power(H, r, max_degree=max_degree)
 
     def fn(tok):
-        out = Element(ring)
-        for a, ca in t.map(tok).items():
-            for u, cu in H.comult_power(a, r).items():
-                out._accumulate(u, ca * cu)
-        return out
+        return t.map(tok).apply(lambda a: H.comult_power(a, r))
 
     tr = TwistingCochain(t.source, Hr.algebra, LinearMap(ring, -1, fn, "d(r)t"),
                          "delta^%d %s" % (r, t.name))
@@ -518,13 +457,11 @@ def power_concatenation(t, hirsch, H, r, check_degree=None, unsafe_skip_checks=F
     def fn(tok):
         c, wbar = tok.data
         ws = wbar.data
-        out = Element(ring)
         if c.degree == 0:
             prod = A.multiply_all([Element.from_token(ring, w) for w in ws])
-            for v, cv in prod.items():
-                out._accumulate(tensor_token(c, v), cv)
-            return out
+            return Element(ring, [(tensor_token(c, v), cv) for v, cv in prod.items()])
         expansion = hirsch.iterated_psi(word_token((desuspend(c),)), r)
+        pairs = []
         for tens, kappa in expansion.items():
             u1 = tens.data[0]
             us = tens.data[1:]
@@ -544,19 +481,17 @@ def power_concatenation(t, hirsch, H, r, check_degree=None, unsafe_skip_checks=F
                     order.append(u_idx[q])
                     order.append(w_idx[q + 1])
                 order += list(range(0, j - 1))
-                sign = reorder_sign(degrees, order)
+                coeff = kappa * koszul_sign(degrees, order)
                 factors = [alpha(word_token((l,))) for l in letters[j:]]
                 factors.append(Element.from_token(ring, ws[0]))
                 for q in range(r - 1):
                     factors.append(alpha(us[q]))
                     factors.append(Element.from_token(ring, ws[q + 1]))
                 factors += [alpha(word_token((l,))) for l in letters[:j - 1]]
-                prod = A.multiply_all(factors)
-                coeff = kappa * sign
                 kept = suspend(letters[j - 1])
-                for v, cv in prod.items():
-                    out._accumulate(tensor_token(kept, v), coeff * cv)
-        return out
+                pairs += [(tensor_token(kept, v), coeff * cv)
+                          for v, cv in A.multiply_all(factors).items()]
+        return Element(ring, pairs)
 
     return LinearMap(ring, 0, fn, "mu-tilde_%d" % r)
 
@@ -569,11 +504,7 @@ def power_map(t, hirsch, H, r, check_degree=None, unsafe_skip_checks=False):
 
     def fn(tok):
         c, w = tok.data
-        out = Element(ring)
-        for u, cu in H.comult_power(w, r).items():
-            for v, cv in mu(tensor_token(c, u)).items():
-                out._accumulate(v, cu * cv)
-        return out
+        return H.comult_power(w, r).apply(lambda u: mu(tensor_token(c, u)))
 
     return LinearMap(ring, 0, fn, "lambda-tilde_%d" % r)
 
@@ -590,11 +521,7 @@ def power_map_on_homology(hoch, lam, degrees):
         toks = hoch.complex.basis.basis(n)
         cols = []
         for rep in hb.representatives:
-            chain = Element(hoch.ring)
-            for i, coeff in enumerate(rep):
-                if coeff:
-                    chain._accumulate(toks[i], coeff)
-            img = lam(chain)
+            img = lam(Element(hoch.ring, [(toks[i], c) for i, c in enumerate(rep) if c]))
             vec = [0] * len(toks)
             for tok, c in img.items():
                 vec[idx[tok]] = c

@@ -12,19 +12,15 @@ and from it the loop comultiplication on Cobar Bar H for a Hopf algebra H.
 from itertools import combinations
 
 from .chains import (
-    Element, LinearMap, add_maps, desuspend, identity_map, reorder_sign,
-    suspend, tensor_map, tensor_maps, tensor_token, word_token,
+    Element, LinearMap, desuspend, koszul_sign, parity_sign, suspend,
+    tensor_map, tensor_product, tensor_token, word_token,
 )
 from .dg import (
-    DGAlgebra, DGCoalgebra, HirschCoalgebra, HopfAlgebra, TwistingCochain,
+    DGAlgebra, HirschCoalgebra, HopfAlgebra, TwistingCochain,
     algebra_realization, bar_construction, bar_map, cobar_construction,
     cobar_map, cobar_bar_counit, cobar_tensor_splitting, tensor_algebra,
     tensor_coalgebra,
 )
-
-
-def _signed(exp):
-    return -1 if exp % 2 else 1
 
 
 class SDRData:
@@ -91,7 +87,7 @@ def bar_eilenberg_zilber(A, Aprime, AxA=None):
         us = [suspend(tensor_token(desuspend(l), one_ap)) for l in wa.data]
         vs = [suspend(tensor_token(one_a, desuspend(l))) for l in wb.data]
         degrees = [u.degree for u in us] + [v.degree for v in vs]
-        out = Element(ring)
+        pairs = []
         for positions in combinations(range(m + n), m):
             order = [None] * (m + n)
             ai = 0
@@ -102,8 +98,8 @@ def bar_eilenberg_zilber(A, Aprime, AxA=None):
             for k, p in enumerate(rest):
                 order[p] = m + k
             letters = [us[i] if i < m else vs[i - m] for i in order]
-            out._accumulate(word_token(tuple(letters)), reorder_sign(degrees, order))
-        return out
+            pairs.append((word_token(letters), koszul_sign(degrees, order)))
+        return Element(ring, pairs)
 
     return LinearMap(ring, 0, fn, "nabla")
 
@@ -160,9 +156,8 @@ def bar_em_homotopy(A, Aprime):
             if parts[j - 1][0] != one_a:
                 r = j
                 break
-        out = Element(ring)
         if r == 0:
-            return out
+            return Element(ring)
         # symbol indices: eta -> 0; sigma_j -> 3j-2, a_j -> 3j-1, a'_j -> 3j
         degrees = [1]
         for a, ap in parts:
@@ -177,6 +172,7 @@ def bar_em_homotopy(A, Aprime):
         def appos(j):
             return 3 * j
 
+        pairs = []
         for m in range(r):
             if any(parts[j - 1][0] == one_a for j in range(m + 1, r + 1)):
                 continue  # the shuffle block would contain s(1)
@@ -215,12 +211,11 @@ def bar_em_homotopy(A, Aprime):
                 # dead unit symbols close the permutation (degree 0: sign-neutral)
                 for j in range(r + 1, n + 1):
                     order.append(apos(j))
-                sign = reorder_sign(degrees, order)
-                for b, c in merged_terms:
-                    merged_letter = suspend(tensor_token(one_a, b))
-                    word = tuple(letters[:m]) + (merged_letter,) + tuple(shuffle_letters)
-                    out._accumulate(word_token(word), sign * c)
-        return out
+                sign = koszul_sign(degrees, order)
+                pairs += [(word_token(letters[:m] + (suspend(tensor_token(one_a, b)),)
+                                      + tuple(shuffle_letters)), sign * c)
+                          for b, c in merged_terms]
+        return Element(ring, pairs)
 
     return LinearMap(ring, 1, fn, "h")
 
@@ -273,11 +268,8 @@ def transferred_twisting(sdr, cap=None, cobar_X=None):
     omega_x = cobar_X if cobar_X is not None else cobar_construction(X)
 
     def ds_f(tok):
-        out = Element(ring)
-        for t, c in sdr.f(tok).items():
-            if t.degree > 0:
-                out._accumulate(word_token((desuspend(t),)), c)
-        return out
+        return Element(ring, [(word_token((desuspend(t),)), c)
+                              for t, c in sdr.f(tok).items() if t.degree > 0])
 
     f1 = LinearMap(ring, -1, ds_f, "s-1f")
     cache = {}
@@ -289,24 +281,18 @@ def transferred_twisting(sdr, cap=None, cobar_X=None):
         if k == 1:
             out = f1(tok)
         else:
-            out = Element(ring)
+            pairs = []
             split = _reduced_of_element(Y, sdr.h(tok))
             for t, c in split.items():
                 u, v = t.data
+                # (F_i (x) F_j)(u (x) v): F_j has degree -1
+                coeff = -parity_sign(u.degree) * c
                 for j in range(1, k):
-                    i = k - j
-                    # (F_i (x) F_j)(u (x) v): F_j has degree -1
-                    sign = -_signed(u.degree)
-                    left = F_k(u, i)
+                    left = F_k(u, k - j)
                     if left.is_zero():
                         continue
-                    right = F_k(v, j)
-                    if right.is_zero():
-                        continue
-                    for wu, cu in left.items():
-                        for wv, cv in right.items():
-                            out._accumulate(word_token(wu.data + wv.data),
-                                            sign * c * cu * cv)
+                    pairs += tensor_product(ring, [left, F_k(v, j)], coeff, _concat_words).items()
+            out = Element(ring, pairs)
         cache[key] = out
         return out
 
@@ -320,10 +306,8 @@ def transferred_twisting(sdr, cap=None, cobar_X=None):
         if hard_cap is None:
             raise PerturbationDivergence(
                 "no termination certificate for %r; pass an explicit cap" % (tok,))
-        out = Element(ring)
-        for k in range(1, max(hard_cap, 1) + 1):
-            for t, c in F_k(tok, k).items():
-                out._accumulate(t, c)
+        out = Element(ring, [term for k in range(1, max(hard_cap, 1) + 1)
+                             for term in F_k(tok, k).items()])
         probe = F_k(tok, max(hard_cap, 1) + 1)
         if not probe.is_zero():
             if bound is not None and cap is None:
@@ -338,12 +322,12 @@ def transferred_twisting(sdr, cap=None, cobar_X=None):
     return TwistingCochain(Y, omega_x, LinearMap(ring, -1, F, "F"), "F")
 
 
+def _concat_words(words):
+    return word_token(words[0].data + words[1].data)
+
+
 def _reduced_of_element(Y, x):
-    out = Element(Y.ring)
-    for t, c in x.items():
-        for u, c2 in Y.reduced_comult(t).items():
-            out._accumulate(u, c * c2)
-    return out
+    return x.apply(Y.reduced_comult)
 
 
 def dcsh_realization(sdr, cap=None, cobar_X=None):
@@ -426,11 +410,4 @@ class BarHopfStructure:
 
         eps has degree 0, so no Koszul signs arise.
         """
-        ring = self.ring
-        out = Element(ring)
-        for t, c in x.items():
-            u, v = t.data
-            for a, ca in self.counit(u).items():
-                for b, cb in self.counit(v).items():
-                    out._accumulate(tensor_token(a, b), c * ca * cb)
-        return out
+        return tensor_map(self.counit, self.counit)(x)

@@ -9,7 +9,7 @@ only; the operator algebra extends them to all encodings.
 """
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, generator, tensor_token, ZZ,
+    ChainComplex, Element, GradedBasis, LinearMap, generator, parity_sign, tensor_token, ZZ, F2,
 )
 from .dg import DGCoalgebra
 
@@ -137,7 +137,7 @@ class Sphere(SimplicialSet):
 
     def nondegenerate(self, k):
         if k == 0:
-            return ["*"]
+            return ["*", "top"] if self.n == 0 else ["*"]
         if k == self.n:
             return ["top"]
         return []
@@ -338,15 +338,14 @@ def normalized_chains(K, ring=ZZ, max_degree=10):
     def differential(tok):
         core = tok.data[2]
         n = tok.degree
-        out = Element(ring)
         if n == 0:
-            return out
+            return Element(ring)
+        pairs = []
         for i in range(n + 1):
             enc = K.face_core(core, n, i)
             if not is_degenerate(enc):
-                out._accumulate(generator(("sx", K.name, enc[0]), n - 1),
-                                -1 if i % 2 else 1)
-        return out
+                pairs.append((generator(("sx", K.name, enc[0]), n - 1), parity_sign(i)))
+        return Element(ring, pairs)
 
     cx = ChainComplex(basis, LinearMap(ring, -1, differential, "d"),
                       "C(%s)" % K.name)
@@ -356,7 +355,7 @@ def normalized_chains(K, ring=ZZ, max_degree=10):
     def comult(tok):
         core = tok.data[2]
         n = tok.degree
-        out = Element(ring)
+        pairs = []
         enc = encode_nondegenerate(core, n)
         for i in range(n + 1):
             front = enc
@@ -367,9 +366,8 @@ def normalized_chains(K, ring=ZZ, max_degree=10):
                 back = K.face(simplex_dim(back), 0, back)
             if is_degenerate(front) or is_degenerate(back):
                 continue
-            out._accumulate(tensor_token(simplex_token(K, front),
-                                         simplex_token(K, back)), 1)
-        return out
+            pairs.append((tensor_token(simplex_token(K, front), simplex_token(K, back)), 1))
+        return Element(ring, pairs)
 
     def counit(tok):
         return 1 if tok.degree == 0 else 0
@@ -379,7 +377,6 @@ def normalized_chains(K, ring=ZZ, max_degree=10):
 
 def is_symmetric(K, max_degree):
     """Mod-2 cocommutativity of the normalized chains (finite check)."""
-    from .chains import F2
     return normalized_chains(K, F2, max_degree).is_cocommutative(max_degree)
 
 

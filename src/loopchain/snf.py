@@ -5,7 +5,7 @@ problem sizes here are desk scale.  Over a prime field, row reduction
 replaces SNF.
 """
 
-from .chains import DegreeOverflowError
+from .chains import ZZ, DegreeOverflowError
 
 
 def _identity(n):
@@ -201,10 +201,14 @@ def modp_rank(matrix, p):
 
 
 class HomologySummary:
-    def __init__(self, degree, betti, torsion):
+    """H_n of a complex over ring: betti copies of the ring, plus Z/t for
+    each torsion coefficient t (over Z only)."""
+
+    def __init__(self, degree, betti, torsion, ring=ZZ):
         self.degree = degree
         self.betti = betti
         self.torsion = torsion
+        self.ring = ring
 
     def as_dict(self):
         return {"degree": self.degree, "betti": self.betti, "torsion": list(self.torsion)}
@@ -213,7 +217,7 @@ class HomologySummary:
         return (self.degree, self.betti, self.torsion) == (other.degree, other.betti, other.torsion)
 
     def __repr__(self):
-        parts = ["Z"] * self.betti + ["Z/%d" % t for t in self.torsion]
+        parts = [repr(self.ring)] * self.betti + ["Z/%d" % t for t in self.torsion]
         return "H_%d = %s" % (self.degree, " + ".join(parts) if parts else "0")
 
 
@@ -244,12 +248,12 @@ def homology(complex_, degrees):
             snf1 = smith_normal_form(d_n1, rows=dim_n)
             betti = dim_n - rank_n - snf1.rank
             torsion = [d for d in snf1.factors if abs(d) > 1]
-            out.append(HomologySummary(n, betti, [abs(t) for t in torsion]))
+            out.append(HomologySummary(n, betti, [abs(t) for t in torsion], ring))
         else:
             p = ring.p
             rank_n = modp_rank(d_n, p) if dim_n else 0
             rank_n1 = modp_rank(d_n1, p)
-            out.append(HomologySummary(n, dim_n - rank_n - rank_n1, []))
+            out.append(HomologySummary(n, dim_n - rank_n - rank_n1, [], ring))
     return out
 
 
