@@ -2,8 +2,10 @@
 
 A computer-algebra library for differential graded (co)algebras, bar and
 cobar constructions, twisting cochains and their Hochschild complexes,
-homological perturbation data, and simplicial free-loop-space models,
-over Z and prime fields.
+homological perturbation data, and finite simplicial sets with their
+normalized chains, over Z and prime fields.  The cyclic nerve of a finite
+group G is a simplicial model of the free loop space LBG with its power
+maps, a second model of the Hochschild power maps on Z[G].
 """
 
 from .chains import (

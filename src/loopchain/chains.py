@@ -106,12 +106,12 @@ def desuspend(tok):
 
 
 def tensor_token(*factors):
-    return Token("tensor", tuple(factors), sum(f.degree for f in factors))
+    return Token("tensor", tuple(factors), sum([f.degree for f in factors]))
 
 
 def word_token(letters):
     letters = tuple(letters)
-    return Token("word", letters, sum(l.degree for l in letters))
+    return Token("word", letters, sum([l.degree for l in letters]))
 
 
 def dual_token(tok):
@@ -380,10 +380,6 @@ def add_maps(f, g):
     if f.shift != g.shift:
         raise ValueError("cannot add maps of different shifts")
     return LinearMap(f.ring, f.shift, lambda t: f(t) + g(t), "%s+%s" % (f.name, g.name))
-
-
-def scale_map(f, c):
-    return LinearMap(f.ring, f.shift, lambda t: f(t).scale(c), f.name)
 
 
 def map_from_table(ring, shift, table, name=""):

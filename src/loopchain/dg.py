@@ -7,7 +7,7 @@ and Hirsch coalgebra structures on cobar constructions.
 """
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, InfiniteTypeError, LinearMap,
+    ChainComplex, DegreeOverflowError, Element, GradedBasis, InfiniteTypeError, LinearMap,
     add_maps, identity_map, koszul_sign, parity_sign, suspend, desuspend,
     tensor_map, tensor_maps, tensor_product, tensor_token, word_token,
 )
@@ -390,20 +390,22 @@ def cobar_construction(C, max_degree=None):
         raise ValueError("cobar needs a connected coalgebra, got %s" % C.name)
     if max_degree is None:
         max_degree = max(C.max_degree - 1, 0)
-    one_reduced = True
     try:
-        one_reduced = not C.complex.basis.basis(1)
-    except Exception:
-        one_reduced = False
+        degree_one = C.complex.basis.basis(1)
+        problem = degree_one and InfiniteTypeError(
+            "cobar of %s is not finite type per degree: C_1 != 0, it holds %r"
+            % (C.name, degree_one[0]))
+    except DegreeOverflowError:
+        problem = DegreeOverflowError(
+            "cobar of %s needs C_1 = 0, but %s is truncated below degree 1" % (C.name, C.name))
 
-    if one_reduced:
+    if not problem:
         def letter_basis(d):
             return [desuspend(c) for c in C.complex.basis.basis(d + 1)]
         basis_fn = lambda n: _word_basis(letter_basis, n)
     else:
         def basis_fn(n):
-            raise InfiniteTypeError(
-                "cobar of %s is not finite type per degree (C_1 != 0)" % C.name)
+            raise problem
 
     basis = GradedBasis(ring, basis_fn, max_degree, name="Cobar(%s)" % C.name)
 

@@ -312,13 +312,6 @@ def hopf_fixtures(ring=ZZ):
     }
 
 
-def algebra_fixtures(ring=ZZ):
-    return {
-        "exterior-two": exterior_two(ring),
-        "small-commutative": small_commutative(ring),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Declarative fixture files
 

@@ -21,12 +21,6 @@ class FiniteGroup:
     def inv(self, g):
         return self._inv[g]
 
-    def power(self, g, r):
-        out = self.unit
-        for _ in range(r):
-            out = self._mul(out, g)
-        return out
-
     def __repr__(self):
         return "FiniteGroup(%s)" % self.name
 

@@ -6,10 +6,16 @@ tuple of values; the encoding is the Eilenberg-Zilber normal form, so
 degeneracy is decidable syntactically (phi is the identity iff the simplex
 is nondegenerate).  Spaces provide face tables on nondegenerate simplices
 only; the operator algebra extends them to all encodings.
+
+The spaces are standard simplices, spheres, nerves of finite groups,
+suspensions, and the cyclic nerve of a finite group, a model of the free
+loop space LBG whose power maps act on its normalized chains.
 """
 
+from functools import reduce
+
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, generator, parity_sign, tensor_token, ZZ, F2,
+    ChainComplex, Element, GradedBasis, LinearMap, generator, parity_sign, tensor_token, ZZ,
 )
 from .dg import DGCoalgebra
 
@@ -71,20 +77,6 @@ class SimplicialSet:
                 for phi in _surjections(n, m):
                     out.append((core, phi))
         return out
-
-    def sample(self, rng, n):
-        choices = []
-        for m in range(n + 1):
-            choices.extend((core, m) for core in self.nondegenerate(m))
-        core, m = choices[rng.randrange(len(choices))]
-        enc = encode_nondegenerate(core, m)
-        for _ in range(n - m):
-            k = simplex_dim(enc)
-            enc = self.degen(k, rng.randrange(k + 1), enc)
-        return enc
-
-    def is_reduced(self):
-        return len(self.nondegenerate(0)) == 1
 
 
 def _surjections(n, m):
@@ -162,19 +154,6 @@ class EmptySpace(SimplicialSet):
         raise KeyError(core)
 
 
-class PointSpace(SimplicialSet):
-    name = "point"
-
-    def nondegenerate(self, n):
-        return ["pt"] if n == 0 else []
-
-    def core_dim(self, core):
-        return 0
-
-    def face_core(self, core, dim, i):
-        raise ValueError("a vertex has no faces")
-
-
 class Nerve(SimplicialSet):
     """Nerve of a finite group: one nondegenerate simplex per tuple of
     non-identity elements."""
@@ -211,6 +190,53 @@ class Nerve(SimplicialSet):
             return encode_nondegenerate(core[:-1], dim - 1)
         merged = core[:i - 1] + (self.group.mul(core[i - 1], core[i]),) + core[i + 1:]
         return self.encode(merged)
+
+
+class CyclicNerve(Nerve):
+    """Cyclic nerve Z^cy G of a finite group, a model of the free loop
+    space LBG: an n-simplex is (a_1, ..., a_n, b), nondegenerate iff no a_i
+    is the unit.  Degeneracies insert units among the a_i and keep b."""
+
+    def __init__(self, group):
+        super().__init__(group)
+        self.name = "cyclic-%s" % group.name.lower()
+
+    def nondegenerate(self, n):
+        return [a + (b,) for a in super().nondegenerate(n) for b in self.group.elements]
+
+    def core_dim(self, core):
+        return len(core) - 1
+
+    def encode(self, entries):
+        """Encoding of a possibly-degenerate simplex (a_1, ..., a_n, b)."""
+        core, phi = super().encode(entries[:-1])
+        return (core + entries[-1:], phi)
+
+    def face_core(self, core, dim, i):
+        mul = self.group.mul
+        a, b = core[:-1], core[-1]
+        if i == 0:
+            return self.encode(a[1:] + (mul(b, a[0]),))
+        if i == dim:
+            return self.encode(a[:-1] + (mul(a[-1], b),))
+        return self.encode(a[:i - 1] + (mul(a[i - 1], a[i]),) + a[i + 1:] + (b,))
+
+    def power_map(self, r, ring=ZZ):
+        """lambda_r(a, b) = (a, b (a_1...a_n b)^(r-1)) on the normalized
+        chains over ring: the r-th power map of LBG.  It keeps every a_i, so
+        it maps nondegenerate simplices to nondegenerate ones."""
+        mul = self.group.mul
+
+        def fn(tok):
+            core = tok.data[2]
+            loop = reduce(mul, core)
+            power = core[-1]
+            for _ in range(r - 1):
+                power = mul(power, loop)
+            image = encode_nondegenerate(core[:-1] + (power,), tok.degree)
+            return Element.from_token(ring, simplex_token(self, image))
+
+        return LinearMap(ring, 0, fn, "lambda_%d" % r)
 
 
 class UnreducedSuspension(SimplicialSet):
@@ -305,18 +331,6 @@ def circle():
     return double_suspension(EmptySpace())
 
 
-def height(S, enc):
-    """||-||: the dimension of the inner simplex of a double suspension
-    simplex, -1 on the degeneracies of the cone/base points."""
-    core, phi = enc
-    if core == "a0":
-        return -1
-    inner = core[1]
-    if inner == "c0":
-        return -1
-    return S.L.core_dim(inner) - 1
-
-
 # ---------------------------------------------------------------------------
 # Normalized chains
 
@@ -375,11 +389,6 @@ def normalized_chains(K, ring=ZZ, max_degree=10):
     return DGCoalgebra(cx, counit_tok, comult, counit, "C(%s)" % K.name)
 
 
-def is_symmetric(K, max_degree):
-    """Mod-2 cocommutativity of the normalized chains (finite check)."""
-    return normalized_chains(K, F2, max_degree).is_cocommutative(max_degree)
-
-
 def check_simplicial_set(K, max_degree):
     """Exhaustive simplicial identities on all simplices; returns failures."""
     failures = []
@@ -413,13 +422,9 @@ def check_simplicial_set(K, max_degree):
     return failures
 
 
-BUILTIN_SPACES = {}
-
-
 def get_space(name):
-    """Fixture registry: delta:n, sphere:n, circle, nerve-z2, rpinfty-base."""
-    if name in BUILTIN_SPACES:
-        return BUILTIN_SPACES[name]
+    """Fixture registry: delta:n, sphere:n, circle, nerve-z2, rpinfty,
+    cyclic-c2, cyclic-s3."""
     if name.startswith("delta:"):
         return StandardSimplex(int(name.split(":")[1]))
     if name.startswith("sphere:"):
@@ -429,6 +434,9 @@ def get_space(name):
     if name == "nerve-z2":
         from .groups import BUILTIN_GROUPS
         return Nerve(BUILTIN_GROUPS["c2"])
+    if name in ("cyclic-c2", "cyclic-s3"):
+        from .groups import BUILTIN_GROUPS
+        return CyclicNerve(BUILTIN_GROUPS[name.split("-")[1]])
     if name == "rpinfty":
         from .groups import BUILTIN_GROUPS
         K = ReducedSuspension(Nerve(BUILTIN_GROUPS["c2"]), ())

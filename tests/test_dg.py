@@ -1,11 +1,14 @@
+import re
+
 import pytest
 
 from loopchain.chains import (
     ZZ, F2, Element, generator, suspend, desuspend, tensor_token, word_token,
     verify_chain_map, identity_map, tensor_map, add_maps,
+    ChainComplex, DegreeOverflowError, GradedBasis, InfiniteTypeError, zero_map,
 )
 from loopchain.dg import (
-    bar_construction, cobar_construction, bar_map, cobar_map,
+    DGCoalgebra, bar_construction, cobar_construction, bar_map, cobar_map,
     universal_twisting, couniversal_twisting, check_twisting,
     algebra_realization, coalgebra_realization,
     bar_cobar_unit, cobar_bar_counit, bar_cobar_retraction, cobar_bar_section,
@@ -18,6 +21,7 @@ from loopchain.fixtures import (
     group_ring_hopf, hopf_fixtures, dg_fixture_from_dict, FixtureError,
 )
 from loopchain.groups import BUILTIN_GROUPS
+from loopchain.simplicial import Sphere, double_suspension, get_space, normalized_chains
 
 
 def el(ring, tok, c=1):
@@ -115,6 +119,32 @@ def test_cobar_squares_to_zero():
     C = nonreal_aw_coalgebra()
     O = cobar_construction(C)
     assert O.complex.check_d_squared(10) is None
+
+
+def test_cobar_names_the_degree_one_simplex():
+    C = normalized_chains(double_suspension(Sphere(1)))
+    with pytest.raises(InfiniteTypeError, match=re.escape("C_1 != 0, it holds ('sx', 'SS(sphere:1)', ('up', 'c0'))")):
+        cobar_construction(C).complex.basis.basis(0)
+
+
+def test_cobar_of_a_truncated_coalgebra_says_so():
+    C = normalized_chains(get_space("delta:0"), max_degree=0)
+    with pytest.raises(DegreeOverflowError, match="truncated below degree 1"):
+        cobar_construction(C).complex.basis.basis(0)
+
+
+def test_cobar_propagates_unrelated_basis_errors():
+    one = generator("1", 0)
+
+    def basis_fn(n):
+        if n == 1:
+            raise ZeroDivisionError("broken basis")
+        return [one] if n == 0 else []
+
+    cx = ChainComplex(GradedBasis(ZZ, basis_fn, 4), zero_map(ZZ, -1))
+    C = DGCoalgebra(cx, one, lambda t: el(ZZ, tensor_token(one, one)))
+    with pytest.raises(ZeroDivisionError, match="broken basis"):
+        cobar_construction(C)
 
 
 # --- twisting cochains -------------------------------------------------------

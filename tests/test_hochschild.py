@@ -13,8 +13,9 @@ from loopchain.dg import (
 )
 from loopchain.fixtures import (
     sphere_coalgebra, nonreal_aw_hirsch, rp_hirsch, small_commutative,
-    monomial_algebra, free_hopf_one,
+    monomial_algebra, free_hopf_one, exterior_two, group_ring_hopf,
 )
+from loopchain.groups import BUILTIN_GROUPS
 from loopchain.hochschild import (
     hochschild_complex, cohochschild_complex, hochschild_of_algebra,
     hochschild_general, induced_map, cohoch_to_hoch, sh_map, sh_map_dual,
@@ -137,6 +138,28 @@ def test_sphere_even_homology_torsion():
     assert table[2] == (1, [2])
     assert table[3] == (1, [])
     assert table[4] == (1, [2])
+
+
+# --- the twisted extension A -> H(t) -> C -------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hochschild_of_algebra(exterior_two()),
+    lambda: cohochschild_complex(sphere_coalgebra(2)),
+    lambda: hochschild_of_algebra(group_ring_hopf(BUILTIN_GROUPS["c2"]).algebra),
+], ids=["hoch-exterior-two", "cohoch-sphere-2", "hoch-group-c2"])
+def test_twisted_extension(make):
+    H = make()
+    ring = H.ring
+    include = LinearMap(ring, 0, lambda tok: H.include_fiber(el(tok, ring=ring)), "i")
+    project = LinearMap(ring, 0, lambda tok: H.project_base(el(tok, ring=ring)), "p")
+    assert verify_chain_map(include, H.M.complex, H.complex, 4) == (True, None)
+    assert verify_chain_map(project, H.complex, H.N.complex, 4) == (True, None)
+    # project o include = eta epsilon: the unit goes to the counit token, the rest to 0
+    augmentation = H.t.target.augmentation
+    for n in range(5):
+        for tok in H.M.complex.basis.basis(n):
+            assert project(include(tok)) == el(H.N.counit_token, augmentation(tok), ring)
 
 
 # --- strict functoriality -----------------------------------------------------

@@ -1,10 +1,17 @@
+from math import prod
+
 import pytest
 
-from loopchain.chains import ZZ, F2
+from loopchain.chains import ZZ, F2, verify_chain_map
+from loopchain.dg import couniversal_twisting
+from loopchain.fixtures import group_ring_hopf
+from loopchain.groups import BUILTIN_GROUPS
+from loopchain.hochschild import hochschild_of_algebra, power_map, power_map_on_homology
+from loopchain.perturbation import BarHopfStructure
 from loopchain.simplicial import (
     Sphere, check_simplicial_set, double_suspension, get_space, normalized_chains,
 )
-from loopchain.snf import homology
+from loopchain.snf import homology, smith_normal_form
 
 
 def summary(K, degrees, ring=ZZ):
@@ -13,7 +20,8 @@ def summary(K, degrees, ring=ZZ):
     return [(h.betti, h.torsion) for h in homology(cx, degrees)]
 
 
-@pytest.mark.parametrize("name", ["delta:2", "sphere:2", "circle", "nerve-z2", "rpinfty"])
+@pytest.mark.parametrize("name", ["delta:2", "sphere:2", "circle", "nerve-z2", "rpinfty",
+                                  "cyclic-c2", "cyclic-s3"])
 def test_builtin_spaces_satisfy_simplicial_identities(name):
     assert check_simplicial_set(get_space(name), 4) == []
 
@@ -58,3 +66,74 @@ def test_homology_summary_states_its_ring():
     over_z = homology(normalized_chains(K, ZZ, max_degree=3).complex, range(2))
     assert [repr(h) for h in over_f2] == ["H_0 = F2", "H_1 = F2"]
     assert [repr(h) for h in over_z] == ["H_0 = Z", "H_1 = Z/2"]
+
+
+# --- the cyclic nerve against the Hochschild power maps ----------------------
+
+
+def minus_identity(M):
+    return [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(M)]
+
+
+def invariants(rows, f):
+    """Basis-free invariants of f(M) per degree, for the matrices M of
+    power_map_on_homology: the Smith factors on a free group, the order of
+    the image on a torsion group (a sum of Z/o_i)."""
+    out = []
+    for row in rows:
+        M = f(row["matrix"])
+        orders = [g[2] for g in row["generators"] if g[0] == "torsion"]
+        if not orders:
+            out.append(("free", [abs(d) for d in smith_normal_form(M, len(M), len(M)).factors]))
+            continue
+        assert len(orders) == len(M)
+        # the image (M Z^k + D Z^k) / D Z^k has index prod snf(M | D) in Z^k
+        MD = [M[i] + [o if i == j else 0 for j, o in enumerate(orders)] for i in range(len(M))]
+        index = prod(abs(d) for d in smith_normal_form(MD).factors)
+        out.append(("torsion", prod(orders) // index))
+    return out
+
+
+def hochschild_power_maps(name, top):
+    """HH(Z[G]) through degree top + 1 and its lambda-tilde_r, r = 2, 3."""
+    H = group_ring_hopf(BUILTIN_GROUPS[name])
+    bh = BarHopfStructure(H, top + 1)
+    hirsch = bh.hirsch()
+    t = couniversal_twisting(H.algebra, bh.barH)
+    hoch = hochschild_of_algebra(H.algebra, bar=bh.barH, max_degree=top + 1)
+    # the hypotheses are checked in bar degrees 1..top, all that lambda reads on HH_0..top
+    return hoch, {r: power_map(t, hirsch, H, r, check_degree=top - 1) for r in (2, 3)}
+
+
+# H_*(LBG) = HH_*(Z[G]) = sum over conjugacy classes [g] of H_*(BC_G(g))
+CYCLIC_HOMOLOGY = {
+    "c2": [(2, []), (0, [2, 2]), (0, []), (0, [2, 2]), (0, []), (0, [2, 2])],
+    "s3": [(3, []), (0, [2, 6])],
+}
+
+
+@pytest.mark.parametrize("name", ["c2", "s3"])
+def test_cyclic_nerve_power_maps_match_hochschild(name):
+    top = len(CYCLIC_HOMOLOGY[name]) - 1
+    K = get_space("cyclic-" + name)
+    chains = normalized_chains(K, max_degree=max(top + 1, 3))
+    hoch, hoch_maps = hochschild_power_maps(name, top)
+    assert summary(K, range(top + 1)) == CYCLIC_HOMOLOGY[name]
+    assert homology(chains.complex, range(top + 1)) == homology(hoch.complex, range(top + 1))
+    found = {}
+    for r in (2, 3):
+        lam = K.power_map(r)
+        assert verify_chain_map(lam, chains.complex, chains.complex, 3) == (True, None)
+        cyclic = power_map_on_homology(chains, lam, range(top + 1))
+        hochschild = power_map_on_homology(hoch, hoch_maps[r], range(top + 1))
+        for f in (list, minus_identity):
+            found[r, f] = invariants(cyclic, f)
+            assert found[r, f] == invariants(hochschild, f)
+    if name == "s3":
+        # lambda_2 on classes: [e] -> [e], [(12)] -> [e], [(123)] -> [(132)] = [(123)]
+        assert found[2, list] == [("free", [1, 1]), ("torsion", 6)]
+        assert found[2, minus_identity] == [("free", [1]), ("torsion", 6)]
+    else:
+        # g^3 = g in C2, so lambda_3 is the identity
+        assert found[3, minus_identity] == [("free", []), ("torsion", 1), ("free", []),
+                                            ("torsion", 1), ("free", []), ("torsion", 1)]
