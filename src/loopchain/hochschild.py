@@ -6,6 +6,8 @@ the coHochschild complex of a coalgebra.  This module provides the
 construction with general bicomodule/bimodule coefficients, strict and
 strong-homotopy functoriality, the monoidal isomorphism, the induced
 (co)multiplications, and the r-th power maps with their homology action.
+Each map checks its hypothesis on a degree of C when it first reads a token
+of it; a check_degree checks C_lowest..C_check_degree when it is built.
 """
 
 from .chains import (
@@ -16,8 +18,8 @@ from .chains import (
 from .dg import (
     TwistingCochain, algebra_realization, bar_cobar_unit, bar_construction,
     bar_word, cartesian_product, cobar_bar_counit, cobar_construction,
-    cobar_tensor_splitting, coalgebra_realization, couniversal_twisting,
-    hopf_tensor_power, twist_tensor, universal_twisting,
+    coalgebra_realization, couniversal_twisting, hopf_tensor_power, twist_tensor,
+    universal_twisting,
 )
 from .snf import HomologyBasis
 
@@ -28,6 +30,27 @@ class CompatibilityError(ValueError):
     def __init__(self, message, token):
         super().__init__("%s at %r" % (message, token))
         self.token = token
+
+
+def _hypothesis(C, lowest, failure, check_degree):
+    """check(n) runs failure on each token of C_lowest..C_n not checked yet and
+    raises CompatibilityError at the first one it names a broken hypothesis
+    for.  A map on H(t) calls check(|c|) before it reads c, whose image needs
+    only C-tokens of degree <= |c|.  C_lowest..C_check_degree are checked now."""
+    checked = lowest - 1
+
+    def check(n):
+        nonlocal checked
+        while checked < n:
+            for c in C.complex.basis.basis(checked + 1):
+                message = failure(c)
+                if message is not None:
+                    raise CompatibilityError(message, c)
+            checked += 1
+
+    if check_degree is not None:
+        check(check_degree)
+    return check
 
 
 class Bicomodule:
@@ -165,16 +188,14 @@ def hochschild_of_algebra(A, bar=None, max_degree=None):
 
 
 def induced_map(f, g, t, tprime, check_degree=None):
-    """H(f, g): strict functoriality for a Twist morphism (f, g)."""
+    """H(f, g) for a Twist morphism (f, g); checks g t = t' f on the C-degrees read, from C_0."""
     ring = t.ring
-    if check_degree is not None:
-        for n in range(check_degree + 1):
-            for c in t.source.complex.basis.basis(n):
-                if g(t.map(c)) != tprime.map(f(c)):
-                    raise CompatibilityError("g t != t' f", c)
+    check = _hypothesis(t.source, 0, lambda c: "g t != t' f"
+                        if g(t.map(c)) != tprime.map(f(c)) else None, check_degree)
 
     def fn(tok):
         c, a = tok.data
+        check(c.degree)
         return tensor_product(ring, [f(c), g(a)])
 
     return LinearMap(ring, 0, fn, "H(f,g)")
@@ -192,20 +213,18 @@ def sh_map(phi, g, t, tprime, check_degree=None):
 
     On c (x) a the image is the cyclic-rotation sum over the word expansion
     of phi(s^{-1}c), with the kept piece in C' and the t'-images of the
-    others multiplied around g(a)."""
+    others multiplied around g(a).  Checks the hypothesis on the C-degrees read, from C_1."""
     ring = t.ring
     A2 = tprime.target
-    if check_degree is not None:
-        alpha = algebra_realization(t)
-        alpha2 = algebra_realization(tprime)
-        for n in range(1, check_degree + 1):
-            for c in t.source.complex.basis.basis(n):
-                gen = word_token((desuspend(c),))
-                if g(alpha(gen)) != alpha2(phi(gen)):
-                    raise CompatibilityError("g alpha_t != alpha_t' phi", c)
+    alpha2 = algebra_realization(tprime)
+    # alpha_t(s^{-1}c) = t(c)
+    check = _hypothesis(t.source, 1, lambda c: "g alpha_t != alpha_t' phi"
+                        if g(t.map(c)) != alpha2(phi(word_token((desuspend(c),)))) else None,
+                        check_degree)
 
     def fn(tok):
         c, a = tok.data
+        check(c.degree)
         ga = g(Element.from_token(ring, a))
         if c.degree == 0:
             return Element(ring, [(tensor_token(tprime.source.counit_token, v), cv)
@@ -252,17 +271,14 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
 
     Computed by the transposed formula: split c by iterated comultiplication,
     keep one piece through f, and feed the t-images of the others, cyclically
-    arranged around a, to the DASH family of gamma."""
+    arranged around a, to the DASH family of gamma.  Checks the hypothesis
+    on the C-degrees read, from C_0."""
     ring = t.ring
     A, A2 = t.target, tprime.target
-    C2 = tprime.source
-    if check_degree is not None:
-        beta = coalgebra_realization(t)
-        beta2 = coalgebra_realization(tprime)
-        for n in range(check_degree + 1):
-            for c in t.source.complex.basis.basis(n):
-                if gamma(beta(c)) != beta2(f(c)):
-                    raise CompatibilityError("gamma beta_t != beta_t' f", c)
+    beta = coalgebra_realization(t)
+    beta2 = coalgebra_realization(tprime)
+    check = _hypothesis(t.source, 0, lambda c: "gamma beta_t != beta_t' f"
+                        if gamma(beta(c)) != beta2(f(c)) else None, check_degree)
 
     def evaluate_family(elements):
         """t_Bar' gamma on the bar word of suspensions of the elements."""
@@ -272,6 +288,7 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
 
     def fn(tok):
         c, a = tok.data
+        check(c.degree)
         pairs = []
         if a == A.unit:
             # the counit-covector term of the transposed formula
@@ -350,22 +367,12 @@ def hochschild_comultiplication(t, omega, H, check_degree=None):
     """delta-hat: H(t) -> H(t) (x) H(t) for t: C -> H with omega realizing
     the DCSH structure of the comultiplication of C.
 
-    Hypothesis: (alpha_t (x) alpha_t) q omega = delta alpha_t (checked on
-    generators when check_degree is given)."""
+    Hypothesis: (alpha_t (x) alpha_t) q omega = delta alpha_t, that is
+    delta alpha_t = alpha_{t*t} omega, which sh_map checks from C_1."""
     ring = t.ring
-    C = t.source
-    q, _ = cobar_tensor_splitting(C, C)
-    if check_degree is not None:
-        alpha = algebra_realization(t)
-        alpha2 = tensor_map(alpha, alpha)
-        for n in range(1, check_degree + 1):
-            for c in C.complex.basis.basis(n):
-                gen = word_token((desuspend(c),))
-                if alpha2(q(omega(gen))) != alpha(gen).apply(H.comult):
-                    raise CompatibilityError("(alpha (x) alpha) q omega != delta alpha", c)
     tt = cartesian_product(t, t)
     delta = LinearMap(ring, 0, lambda tok: H.comult(tok), "delta")
-    hs = sh_map(omega, delta, t, tt)
+    hs = sh_map(omega, delta, t, tt, check_degree=check_degree)
     fwd, _ = monoidal_iso(t, t)
 
     def fn(tok):
@@ -379,7 +386,7 @@ def hochschild_multiplication(t, nu, H, check_degree=None):
     DASH structure of the multiplication of H.
 
     Computed through the transposed extended functoriality applied to
-    (mu, nu): t*t -> t."""
+    (mu, nu): t*t -> t, which checks nu beta_{t*t} = beta_t mu from degree 0."""
     ring = t.ring
     tt = cartesian_product(t, t)
 
@@ -401,24 +408,16 @@ def hochschild_multiplication(t, nu, H, check_degree=None):
 # Power maps
 
 
-def check_power_hypotheses(t, hirsch, H, through_degree):
-    """Hypotheses of the power-map theorem: alpha_t is a coalgebra map
-    from (Cobar C, psi) to (H, delta), and delta t is symmetric.
-
-    Returns None or the first counterexample token."""
-    ring = t.ring
-    alpha = algebra_realization(t)
-    alpha2 = tensor_map(alpha, alpha)
-    C = t.source
-    for n in range(1, min(through_degree + 2, C.max_degree + 1)):
-        for c in C.complex.basis.basis(n):
-            gen = word_token((desuspend(c),))
-            if alpha2(hirsch.psi(gen)) != alpha(gen).apply(H.comult):
-                return ("alpha_t is not a coalgebra map", c)
-            dt = t.map(c).apply(H.comult)
-            if twist_tensor(ring, dt) != dt:
-                return ("delta t is not symmetric", c)
-    return None
+def check_power_hypotheses(t, hirsch, H, alpha2, c):
+    """Hypotheses of the power-map theorem on a token c of C: alpha_t is a
+    coalgebra map from (Cobar C, psi) to (H, delta) on s^{-1}c, and
+    delta t(c) is symmetric; alpha2 is alpha_t (x) alpha_t.  Returns the
+    message naming a broken hypothesis, or None."""
+    dt = t.map(c).apply(H.comult)  # delta alpha_t(s^{-1}c) = delta t(c)
+    if alpha2(hirsch.psi(word_token((desuspend(c),)))) != dt:
+        return "alpha_t is not a coalgebra map"
+    if twist_tensor(t.ring, dt) != dt:
+        return "delta t is not symmetric"
 
 
 def power_domain(t, H, r, max_degree=None):
@@ -435,7 +434,7 @@ def power_domain(t, H, r, max_degree=None):
     return tr, Hr
 
 
-def power_concatenation(t, hirsch, H, r, check_degree=None, unsafe_skip_checks=False):
+def power_concatenation(t, hirsch, H, r, check_degree=None):
     """mu-tilde_r: H(delta^(r) t) -> H(t), the loop-concatenation map.
 
     On c (x) (w_1 (x) ... (x) w_r), for each term of the iterated loop
@@ -445,17 +444,18 @@ def power_concatenation(t, hirsch, H, r, check_degree=None, unsafe_skip_checks=F
         s(l_j) (x) alpha(l_{j+1})...alpha(l_k) . w_1 . alpha(u_2) . w_2
                    ... alpha(u_r) . w_r . alpha(l_1)...alpha(l_{j-1}),
 
-    with signs from the Koszul engine on the symbol rearrangement."""
+    with signs from the Koszul engine on the symbol rearrangement.
+    Runs check_power_hypotheses on the C-degrees read, from C_1."""
     ring = t.ring
-    if not unsafe_skip_checks:
-        bad = check_power_hypotheses(t, hirsch, H, check_degree if check_degree is not None else 4)
-        if bad is not None:
-            raise CompatibilityError(*bad)
     alpha = algebra_realization(t)
+    alpha2 = tensor_map(alpha, alpha)
+    check = _hypothesis(t.source, 1, lambda c: check_power_hypotheses(t, hirsch, H, alpha2, c),
+                        check_degree)
     A = H.algebra
 
     def fn(tok):
         c, wbar = tok.data
+        check(c.degree)
         ws = wbar.data
         if c.degree == 0:
             prod = A.multiply_all([Element.from_token(ring, w) for w in ws])
@@ -496,11 +496,10 @@ def power_concatenation(t, hirsch, H, r, check_degree=None, unsafe_skip_checks=F
     return LinearMap(ring, 0, fn, "mu-tilde_%d" % r)
 
 
-def power_map(t, hirsch, H, r, check_degree=None, unsafe_skip_checks=False):
-    """lambda-tilde_r = mu-tilde_r (Id (x) delta^(r)): H(t) -> H(t)."""
+def power_map(t, hirsch, H, r, check_degree=None):
+    """lambda-tilde_r = mu-tilde_r (Id (x) delta^(r)): H(t) -> H(t), checked as mu-tilde_r."""
     ring = t.ring
-    mu = power_concatenation(t, hirsch, H, r, check_degree=check_degree,
-                             unsafe_skip_checks=unsafe_skip_checks)
+    mu = power_concatenation(t, hirsch, H, r, check_degree=check_degree)
 
     def fn(tok):
         c, w = tok.data

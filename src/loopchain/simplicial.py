@@ -60,8 +60,12 @@ class SimplicialSet:
         dropped = phi[i]
         if dropped in psi:
             return (core, psi)
-        # the face reaches into the core
-        core2, phiF = self.face_core(core, len(set(phi)) - 1, dropped)
+        # the face reaches into the core: face_core, memoised on this space
+        key = (core, len(set(phi)) - 1, dropped)
+        faces = self.__dict__.setdefault("_face_cores", {})
+        if key not in faces:
+            faces[key] = self.face_core(*key)
+        core2, phiF = faces[key]
         collapsed = tuple(v if v < dropped else v - 1 for v in psi)
         return (core2, tuple(phiF[v] for v in collapsed))
 

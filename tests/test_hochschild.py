@@ -1,4 +1,6 @@
 import itertools
+from functools import partial
+
 import pytest
 
 from loopchain.chains import (
@@ -9,11 +11,11 @@ from loopchain.dg import (
     cobar_construction, bar_construction, universal_twisting,
     couniversal_twisting, cobar_map, bar_map, cartesian_product,
     algebra_realization, coalgebra_realization, bar_cobar_unit,
-    TwistingCochain, hirsch_primitive, tensor_algebra,
+    TwistingCochain, hirsch_primitive, tensor_algebra, tensor_coalgebra,
 )
 from loopchain.fixtures import (
     sphere_coalgebra, nonreal_aw_hirsch, rp_hirsch, small_commutative,
-    monomial_algebra, free_hopf_one, exterior_two, group_ring_hopf,
+    monomial_algebra, free_hopf_one, exterior_two, group_ring_hopf, hopf_fixtures,
 )
 from loopchain.groups import BUILTIN_GROUPS
 from loopchain.hochschild import (
@@ -24,8 +26,8 @@ from loopchain.hochschild import (
     power_concatenation, power_map, power_map_on_homology, power_domain,
     check_power_hypotheses, CompatibilityError,
 )
-from loopchain.perturbation import bar_shuffle_hopf
-from loopchain.snf import homology
+from loopchain.perturbation import BarHopfStructure, bar_shuffle_hopf
+from loopchain.snf import homology, mat_mul
 
 
 def pair(c, a):
@@ -179,6 +181,12 @@ def test_induced_rejects_incompatible():
     双 = LinearMap(ZZ, 0, lambda tok: el(tok, 2))
     with pytest.raises(CompatibilityError):
         induced_map(双, identity_map(ZZ), t, t, check_degree=6)
+    # without check_degree: C_0 holds, and the first read of C_3 raises at y
+    lazy = induced_map(双, identity_map(ZZ), t, t)
+    assert lazy(pair(C.counit_token, xk(x, 2))) == el(pair(C.counit_token, xk(x, 2)), 2)
+    with pytest.raises(CompatibilityError) as raised:
+        lazy(pair(y, xk(x, 1)))
+    assert raised.value.token == y
 
 
 def test_cohoch_to_hoch_is_a_chain_map():
@@ -354,6 +362,27 @@ def test_comultiplication_is_a_chain_map():
     for n in range(8):
         for tok in H.complex.basis.basis(n):
             assert dT(dhat(tok)) == dhat(H.complex.d(tok)), tok
+
+
+def test_comultiplication_hypothesis_failure_is_reported():
+    # omega = Cobar(2 Delta) breaks (alpha (x) alpha) q omega = delta alpha at y
+    C, O, t, H, y, x = _sphere_setup(3, max_degree=12)
+    CC = tensor_coalgebra(C, C)
+
+    def twice(tok):
+        return C.comult(tok) if tok.degree == 0 else Element(
+            ZZ, [(u, 2 * c) for u, c in C.comult(tok).items()])
+
+    omega = cobar_map(LinearMap(ZZ, 0, twice, "2 Delta"), C, CC)
+    Hopf = hirsch_primitive(C, cobar=O).loop_hopf()
+    with pytest.raises(CompatibilityError) as raised:
+        hochschild_comultiplication(t, omega, Hopf, check_degree=6)
+    assert raised.value.token == y
+    dhat = hochschild_comultiplication(t, omega, Hopf)
+    dhat(pair(C.counit_token, xk(x, 1)))
+    with pytest.raises(CompatibilityError) as raised:
+        dhat(pair(y, xk(x, 1)))
+    assert raised.value.token == y
 
 
 def test_multiplication_on_commutative_fixture():
@@ -557,6 +586,16 @@ def test_power_hypothesis_failure_is_reported():
     t = universal_twisting(C, O)
     with pytest.raises(CompatibilityError):
         power_map(t, bad, bad.loop_hopf(), 2, check_degree=7)
+    # z has degree 7: check_degree=6 builds, and so does no check_degree; both
+    # read C_0..C_6 and raise at z on the first read of a degree-7 token
+    for check_degree in (6, None):
+        lam2 = power_map(t, bad, bad.loop_hopf(), 2, check_degree=check_degree)
+        for n in range(7):
+            for c in C.complex.basis.basis(n):
+                lam2(pair(c, word_token(())))
+        with pytest.raises(CompatibilityError) as raised:
+            lam2(pair(z, word_token(())))
+        assert raised.value.token == z
 
 
 def test_power_naturality_under_coalgebra_scaling():
@@ -618,3 +657,60 @@ def test_power_map_on_homology_sphere2_matches_convolution_oracle():
             assert tok == word
             gi = row["generators"].index((kind, idx, order))
             assert row["matrix"][gi][gi] == ev % order, (r, k)
+
+
+# --- power maps compose: lambda_r o lambda_s = lambda_rs on homology ----------
+
+
+def _hoch_of_hopf(name, top):
+    H = hopf_fixtures()[name]
+    bh = BarHopfStructure(H, top + 1)
+    hoch = hochschild_of_algebra(H.algebra, bar=bh.barH, max_degree=top + 1)
+    return hoch, couniversal_twisting(H.algebra, bh.barH), bh.hirsch(), H
+
+
+def _cohoch_of_hirsch(C, hirsch, top):
+    hoch = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=top + 1)
+    return hoch, universal_twisting(C, hirsch.cobar), hirsch, hirsch.loop_hopf()
+
+
+def _cohoch_of_sphere(n, top):
+    C = sphere_coalgebra(n, max_degree=top + 2)
+    return _cohoch_of_hirsch(C, hirsch_primitive(C, cobar=cobar_construction(C)), top)
+
+
+def _cohoch_of_rp(top):
+    return _cohoch_of_hirsch(*rp_hirsch(max_degree=top + 2), top)
+
+
+# name: (make, top), where make(top) gives the complex through HH_top, t, the
+# Hirsch coalgebra and the Hopf algebra of the power maps
+POWER_FIXTURES = {
+    "group-c2": (partial(_hoch_of_hopf, "group-c2"), 2),
+    "group-s3": (partial(_hoch_of_hopf, "group-s3"), 1),
+    "free-even": (partial(_hoch_of_hopf, "free-even"), 6),
+    "free-odd": (partial(_hoch_of_hopf, "free-odd"), 5),
+    "exterior-two": (partial(_hoch_of_hopf, "exterior-two"), 3),
+    "sphere-2": (partial(_cohoch_of_sphere, 2), 8),
+    "sphere-3": (partial(_cohoch_of_sphere, 3), 8),
+    "rp-f2": (_cohoch_of_rp, 5),
+}
+
+
+@pytest.mark.parametrize("name,r,s", [(name, 2, 2) for name in POWER_FIXTURES] + [
+    (name, 2, 3) for name in ("free-even", "free-odd", "exterior-two", "sphere-2", "sphere-3")])
+def test_power_maps_compose_on_homology(name, r, s):
+    # omega^r o omega^s = omega^rs on LX, so the matrices satisfy M_r M_s = M_rs,
+    # entry by entry modulo the order of each row's generator (p over F_p)
+    make, top = POWER_FIXTURES[name]
+    hoch, t, hirsch, H = make(top)
+    rows = {k: power_map_on_homology(hoch, power_map(t, hirsch, H, k), range(top + 1))
+            for k in {r, s, r * s}}
+    p = hoch.ring.p or 0
+    for row_r, row_s, row_rs in zip(rows[r], rows[s], rows[r * s]):
+        moduli = [g[2] if g[0] == "torsion" else p for g in row_rs["generators"]]
+        product = mat_mul(row_r["matrix"], row_s["matrix"])
+        for i, m in enumerate(moduli):
+            for j, want in enumerate(row_rs["matrix"][i]):
+                diff = product[i][j] - want
+                assert (diff % m if m else diff) == 0, (row_rs["degree"], i, j)

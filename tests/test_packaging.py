@@ -1,12 +1,16 @@
 import ast
+import cProfile
 import importlib
+import importlib.util
+import json
 import pathlib
 import pkgutil
 import tomllib
 
 import loopchain
 
-PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 TESTS = pathlib.Path(__file__).resolve().parent
 
 
@@ -28,3 +32,16 @@ def test_every_module_is_imported_by_a_test():
                 imported.update("%s.%s" % (node.module, alias.name) for alias in node.names)
     modules = {"loopchain." + m.name for m in pkgutil.iter_modules(loopchain.__path__)}
     assert sorted(modules - imported) == []
+
+
+def test_benchmark_layer_names_resolve():
+    # the traced benchmark locates loopchain functions by name; an empty profile
+    # still looks every one of them up, so a rename fails here
+    path = ROOT / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    metrics = layers.layer_metrics(cProfile.Profile(), layers.LayerProbe())
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    # the worker adds runtime.profiled_s, the profiled pass's own wall time
+    assert sorted([*metrics, "runtime.profiled_s"]) == sorted(m["name"] for m in declared)

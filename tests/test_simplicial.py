@@ -101,7 +101,8 @@ def hochschild_power_maps(name, top):
     hirsch = bh.hirsch()
     t = couniversal_twisting(H.algebra, bh.barH)
     hoch = hochschild_of_algebra(H.algebra, bar=bh.barH, max_degree=top + 1)
-    # the hypotheses are checked in bar degrees 1..top, all that lambda reads on HH_0..top
+    # bar degrees 1..top - 1 are checked when the maps are built, and bar degree top
+    # when lambda first reads it on HH_top: all that lambda reads on HH_0..top
     return hoch, {r: power_map(t, hirsch, H, r, check_degree=top - 1) for r in (2, 3)}
 
 
