@@ -201,7 +201,7 @@ def induced_map(f, g, t, tprime, check_degree=None):
     return LinearMap(ring, 0, fn, "H(f,g)")
 
 
-def cohoch_to_hoch(t, max_degree=None):
+def cohoch_to_hoch(t):
     """beta_t (x) alpha_t: coHoch(C) -> Hoch(A) for a twisting cochain t."""
     return induced_map(coalgebra_realization(t), algebra_realization(t),
                        universal_twisting(t.source), couniversal_twisting(t.target))
@@ -255,7 +255,7 @@ def sh_map(phi, g, t, tprime, check_degree=None):
     return LinearMap(ring, 0, fn, "Hsh")
 
 
-def cohoch_retraction(C, cobar=None, max_degree=None):
+def cohoch_retraction(C, cobar=None):
     """rho-hat: Hoch(Cobar C) -> coHoch(C), a retraction of eta (x) Id."""
     omega = cobar if cobar is not None else cobar_construction(C)
     bar_omega = bar_construction(omega)
@@ -325,7 +325,7 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
     return LinearMap(ring, 0, fn, "Hsh_dual")
 
 
-def hoch_section(A, bar=None, max_degree=None):
+def hoch_section(A, bar=None):
     """sigma-hat: Hoch(A) -> coHoch(Bar A), a section of Id (x) eps."""
     barA = bar if bar is not None else bar_construction(A)
     omega_barA = cobar_construction(barA)

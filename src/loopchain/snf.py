@@ -1,8 +1,11 @@
 """Exact integer linear algebra: Smith normal form and homology.
 
-Matrices are dense lists of lists of Python ints (arbitrary precision);
-problem sizes here are desk scale.  Over a prime field, row reduction
-replaces SNF.
+Ranks and torsion come from one sparse elimination per boundary matrix:
+rows are {column: coefficient} dicts, pivots are units (+-1 over Z, any
+nonzero entry over F_p), and over Z a non-unit remainder goes to the dense
+Smith normal form.  That dense SNF, with its transforms, also serves
+HomologyBasis.  Entries are Python ints (arbitrary precision); problem
+sizes here are desk scale.
 """
 
 from .chains import ZZ, DegreeOverflowError
@@ -115,6 +118,8 @@ def smith_normal_form(matrix, rows=None, cols=None):
                         if M[t][t] < 0:
                             row_negate(t)
                         dirty = True
+            if dirty:
+                continue  # finish column t first: column ops then touch row t only
             for j in range(t + 1, cols):
                 if M[t][j]:
                     q = M[t][j] // M[t][t]
@@ -176,28 +181,85 @@ def mat_mul(A, B):
     return out
 
 
-def modp_rank(matrix, p):
-    """Rank of a matrix over F_p by Gaussian elimination."""
-    M = [[v % p for v in row] for row in matrix]
-    rows = len(M)
-    cols = len(M[0]) if M else 0
+def _sparse_rows(matrix):
+    """The rows of a dense matrix as {column: coefficient} dicts."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def _reduce(rows, p):
+    """(rank, nontrivial invariant factors) of the matrix with the given
+    sparse rows, over Z (p None) or F_p.
+
+    Repeatedly takes a shortest row holding a unit, pivots on its unit in
+    the shortest column, clears that column with row operations and drops
+    the pivot's row and column, each drop one invariant factor 1.  Over Z
+    the rows left hold no unit and go to the dense smith_normal_form; over
+    F_p none are left.
+    """
+    live = {}   # row id -> {column: coefficient}
+    where = {}  # column -> {row id: None} for the live rows holding it
+    queue = {}  # row length -> ids of rows that had that length
+    for i, row in enumerate(rows):
+        if p is not None:
+            row = {j: v % p for j, v in row.items() if v % p}
+        if row:
+            live[i] = row
+            queue.setdefault(len(row), []).append(i)
+            for j in row:
+                if j not in where:
+                    where[j] = {}
+                where[j][i] = None
     rank = 0
-    col = 0
-    while rank < rows and col < cols:
-        piv = next((i for i in range(rank, rows) if M[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = pow(M[rank][col], p - 2, p)
-        M[rank] = [(v * inv) % p for v in M[rank]]
-        for i in range(rows):
-            if i != rank and M[i][col]:
-                c = M[i][col]
-                M[i] = [(a - c * b) % p for a, b in zip(M[i], M[rank])]
+    while queue:
+        size = min(queue)
+        i = queue[size].pop()
+        if not queue[size]:
+            del queue[size]
+        row = live.get(i)
+        if row is None or len(row) != size:
+            continue  # stale entry: the row was pivoted on or has changed
+        col = None
+        for j, v in row.items():
+            if p is None and v != 1 and v != -1:
+                continue
+            if col is None or len(where[j]) < fewest:
+                col, fewest = j, len(where[j])
+        if col is None:
+            continue  # no unit: wait for a row operation or the remainder
+        inverse = row[col] if p is None else pow(row[col], -1, p)
+        for k in list(where[col]):
+            if k == i:
+                continue
+            other = live[k]
+            f = other[col] * inverse
+            for j, v in row.items():
+                x = (other[j] if j in other else 0) - f * v
+                if p is not None:
+                    x %= p
+                if x:
+                    other[j] = x
+                    where[j][k] = None
+                elif j in other:
+                    del other[j]
+                    del where[j][k]
+            if other:
+                queue.setdefault(len(other), []).append(k)
+            else:
+                del live[k]
+        for j in row:
+            del where[j][i]
+        del live[i]
         rank += 1
-        col += 1
-    return rank
+    if not live:
+        return rank, []
+    cols = [j for j, held in where.items() if held]
+    factors = smith_normal_form([[row.get(j, 0) for j in cols] for row in live.values()]).factors
+    return rank + len(factors), [abs(d) for d in factors if abs(d) != 1]
+
+
+def modp_rank(matrix, p):
+    """Rank of a matrix over F_p."""
+    return _reduce(_sparse_rows(matrix), p)[0]
 
 
 class HomologySummary:
@@ -225,35 +287,34 @@ def homology(complex_, degrees):
     """Homology of a chain complex over Z or F_p per degree.
 
     Over Z, torsion coefficients in degree n are the nontrivial invariant
-    factors of the boundary matrix out of degree n+1.  Requires finite
-    bases in the requested degrees and the flanking ones.
+    factors of the boundary matrix out of degree n+1.  Each boundary
+    matrix d_k is reduced at most once per call, and H_n and H_{n+1} share
+    the reduction of d_{n+1}: m consecutive degrees cost m + 1 reductions.
+    Requires finite bases in the requested degrees and the flanking ones.
     """
     if complex_.d.shift != -1:
         raise ValueError("homology expects a chain differential (shift -1)")
     ring = complex_.ring
     if ring.p is not None and ring.p < 2:
         raise ValueError("composite or invalid modulus")
+    reductions = {}
+
+    def reduced(k):
+        if k not in reductions:
+            reductions[k] = _reduce(_sparse_rows(complex_.matrix(k)), ring.p)
+        return reductions[k]
+
     out = []
     for n in degrees:
         dim_n = complex_.basis.dimension(n)
-        d_n = complex_.matrix(n)
+        rank_n = reduced(n)[0]
         try:
-            d_n1 = complex_.matrix(n + 1)
+            rank_n1, torsion = reduced(n + 1)
         except DegreeOverflowError:
             raise DegreeOverflowError(
                 "homology at degree %d needs basis at degree %d" % (n, n + 1)
             )
-        if ring.p is None:
-            rank_n = smith_normal_form(d_n, cols=dim_n).rank if dim_n else 0
-            snf1 = smith_normal_form(d_n1, rows=dim_n)
-            betti = dim_n - rank_n - snf1.rank
-            torsion = [d for d in snf1.factors if abs(d) > 1]
-            out.append(HomologySummary(n, betti, [abs(t) for t in torsion], ring))
-        else:
-            p = ring.p
-            rank_n = modp_rank(d_n, p) if dim_n else 0
-            rank_n1 = modp_rank(d_n1, p)
-            out.append(HomologySummary(n, dim_n - rank_n - rank_n1, [], ring))
+        out.append(HomologySummary(n, dim_n - rank_n - rank_n1, list(torsion), ring))
     return out
 
 

@@ -1,7 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from loopchain.chains import ZZ, F2, F5, Element, GradedBasis, ChainComplex, generator, map_from_table, zero_map
+from loopchain.chains import (
+    ZZ, F2, F3, F5, Ring, Element, GradedBasis, ChainComplex, DegreeOverflowError,
+    dualize, generator, map_from_table, zero_map,
+)
 from loopchain.snf import smith_normal_form, mat_mul, homology, HomologyBasis, modp_rank
 
 
@@ -30,6 +33,12 @@ _small_matrices = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(_small_matrices)
+# a dense matrix whose entries grew without bound while pivots alternated
+# between clearing their column and their row
+@example([[3, 0, -1, -2, 1, -2, -2, 0], [1, 3, -2, 2, -3, 0, -1, 0],
+          [-1, -1, 1, -1, -1, -3, 3, 1], [-3, 1, 2, 2, -3, 2, 3, -3],
+          [-1, -3, 3, 1, 2, -1, -1, -3], [-3, -2, 1, -3, 0, 3, 3, 0],
+          [-2, -1, 0, -2, -1, -2, 1, -3], [-2, -3, -2, 1, 2, -2, 2, 0]])
 def test_snf_postconditions(matrix):
     res = smith_normal_form(matrix)
     rows, cols = len(matrix), len(matrix[0])
@@ -114,3 +123,50 @@ def test_modp_rank():
     assert modp_rank([[2, 4], [6, 8]], 2) == 0
     assert modp_rank([[1, 4], [6, 8]], 2) == 1
     assert modp_rank([[2, 4], [6, 8]], 5) == 2
+
+
+_boundary_matrices = st.integers(min_value=1, max_value=8).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                                   min_size=cols, max_size=cols),
+                          min_size=1, max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_boundary_matrices)
+def test_homology_matches_dense_snf(matrix):
+    # a two-term complex C_1 -> C_0; entries in -3..3 give non-unit pivots
+    # and torsion, so the dense remainder path runs too
+    rows, cols = len(matrix), len(matrix[0])
+    factors = [abs(d) for d in smith_normal_form(matrix).factors]
+    rank = len(factors)
+    torsion = [d for d in factors if d > 1]
+    h0, h1 = homology(_complex({1: matrix}, 2), range(2))
+    assert (h0.betti, h0.torsion) == (rows - rank, torsion)
+    assert (h1.betti, h1.torsion) == (cols - rank, [])
+    for ring in (F2, F3, F5):
+        # universal coefficients: each p-divisible factor adds one dimension
+        # to H_0 (the quotient) and one to H_1 (Tor)
+        tor = sum(1 for d in torsion if d % ring.p == 0)
+        hp0, hp1 = homology(_complex({1: matrix}, 2, ring=ring), range(2))
+        assert (hp0.betti, hp1.betti) == (rows - rank + tor, cols - rank + tor)
+        assert modp_rank(matrix, ring.p) == rank - tor
+
+
+def test_homology_needs_the_degree_above():
+    X = _complex({1: [[2]]}, 2)
+    with pytest.raises(DegreeOverflowError, match="homology at degree 2 needs basis at degree 3"):
+        homology(X, range(3))
+
+
+def test_homology_rejects_a_cochain_complex():
+    X = _complex({1: [[2]]}, 2)
+    with pytest.raises(ValueError, match="chain differential"):
+        homology(dualize(X), range(2))
+
+
+def test_homology_rejects_an_invalid_modulus():
+    bad = Ring.__new__(Ring)  # Ring(1) itself refuses the modulus
+    bad.p = 1
+    X = ChainComplex(GradedBasis(bad, {0: [generator("pt", 0)]}, 2), zero_map(ZZ, -1))
+    with pytest.raises(ValueError, match="composite or invalid modulus"):
+        homology(X, range(1))
