@@ -5,7 +5,9 @@ cobar constructions, twisting cochains and their Hochschild complexes,
 homological perturbation data, and finite simplicial sets with their
 normalized chains, over Z and prime fields.  The cyclic nerve of a finite
 group G is a simplicial model of the free loop space LBG with its power
-maps, a second model of the Hochschild power maps on Z[G].
+maps, a second model of the Hochschild power maps on Z[G].  For a simplicial
+double suspension K = Sigma^2 M, the power maps on the coHochschild complex of
+the normalized chains of K model the power maps of LK.
 """
 
 from .chains import (

@@ -369,7 +369,7 @@ def bar_word(ring, elements, unit):
     return tensor_product(ring, letters, join=word_token)
 
 
-def bar_map(g, A, Aprime, max_degree=None):
+def bar_map(g, A, Aprime):
     """Bar functor on an algebra map g: letterwise application."""
 
     def fn(tok):
@@ -439,7 +439,7 @@ def cobar_construction(C, max_degree=None):
     return DGAlgebra(cx, empty, mult, name="Cobar(%s)" % C.name)
 
 
-def cobar_map(f, C, Cprime, max_degree=None):
+def cobar_map(f, C, Cprime):
     """Cobar functor on a coalgebra map f: letterwise application."""
     ring = C.ring
 
@@ -661,13 +661,13 @@ def hopf_tensor_power(H, r, max_degree=None):
 # Cartesian product of twisting cochains; Milgram splitting
 
 
-def cartesian_product(t, tprime, source=None, target=None):
+def cartesian_product(t, tprime):
     """t * t' = t (x) eta' eps' + eta eps (x) t' on C (x) C' -> A (x) A'."""
     if t.ring != tprime.ring:
         raise ValueError("ring mismatch")
     ring = t.ring
-    C = source if source is not None else tensor_coalgebra(t.source, tprime.source)
-    A = target if target is not None else tensor_algebra(t.target, tprime.target)
+    C = tensor_coalgebra(t.source, tprime.source)
+    A = tensor_algebra(t.target, tprime.target)
 
     def fn(tok):
         c, cprime = tok.data
@@ -685,14 +685,10 @@ def cartesian_product(t, tprime, source=None, target=None):
     return TwistingCochain(C, A, LinearMap(ring, -1, fn, "t*t'"), "%s*%s" % (t.name, tprime.name))
 
 
-def cobar_tensor_splitting(C, Cprime, cobars=None):
+def cobar_tensor_splitting(C, Cprime):
     """Milgram's algebra map q: Cobar(C (x) C') -> Cobar C (x) Cobar C'."""
-    omega_c = cobars[0] if cobars else cobar_construction(C)
-    omega_cp = cobars[1] if cobars else cobar_construction(Cprime)
-    target = tensor_algebra(omega_c, omega_cp)
-    t = cartesian_product(universal_twisting(C, omega_c), universal_twisting(Cprime, omega_cp),
-                          target=target)
-    return algebra_realization(t), target
+    t = cartesian_product(universal_twisting(C), universal_twisting(Cprime))
+    return algebra_realization(t), t.target
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def monomial_algebra(ring, gens, max_degree, name, truncations=None):
     return DGAlgebra(cx, unit, mult, name=name)
 
 
-def primitive_hopf(algebra, through_degree=None):
+def primitive_hopf(algebra):
     """Hopf structure with all algebra generators primitive.
 
     Valid for graded-commutative monomial algebras and for the free

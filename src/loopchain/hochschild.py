@@ -3,9 +3,9 @@
 For a twisting cochain t: C -> A the twisted complex (C (x) A, d_t)
 interpolates between the classical Hochschild complex of an algebra and
 the coHochschild complex of a coalgebra.  This module provides the
-construction with general bicomodule/bimodule coefficients, strict and
-strong-homotopy functoriality, the monoidal isomorphism, the induced
-(co)multiplications, and the r-th power maps with their homology action.
+construction, strict and strong-homotopy functoriality, the monoidal
+isomorphism, the induced (co)multiplications, and the r-th power maps with
+their homology action.
 Each map checks its hypothesis on a degree of C when it first reads a token
 of it; a check_degree checks C_lowest..C_check_degree when it is built.
 """
@@ -53,41 +53,13 @@ def _hypothesis(C, lowest, failure, check_degree):
     return check
 
 
-class Bicomodule:
-    """Chain complex with left and right coactions over a coalgebra C."""
-
-    def __init__(self, complex_, left_coaction, right_coaction, counit_token=None):
-        self.complex = complex_
-        self.left_coaction = left_coaction    # tok -> Element of (C, N) pairs
-        self.right_coaction = right_coaction  # tok -> Element of (N, C) pairs
-        self.counit_token = counit_token
-
-
-class Bimodule:
-    """Chain complex with left and right actions of an algebra A."""
-
-    def __init__(self, complex_, left_action, right_action, unit=None):
-        self.complex = complex_
-        self.left_action = left_action    # (a_tok, m_tok) -> Element
-        self.right_action = right_action  # (m_tok, a_tok) -> Element
-        self.unit = unit
-
-
-def coalgebra_as_bicomodule(C):
-    return Bicomodule(C.complex, C.comult, C.comult, C.counit_token)
-
-
-def algebra_as_bimodule(A):
-    return Bimodule(A.complex, A.mult, A.mult, A.unit)
-
-
 class HochschildComplex:
-    """The twisted complex (N (x) M, d_t)."""
+    """The twisted complex (C (x) A, d_t) of t: C -> A; N = C and M = A."""
 
-    def __init__(self, t, N, M, complex_, name=""):
+    def __init__(self, t, complex_, name=""):
         self.t = t
-        self.N = N
-        self.M = M
+        self.N = t.source
+        self.M = t.target
         self.complex = complex_
         self.name = name
 
@@ -96,19 +68,19 @@ class HochschildComplex:
         return self.complex.ring
 
     def include_fiber(self, x):
-        """M -> H, x |-> counit (x) x."""
+        """A -> H, x |-> counit (x) x."""
         return Element(self.ring, [(tensor_token(self.N.counit_token, tok), c)
                                    for tok, c in x.items()])
 
     def project_base(self, x):
-        """H -> N, unit-augmentation component of the M factor."""
+        """H -> C, unit-augmentation component of the A factor."""
         return Element(self.ring, [(tok.data[0], c) for tok, c in x.items()
                                    if tok.data[1] == self.M.unit])
 
 
-def hochschild_general(t, N=None, M=None, max_degree=None, name=""):
-    """Hochschild complex of t with coefficients in a bicomodule and a
-    bimodule (defaults: the source and target of t over themselves).
+def hochschild_general(t, max_degree=None, name=""):
+    """Hochschild complex of t: C -> A with coefficients in C and A over
+    themselves.
 
     d_t(y (x) x) = dy (x) x + (-1)^|y| y (x) dx
                    - (-1)^|y_j| y_j (x) t(c^j).x
@@ -116,19 +88,16 @@ def hochschild_general(t, N=None, M=None, max_degree=None, name=""):
     all signs produced by the Koszul engine.
     """
     ring = t.ring
-    if N is None:
-        N = coalgebra_as_bicomodule(t.source)
-    if M is None:
-        M = algebra_as_bimodule(t.target)
+    C, A = t.source, t.target
     if max_degree is None:
-        max_degree = min(N.complex.max_degree, M.complex.max_degree)
+        max_degree = min(C.complex.max_degree, A.complex.max_degree)
     label = name or "H(%s)" % t.name
 
     def basis_fn(n):
         out = []
         for i in range(n + 1):
-            for y in N.complex.basis.basis(i):
-                for x in M.complex.basis.basis(n - i):
+            for y in C.complex.basis.basis(i):
+                for x in A.complex.basis.basis(n - i):
                     out.append(tensor_token(y, x))
         return out
 
@@ -137,19 +106,20 @@ def hochschild_general(t, N=None, M=None, max_degree=None, name=""):
     def differential(tok):
         y, x = tok.data
         sign = parity_sign(y.degree)
-        pairs = [(tensor_token(u, x), c) for u, c in N.complex.d(y).items()]
-        pairs += [(tensor_token(y, u), sign * c) for u, c in M.complex.d(x).items()]
-        # - (Id (x) m(t (x) Id)) (rho (x) Id): t passes y_j
-        for pair, c in N.right_coaction(y).items():
+        pairs = [(tensor_token(u, x), c) for u, c in C.complex.d(y).items()]
+        pairs += [(tensor_token(y, u), sign * c) for u, c in A.complex.d(x).items()]
+        coproduct = C.comult(y).items()
+        # - (Id (x) m(t (x) Id)) (Delta (x) Id): t passes y_j
+        for pair, c in coproduct:
             yj, cj = pair.data
             tv = t.map(cj)
             if tv.is_zero():
                 continue
             coeff = -operator_application_sign([0, -1], [yj.degree, cj.degree]) * c
             pairs += [(tensor_token(yj, m), coeff * ca * cm)
-                      for a, ca in tv.items() for m, cm in M.left_action(a, x).items()]
+                      for a, ca in tv.items() for m, cm in A.mult(a, x).items()]
         # + move c_i to the end, then apply t there
-        for pair, c in N.left_coaction(y).items():
+        for pair, c in coproduct:
             ci, yi = pair.data
             tv = t.map(ci)
             if tv.is_zero():
@@ -157,11 +127,11 @@ def hochschild_general(t, N=None, M=None, max_degree=None, name=""):
             rot = koszul_sign([ci.degree, yi.degree, x.degree], [1, 2, 0])
             app = operator_application_sign([0, 0, -1], [yi.degree, x.degree, ci.degree])
             pairs += [(tensor_token(yi, m), rot * app * c * ca * cm)
-                      for a, ca in tv.items() for m, cm in M.right_action(x, a).items()]
+                      for a, ca in tv.items() for m, cm in A.mult(x, a).items()]
         return Element(ring, pairs)
 
     cx = ChainComplex(basis, LinearMap(ring, -1, differential, "d_t"), label)
-    return HochschildComplex(t, N, M, cx, label)
+    return HochschildComplex(t, cx, label)
 
 
 def hochschild_complex(t, max_degree=None):

@@ -75,7 +75,7 @@ def _letter_parts(letter):
     return pair.data  # (a, a')
 
 
-def bar_eilenberg_zilber(A, Aprime, AxA=None):
+def bar_eilenberg_zilber(A, Aprime):
     """nabla: Bar A (x) Bar A' -> Bar(A (x) A'): Koszul-signed shuffles of
     s(a_i (x) 1) and s(1 (x) a'_j)."""
     ring = A.ring
@@ -253,7 +253,7 @@ class PerturbationDivergence(Exception):
     """Raised when the iterated insertions fail to vanish by the cap."""
 
 
-def transferred_twisting(sdr, cap=None, cobar_X=None):
+def transferred_twisting(sdr, cap=None):
     """Twisting cochain F: Y -> Cobar X from SDR data.
 
     F_1 = s^{-1} f and, for k >= 2,
@@ -265,7 +265,7 @@ def transferred_twisting(sdr, cap=None, cobar_X=None):
     """
     Y, X = sdr.Y, sdr.X
     ring = Y.ring
-    omega_x = cobar_X if cobar_X is not None else cobar_construction(X)
+    omega_x = cobar_construction(X)
 
     def ds_f(tok):
         return Element(ring, [(word_token((desuspend(t),)), c)
@@ -330,9 +330,9 @@ def _reduced_of_element(Y, x):
     return x.apply(Y.reduced_comult)
 
 
-def dcsh_realization(sdr, cap=None, cobar_X=None):
+def dcsh_realization(sdr):
     """alpha_F: Cobar Y -> Cobar X realizing f's strong homotopy structure."""
-    F = transferred_twisting(sdr, cap=cap, cobar_X=cobar_X)
+    F = transferred_twisting(sdr)
     return algebra_realization(F), F
 
 

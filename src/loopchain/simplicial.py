@@ -8,16 +8,21 @@ is nondegenerate).  Spaces provide face tables on nondegenerate simplices
 only; the operator algebra extends them to all encodings.
 
 The spaces are standard simplices, spheres, nerves of finite groups,
-suspensions, and the cyclic nerve of a finite group, a model of the free
-loop space LBG whose power maps act on its normalized chains.
+reduced suspensions, and the cyclic nerve of a finite group, a model of the
+free loop space LBG whose power maps act on its normalized chains.  The
+double suspension K = Sigma^2 M is two reduced suspensions; it has C_1 = 0,
+so with hirsch_primitive the power maps of hochschild.power_map on the
+coHochschild complex of its normalized chains model those of LK.
 """
 
 from functools import reduce
+from itertools import combinations, product
 
 from .chains import (
     ChainComplex, Element, GradedBasis, LinearMap, generator, parity_sign, tensor_token, ZZ,
 )
 from .dg import DGCoalgebra
+from .groups import BUILTIN_GROUPS
 
 
 def identity_phi(n):
@@ -114,7 +119,6 @@ class StandardSimplex(SimplicialSet):
     def nondegenerate(self, k):
         if k > self.n:
             return []
-        from itertools import combinations
         return [tuple(c) for c in combinations(range(self.n + 1), k + 1)]
 
     def core_dim(self, core):
@@ -145,19 +149,6 @@ class Sphere(SimplicialSet):
         return ("*", (0,) * dim)
 
 
-class EmptySpace(SimplicialSet):
-    name = "empty"
-
-    def nondegenerate(self, n):
-        return []
-
-    def core_dim(self, core):
-        raise KeyError(core)
-
-    def face_core(self, core, dim, i):
-        raise KeyError(core)
-
-
 class Nerve(SimplicialSet):
     """Nerve of a finite group: one nondegenerate simplex per tuple of
     non-identity elements."""
@@ -169,7 +160,6 @@ class Nerve(SimplicialSet):
     def nondegenerate(self, n):
         if n == 0:
             return [()]
-        from itertools import product
         nontrivial = [g for g in self.group.elements if g != self.group.unit]
         return [tup for tup in product(nontrivial, repeat=n)]
 
@@ -243,42 +233,11 @@ class CyclicNerve(Nerve):
         return LinearMap(ring, 0, fn, "lambda_%d" % r)
 
 
-class UnreducedSuspension(SimplicialSet):
-    """Cone(M)/M: two vertices (base b0, apex c0) and a shifted copy of M."""
-
-    def __init__(self, M):
-        self.M = M
-        self.name = "Eu(%s)" % M.name
-
-    def nondegenerate(self, n):
-        if n == 0:
-            return ["b0", "c0"]
-        return [("up", core) for core in self.M.nondegenerate(n - 1)]
-
-    def core_dim(self, core):
-        if core in ("b0", "c0"):
-            return 0
-        return self.M.core_dim(core[1]) + 1
-
-    def lift(self, k, enc_m):
-        """Encoding of (k, y) for a possibly-degenerate y in M."""
-        core_m, phi_m = enc_m
-        return (("up", core_m), (0,) * k + tuple(v + 1 for v in phi_m))
-
-    def face_core(self, core, dim, i):
-        x = core[1]
-        if i == 0:
-            return ("b0", (0,) * dim)
-        if dim == 1 and i == 1:
-            return encode_nondegenerate("c0", 0)
-        if i == dim and self.M.core_dim(x) == 0:
-            return encode_nondegenerate("c0", 0)
-        face_m = self.M.face_core(x, dim - 1, i - 1)
-        return self.lift(1, face_m)
-
-
 class ReducedSuspension(SimplicialSet):
-    """Unreduced suspension with the sub-suspension of the basepoint collapsed."""
+    """Reduced suspension of L at a vertex basepoint: the cone on L with L and
+    the cone on the basepoint collapsed to the one vertex a0.  Its
+    nondegenerate n-simplices are ("up", x) for x in L_{n-1} other than the
+    basepoint, with the cone vertex first."""
 
     def __init__(self, L, basepoint):
         self.L = L
@@ -296,43 +255,27 @@ class ReducedSuspension(SimplicialSet):
             return 0
         return self.L.core_dim(core[1]) + 1
 
-    def _collapse(self, enc):
-        core, phi = enc
-        if core in ("b0", "c0") or (isinstance(core, tuple) and core[0] == "up"
-                                    and core[1] == self.basepoint):
-            return ("a0", (0,) * len(phi))
-        return enc
-
     def lift(self, k, enc_l):
+        """Encoding of the cone vertex k times followed by the simplex enc_l of
+        L; on the basepoint it is the degenerate a0."""
         core_l, phi_l = enc_l
         if core_l == self.basepoint:
             return ("a0", (0,) * (k + len(phi_l)))
         return (("up", core_l), (0,) * k + tuple(v + 1 for v in phi_l))
 
     def face_core(self, core, dim, i):
-        x = core[1]
-        if i == 0:
+        if i == 0 or dim == 1:
             return ("a0", (0,) * dim)
-        if dim == 1 and i == 1:
-            return encode_nondegenerate("a0", 0)
-        if i == dim and self.L.core_dim(x) == 0:
-            return encode_nondegenerate("a0", 0)
-        face_l = self.L.face_core(x, dim - 1, i - 1)
-        face_l = (face_l[0], face_l[1])
-        lifted = self.lift(1, face_l)
-        return self._collapse(lifted)
+        return self.lift(1, self.L.face_core(core[1], dim - 1, i - 1))
 
 
 def double_suspension(M):
-    """S M = E E^u M, pointed at the base vertex of the inner suspension."""
-    Eu = UnreducedSuspension(M)
-    S = ReducedSuspension(Eu, "b0")
+    """Sigma^2 M as two reduced suspensions, pointed at M's first vertex.  It
+    has one vertex and no nondegenerate 1-simplex, so its cobar construction
+    is of finite type."""
+    S = ReducedSuspension(ReducedSuspension(M, M.nondegenerate(0)[0]), "a0")
     S.name = "SS(%s)" % M.name
     return S
-
-
-def circle():
-    return double_suspension(EmptySpace())
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +371,19 @@ def check_simplicial_set(K, max_degree):
 
 def get_space(name):
     """Fixture registry: delta:n, sphere:n, circle, nerve-z2, rpinfty,
-    cyclic-c2, cyclic-s3."""
+    cyclic-c2, cyclic-s3.  double_suspension(get_space(name)) gives the
+    double suspensions whose coHochschild power maps model LSigma^2 M."""
     if name.startswith("delta:"):
         return StandardSimplex(int(name.split(":")[1]))
     if name.startswith("sphere:"):
         return Sphere(int(name.split(":")[1]))
     if name == "circle":
-        return circle()
+        return ReducedSuspension(Sphere(0), "*")
     if name == "nerve-z2":
-        from .groups import BUILTIN_GROUPS
         return Nerve(BUILTIN_GROUPS["c2"])
     if name in ("cyclic-c2", "cyclic-s3"):
-        from .groups import BUILTIN_GROUPS
         return CyclicNerve(BUILTIN_GROUPS[name.split("-")[1]])
     if name == "rpinfty":
-        from .groups import BUILTIN_GROUPS
         K = ReducedSuspension(Nerve(BUILTIN_GROUPS["c2"]), ())
         K.name = "rpinfty"
         return K

@@ -27,6 +27,7 @@ from loopchain.hochschild import (
     check_power_hypotheses, CompatibilityError,
 )
 from loopchain.perturbation import BarHopfStructure, bar_shuffle_hopf
+from loopchain.simplicial import double_suspension, get_space, normalized_chains
 from loopchain.snf import homology, mat_mul
 
 
@@ -477,6 +478,18 @@ def test_power_map_is_a_chain_map_on_nonreal_aw():
     assert ok, tok
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_power_map_koszul_sign_on_nonreal_aw(r):
+    # through degree 10 mu-tilde_r meets its first Koszul sign of -1 (at
+    # z (x) [s'(y')]); a chain-map check through degree 8 does not reach it
+    C, hirsch = nonreal_aw_hirsch()
+    t = universal_twisting(C, hirsch.cobar)
+    lam = power_map(t, hirsch, hirsch.loop_hopf(), r)
+    H = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=11)
+    ok, tok = verify_chain_map(lam, H.complex, H.complex, 10)
+    assert ok, tok
+
+
 def _rp_power_oracle(l, ks, r):
     """Brute-force composition-sum formula for the RP model over F2."""
     out = {}
@@ -683,6 +696,11 @@ def _cohoch_of_rp(top):
     return _cohoch_of_hirsch(*rp_hirsch(max_degree=top + 2), top)
 
 
+def _cohoch_of_double_suspension(name, top):
+    C = normalized_chains(double_suspension(get_space(name)), max_degree=top + 2)
+    return _cohoch_of_hirsch(C, hirsch_primitive(C), top)
+
+
 # name: (make, top), where make(top) gives the complex through HH_top, t, the
 # Hirsch coalgebra and the Hopf algebra of the power maps
 POWER_FIXTURES = {
@@ -694,11 +712,16 @@ POWER_FIXTURES = {
     "sphere-2": (partial(_cohoch_of_sphere, 2), 8),
     "sphere-3": (partial(_cohoch_of_sphere, 3), 8),
     "rp-f2": (_cohoch_of_rp, 5),
+    "double-suspension-s1": (partial(_cohoch_of_double_suspension, "sphere:1"), 8),
+    "double-suspension-s2": (partial(_cohoch_of_double_suspension, "sphere:2"), 8),
+    "double-suspension-bc2": (partial(_cohoch_of_double_suspension, "nerve-z2"), 6),
 }
 
 
 @pytest.mark.parametrize("name,r,s", [(name, 2, 2) for name in POWER_FIXTURES] + [
-    (name, 2, 3) for name in ("free-even", "free-odd", "exterior-two", "sphere-2", "sphere-3")])
+    (name, 2, 3) for name in ("free-even", "free-odd", "exterior-two", "sphere-2", "sphere-3",
+                              "double-suspension-s1", "double-suspension-s2",
+                              "double-suspension-bc2")])
 def test_power_maps_compose_on_homology(name, r, s):
     # omega^r o omega^s = omega^rs on LX, so the matrices satisfy M_r M_s = M_rs,
     # entry by entry modulo the order of each row's generator (p over F_p)

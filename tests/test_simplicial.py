@@ -3,10 +3,12 @@ from math import prod
 import pytest
 
 from loopchain.chains import ZZ, F2, verify_chain_map
-from loopchain.dg import couniversal_twisting
-from loopchain.fixtures import group_ring_hopf
+from loopchain.dg import couniversal_twisting, hirsch_primitive, universal_twisting
+from loopchain.fixtures import free_hopf_one, group_ring_hopf
 from loopchain.groups import BUILTIN_GROUPS
-from loopchain.hochschild import hochschild_of_algebra, power_map, power_map_on_homology
+from loopchain.hochschild import (
+    cohochschild_complex, hochschild_of_algebra, power_map, power_map_on_homology,
+)
 from loopchain.perturbation import BarHopfStructure
 from loopchain.simplicial import (
     Sphere, check_simplicial_set, double_suspension, get_space, normalized_chains,
@@ -138,3 +140,64 @@ def test_cyclic_nerve_power_maps_match_hochschild(name):
         # g^3 = g in C2, so lambda_3 is the identity
         assert found[3, minus_identity] == [("free", []), ("torsion", 1), ("free", []),
                                             ("torsion", 1), ("free", []), ("torsion", 1)]
+
+
+# --- the double-suspension power maps against two oracles ---------------------
+
+
+def double_suspension_power_maps(name, top):
+    """lambda_r, r = 2, 3, on coHH_0..top of the normalized chains of Sigma^2 K."""
+    C = normalized_chains(double_suspension(get_space(name)), max_degree=top + 2)
+    hirsch = hirsch_primitive(C)
+    t = universal_twisting(C, hirsch.cobar)
+    cohoch = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=top + 1)
+    return {r: power_map_on_homology(cohoch, power_map(t, hirsch, hirsch.loop_hopf(), r),
+                                     range(top + 1)) for r in (2, 3)}
+
+
+def free_hopf_power_maps(degree, top):
+    """lambda-tilde_r, r = 2, 3, on HH_0..top of the free algebra on one
+    primitive generator of the given degree."""
+    H = free_hopf_one(degree)
+    bh = BarHopfStructure(H, top + 1)
+    t = couniversal_twisting(H.algebra, bh.barH)
+    hoch = hochschild_of_algebra(H.algebra, bar=bh.barH, max_degree=top + 1)
+    return {r: power_map_on_homology(hoch, power_map(t, bh.hirsch(), H, r), range(top + 1))
+            for r in (2, 3)}
+
+
+@pytest.mark.parametrize("name", ["sphere:0", "sphere:1", "sphere:2", "nerve-z2"])
+def test_double_suspension_is_one_reduced(name):
+    K = double_suspension(get_space(name))
+    assert check_simplicial_set(K, 4) == []
+    assert K.nondegenerate(0) == ["a0"]
+    assert normalized_chains(K).complex.basis.basis(1) == []
+
+
+def test_double_suspension_power_maps_match_two_oracles():
+    s3 = double_suspension_power_maps("sphere:1", 8)
+    s4 = double_suspension_power_maps("sphere:2", 6)
+    bc2 = double_suspension_power_maps("nerve-z2", 5)
+    for r in (2, 3):
+        # oracle B, the eigenvalues of the power maps on H_*(LS^n): on LS^3,
+        # r^k on HH_2k and r^(k-1) on HH_2k+1 (HH_1 = 0)
+        assert [row["matrix"] for row in s3[r]] == \
+            [[[r ** (n // 2 - (n % 2))]] if n != 1 else [] for n in range(9)]
+        # on LS^4, r on HH_3, 1 on HH_4 and r^2 on HH_6 = Z/2
+        assert [row["matrix"] for row in s4[r]] == \
+            [[[1]], [], [], [[r]], [[1]], [], [[r * r % 2]]]
+        assert s4[r][6]["generators"] == [("torsion", 0, 2)]
+    # on L Sigma^2 BC2, HH_5 = Z/2 + Z/4, where lambda_2 = diag(1, 2), lambda_3 = diag(1, 3)
+    assert [g[2] for g in bc2[2][5]["generators"]] == [2, 4]
+    assert [invariants(bc2[r][5:], f) for r in (2, 3) for f in (list, minus_identity)] == \
+        [[("torsion", 4)], [("torsion", 4)], [("torsion", 8)], [("torsion", 2)]]
+    # oracle A: Cobar C(Sigma^2 S^m) is the free algebra on one primitive
+    # generator of degree m + 1, so the paper's two special cases agree;
+    # generator indices may differ, kinds and torsion orders may not
+    for cohoch, m, top in ((s3, 1, 5), (s4, 2, 6)):
+        hoch = free_hopf_power_maps(m + 1, top)
+        for r in (2, 3):
+            for row, want in zip(cohoch[r], hoch[r]):
+                assert row["matrix"] == want["matrix"], (m, r, row["degree"])
+                assert [g[:1] + g[2:] for g in row["generators"]] == \
+                    [g[:1] + g[2:] for g in want["generators"]]
