@@ -5,6 +5,10 @@ simplicial chain functor) is built out of four values defined here: rings,
 basis tokens, sparse elements, and graded linear maps.  All arithmetic is
 exact: integers are Python ints, prime fields are ints reduced mod p.
 
+Tokens are interned (hash-consed): one object per token, built on first
+request and returned again on every later one, so tokens compare and hash
+by identity and each keeps its sort key once computed.
+
 Sums have one home, Element: its constructor is the one loop that merges
 (token, coefficient) pairs, reduces them mod p and drops zero terms.  Every
 sum in the library is built through it, by the constructor on a list of
@@ -55,69 +59,93 @@ class Token:
     """Immutable structured basis symbol with a fixed degree.
 
     kind is one of 'atom', 'susp', 'desusp', 'tensor', 'word', 'dual'.
-    Tokens compare and hash structurally; degree is precomputed.
+    Tokens are interned: the six constructors below (generator, suspend,
+    desuspend, tensor_token, word_token, dual_token) build at most one Token
+    for each (kind, data, degree) and return it on every later request, so
+    equal tokens are the same object.  Tokens therefore compare and hash by
+    identity.  Build tokens only through those constructors.
     """
 
-    __slots__ = ("kind", "data", "degree", "_hash")
+    __slots__ = ("kind", "data", "degree", "_sort_key")
 
     def __init__(self, kind, data, degree):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_hash", hash((kind, data, degree)))
 
     def __setattr__(self, *a):
         raise AttributeError("Token is immutable")
 
     def __eq__(self, other):
-        return (
-            self is other
-            or (
-                isinstance(other, Token)
-                and self._hash == other._hash
-                and self.kind == other.kind
-                and self.degree == other.degree
-                and self.data == other.data
-            )
-        )
+        return self is other
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__
 
     def __repr__(self):
         return token_repr(self)
 
 
+# The intern table.  Only atoms need their degree in the key: every other
+# kind's degree is a function of its data, so (kind, data) names the same
+# token, and a hit skips summing the factor degrees.
+_TOKENS = {}
+
+
+def _intern(key, degree):
+    """Build, record and return the token for key = (kind, data, ...);
+    called on a miss only."""
+    tok = _TOKENS[key] = Token(key[0], key[1], degree)
+    return tok
+
+
 def generator(name, degree):
     """Atomic generator token."""
-    return Token("atom", name, degree)
+    try:
+        return _TOKENS["atom", name, degree]
+    except KeyError:
+        return _intern(("atom", name, degree), degree)
 
 
 def suspend(tok):
     if tok.kind == "desusp":
         return tok.data
-    return Token("susp", tok, tok.degree + 1)
+    try:
+        return _TOKENS["susp", tok]
+    except KeyError:
+        return _intern(("susp", tok), tok.degree + 1)
 
 
 def desuspend(tok):
     if tok.kind == "susp":
         return tok.data
-    return Token("desusp", tok, tok.degree - 1)
+    try:
+        return _TOKENS["desusp", tok]
+    except KeyError:
+        return _intern(("desusp", tok), tok.degree - 1)
 
 
 def tensor_token(*factors):
-    return Token("tensor", tuple(factors), sum([f.degree for f in factors]))
+    try:
+        return _TOKENS["tensor", factors]
+    except KeyError:
+        return _intern(("tensor", factors), sum([f.degree for f in factors]))
 
 
 def word_token(letters):
     letters = tuple(letters)
-    return Token("word", letters, sum([l.degree for l in letters]))
+    try:
+        return _TOKENS["word", letters]
+    except KeyError:
+        return _intern(("word", letters), sum([l.degree for l in letters]))
 
 
 def dual_token(tok):
     if tok.kind == "dual":
         return tok.data
-    return Token("dual", tok, tok.degree)
+    try:
+        return _TOKENS["dual", tok]
+    except KeyError:
+        return _intern(("dual", tok), tok.degree)
 
 
 def token_repr(tok):
@@ -141,13 +169,24 @@ _KIND_RANK = {"atom": 0, "susp": 1, "desusp": 2, "tensor": 3, "word": 4, "dual":
 
 
 def sort_key(tok):
-    """Total deterministic order on tokens (lexicographic on structure)."""
+    """Total deterministic order on tokens (lexicographic on structure).
+
+    Each token computes its key once and keeps it, so the recursion stops
+    at children already keyed.
+    """
+    try:
+        return tok._sort_key
+    except AttributeError:
+        pass
     k = tok.kind
     if k == "atom":
-        return (tok.degree, 0, repr(tok.data))
-    if k in ("susp", "desusp", "dual"):
-        return (tok.degree, _KIND_RANK[k], sort_key(tok.data))
-    return (tok.degree, _KIND_RANK[k], len(tok.data), tuple(sort_key(t) for t in tok.data))
+        key = (tok.degree, 0, repr(tok.data))
+    elif k in ("susp", "desusp", "dual"):
+        key = (tok.degree, _KIND_RANK[k], sort_key(tok.data))
+    else:
+        key = (tok.degree, _KIND_RANK[k], len(tok.data), tuple([sort_key(t) for t in tok.data]))
+    object.__setattr__(tok, "_sort_key", key)
+    return key
 
 
 # ---------------------------------------------------------------------------

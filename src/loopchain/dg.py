@@ -15,7 +15,7 @@ from .chains import (
 
 def unit_augmentation(ring, unit_token):
     def aug(tok):
-        return 1 if tok == unit_token else 0
+        return 1 if tok is unit_token else 0
     return aug
 
 
@@ -64,7 +64,7 @@ class DGAlgebra:
 
     def aug_ideal_basis(self, n):
         toks = self.complex.basis.basis(n)
-        return [t for t in toks if t != self.unit]
+        return [t for t in toks if t is not self.unit]
 
     def is_connected(self):
         return self.complex.basis.basis(0) == [self.unit]
@@ -339,14 +339,14 @@ def bar_construction(A, max_degree=None):
             passage = parity_sign(prefix_deg)
             # internal part: s(da_j), entering with operator degree -1
             pairs += [(word_token(letters[:j] + (suspend(u),) + letters[j + 1:]), -passage * c)
-                      for u, c in A.d(a).items() if u != A.unit]
+                      for u, c in A.d(a).items() if u is not A.unit]
             # merge part: s(a_j a_{j+1})
             if j + 1 < len(letters):
                 b = desuspend(letters[j + 1])
                 merge_sign = passage * parity_sign(letter.degree)
                 pairs += [(word_token(letters[:j] + (suspend(u),) + letters[j + 2:]),
                            merge_sign * c)
-                          for u, c in A.mult(a, b).items() if u != A.unit]
+                          for u, c in A.mult(a, b).items() if u is not A.unit]
             prefix_deg += letter.degree
         return Element(ring, pairs)
 
@@ -364,18 +364,19 @@ def bar_construction(A, max_degree=None):
 
 def bar_word(ring, elements, unit):
     """s x_1 | ... | s x_k for algebra elements x_i, dropping unit terms."""
-    letters = [Element(ring, [(suspend(u), c) for u, c in x.items() if u != unit])
+    letters = [Element(ring, [(suspend(u), c) for u, c in x.items() if u is not unit])
                for x in elements]
     return tensor_product(ring, letters, join=word_token)
 
 
-def bar_map(g, A, Aprime):
-    """Bar functor on an algebra map g: letterwise application."""
+def bar_map(g, Aprime):
+    """Bar functor on an algebra map g: A -> Aprime, letterwise application."""
+    ring = g.ring
 
     def fn(tok):
-        return bar_word(A.ring, [g(desuspend(letter)) for letter in tok.data], Aprime.unit)
+        return bar_word(ring, [g(desuspend(letter)) for letter in tok.data], Aprime.unit)
 
-    return LinearMap(A.ring, 0, fn, "Bar(g)")
+    return LinearMap(ring, 0, fn, "Bar(g)")
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +440,9 @@ def cobar_construction(C, max_degree=None):
     return DGAlgebra(cx, empty, mult, name="Cobar(%s)" % C.name)
 
 
-def cobar_map(f, C, Cprime):
+def cobar_map(f):
     """Cobar functor on a coalgebra map f: letterwise application."""
-    ring = C.ring
+    ring = f.ring
 
     def fn(tok):
         letters = [Element(ring, [(desuspend(u), c) for u, c in f(suspend(letter)).items()
@@ -549,7 +550,7 @@ def cobar_bar_section(A):
     ring = A.ring
 
     def fn(tok):
-        if tok == A.unit:
+        if tok is A.unit:
             return Element.from_token(ring, word_token(()))
         return Element.from_token(ring, word_token((desuspend(word_token((suspend(tok),))),)))
 

@@ -26,7 +26,7 @@ from .groups import BUILTIN_GROUPS
 def _primitive_comult(ring, one):
     """The comultiplication with every token other than one primitive."""
     def comult(tok):
-        if tok == one:
+        if tok is one:
             return Element(ring, [(tensor_token(one, one), 1)])
         return Element(ring, [(tensor_token(one, tok), 1), (tensor_token(tok, one), 1)])
     return comult
@@ -61,10 +61,10 @@ def nonreal_aw_coalgebra(ring=ZZ, max_degree=16):
     cx = ChainComplex(basis, LinearMap(ring, -1, dfn, "d"), "Cnaw")
 
     def comult(tok):
-        if tok == u:
+        if tok is u:
             return Element(ring, [(tensor_token(u, u), 1)])
         pairs = [(tensor_token(u, tok), 1), (tensor_token(tok, u), 1)]
-        if tok == z:
+        if tok is z:
             pairs += [(tensor_token(x, y), 3), (tensor_token(x, yp), -2)]
         return Element(ring, pairs)
 
@@ -192,7 +192,7 @@ def primitive_hopf(algebra):
     def comult(tok):
         if tok in cache:
             return cache[tok]
-        if tok == algebra.unit:
+        if tok is algebra.unit:
             out = Element.from_token(ring, tensor_token(tok, tok))
         elif tok.kind == "atom" and isinstance(tok.data, tuple) and tok.data[0] == "mono":
             exps = tok.data[1:]
@@ -281,9 +281,9 @@ def group_ring_hopf(group, ring=ZZ, max_degree=8):
     cx = ChainComplex(basis, zero_map(ring, -1), "R[%s]" % group.name)
 
     def mult(s, t):
-        if s == unit:
+        if s is unit:
             return Element.from_token(ring, t)
-        if t == unit:
+        if t is unit:
             return Element.from_token(ring, s)
         g, h = s.data[2], t.data[2]
         return Element(ring, [(tok(x), c) for x, c in ((group.mul(g, h), 1), (g, -1), (h, -1))
@@ -292,7 +292,7 @@ def group_ring_hopf(group, ring=ZZ, max_degree=8):
     A = DGAlgebra(cx, unit, mult, name="R[%s]" % group.name)
 
     def comult(t):
-        if t == unit:
+        if t is unit:
             return Element(ring, [(tensor_token(unit, unit), 1)])
         return Element(ring, [(tensor_token(t, t), 1), (tensor_token(t, unit), 1),
                               (tensor_token(unit, t), 1)])
@@ -370,9 +370,9 @@ def dg_fixture_from_dict(doc):
             mtable[(names[a], names[b])] = parse_element(entries)
 
         def mult(s, t):
-            if s == unit:
+            if s is unit:
                 return Element.from_token(ring, t)
-            if t == unit:
+            if t is unit:
                 return Element.from_token(ring, s)
             if (s, t) in mtable:
                 return mtable[(s, t)]

@@ -75,7 +75,7 @@ class HochschildComplex:
     def project_base(self, x):
         """H -> C, unit-augmentation component of the A factor."""
         return Element(self.ring, [(tok.data[0], c) for tok, c in x.items()
-                                   if tok.data[1] == self.M.unit])
+                                   if tok.data[1] is self.M.unit])
 
 
 def hochschild_general(t, max_degree=None, name=""):
@@ -260,7 +260,7 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
         c, a = tok.data
         check(c.degree)
         pairs = []
-        if a == A.unit:
+        if a is A.unit:
             # the counit-covector term of the transposed formula
             pairs += [(tensor_token(u, A2.unit), cu)
                       for u, cu in f(Element.from_token(ring, c)).items()]

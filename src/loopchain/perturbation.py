@@ -115,11 +115,11 @@ def bar_alexander_whitney(A, Aprime):
         split = None
         for j, letter in enumerate(letters):
             a, ap = _letter_parts(letter)
-            if ap == one_ap and a != one_a:
+            if ap is one_ap and a is not one_a:
                 if split is not None:
                     return Element(ring)
                 continue
-            if a == one_a and ap != one_ap:
+            if a is one_a and ap is not one_ap:
                 if split is None:
                     split = j
                 continue
@@ -153,7 +153,7 @@ def bar_em_homotopy(A, Aprime):
         parts = [_letter_parts(l) for l in letters]
         r = 0
         for j in range(n, 0, -1):
-            if parts[j - 1][0] != one_a:
+            if parts[j - 1][0] is not one_a:
                 r = j
                 break
         if r == 0:
@@ -174,13 +174,13 @@ def bar_em_homotopy(A, Aprime):
 
         pairs = []
         for m in range(r):
-            if any(parts[j - 1][0] == one_a for j in range(m + 1, r + 1)):
+            if any(parts[j - 1][0] is one_a for j in range(m + 1, r + 1)):
                 continue  # the shuffle block would contain s(1)
             # product a'_{m+1} ... a'_r in A'
             prod = Element.from_token(ring, one_ap)
             for j in range(m + 1, r + 1):
                 prod = Aprime.multiply(prod, Element.from_token(ring, parts[j - 1][1]))
-            merged_terms = [(b, c) for b, c in prod.items() if b != one_ap]
+            merged_terms = [(b, c) for b, c in prod.items() if b is not one_ap]
             if not merged_terms:
                 continue
             a_block = list(range(m + 1, r + 1))
@@ -232,7 +232,7 @@ def bar_sdr(A, Aprime, max_degree=None):
         count = 0
         for letter in tok.data:
             a, ap = _letter_parts(letter)
-            count += (1 if a == A.unit else 0) + (1 if ap == Aprime.unit else 0)
+            count += (1 if a is A.unit else 0) + (1 if ap is Aprime.unit else 0)
         return count
 
     return SDRData(
@@ -343,10 +343,9 @@ def bar_shuffle_hopf(A, max_degree=None):
     Returns (HopfAlgebra, the bar coalgebra, nu = Bar(m))."""
     barA = bar_construction(A, max_degree)
     ring = A.ring
-    AxA = tensor_algebra(A, A)
     nabla = bar_eilenberg_zilber(A, A)
     mmap = LinearMap(ring, 0, lambda tok: A.mult(*tok.data), "m")
-    nu = bar_map(mmap, AxA, A)
+    nu = bar_map(mmap, A)
 
     def mult(u, v):
         return nu(nabla(tensor_token(u, v)))
@@ -379,9 +378,9 @@ class BarHopfStructure:
         def delta_fn(tok):
             return H.comult(tok)
 
-        bar_delta = bar_map(LinearMap(ring, 0, delta_fn, "delta"), A, AxA)
+        bar_delta = bar_map(LinearMap(ring, 0, delta_fn, "delta"), AxA)
         self.omega_inner = bar_delta
-        cobar_bar_delta = cobar_map(bar_delta, self.barH, self.sdr.Y)
+        cobar_bar_delta = cobar_map(bar_delta)
         self._omega = LinearMap(ring, 0, lambda t: alpha_F(cobar_bar_delta(t)), "omega")
         q, square = cobar_tensor_splitting(self.barH, self.barH)
         self.square = square

@@ -370,9 +370,10 @@ def check_simplicial_set(K, max_degree):
 
 
 def get_space(name):
-    """Fixture registry: delta:n, sphere:n, circle, nerve-z2, rpinfty,
-    cyclic-c2, cyclic-s3.  double_suspension(get_space(name)) gives the
-    double suspensions whose coHochschild power maps model LSigma^2 M."""
+    """Fixture registry: delta:n, sphere:n, circle, nerve-z2 (RP^infinity
+    = BC2), sigma-rpinfty (its suspension Sigma RP^infinity), cyclic-c2,
+    cyclic-s3.  double_suspension(get_space(name)) gives the double
+    suspensions whose coHochschild power maps model LSigma^2 M."""
     if name.startswith("delta:"):
         return StandardSimplex(int(name.split(":")[1]))
     if name.startswith("sphere:"):
@@ -383,8 +384,8 @@ def get_space(name):
         return Nerve(BUILTIN_GROUPS["c2"])
     if name in ("cyclic-c2", "cyclic-s3"):
         return CyclicNerve(BUILTIN_GROUPS[name.split("-")[1]])
-    if name == "rpinfty":
+    if name == "sigma-rpinfty":
         K = ReducedSuspension(Nerve(BUILTIN_GROUPS["c2"]), ())
-        K.name = "rpinfty"
+        K.name = "sigma-rpinfty"
         return K
     raise KeyError("unknown space fixture %r" % name)

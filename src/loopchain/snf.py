@@ -283,6 +283,19 @@ class HomologySummary:
         return "H_%d = %s" % (self.degree, " + ".join(parts) if parts else "0")
 
 
+def _boundary_rows(complex_, k):
+    """d_k as sparse rows read straight from the differential: one
+    {target index: coefficient} row per degree-k basis token.  This is the
+    transpose of ChainComplex.matrix(k), which has the same rank and
+    invariant factors."""
+    if k <= 0:
+        return []
+    sources = complex_.basis.basis(k)  # raises DegreeOverflowError past max_degree
+    index = complex_.basis.index(k - 1)
+    d = complex_.d
+    return [{index[t]: c for t, c in d(tok).items()} for tok in sources]
+
+
 def homology(complex_, degrees):
     """Homology of a chain complex over Z or F_p per degree.
 
@@ -301,7 +314,7 @@ def homology(complex_, degrees):
 
     def reduced(k):
         if k not in reductions:
-            reductions[k] = _reduce(_sparse_rows(complex_.matrix(k)), ring.p)
+            reductions[k] = _reduce(_boundary_rows(complex_, k), ring.p)
         return reductions[k]
 
     out = []

@@ -1,9 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from loopchain.chains import (
     ZZ, F2, Element, GradedBasis, ChainComplex, LinearMap, DegreeOverflowError,
-    generator, suspend, desuspend, tensor_token, word_token,
+    generator, suspend, desuspend, tensor_token, word_token, dual_token, sort_key,
     koszul_sign, tensor_map, tensor_maps, identity_map, zero_map,
     verify_chain_map, dualize, map_from_table,
 )
@@ -168,3 +170,87 @@ def test_dual_of_zero_differential():
     X = ChainComplex(basis, zero_map(ZZ, -1))
     D = dualize(X)
     assert D.d(D.basis.basis(0)[0]).is_zero()
+
+
+# --- interning ----------------------------------------------------------------
+
+def test_constructors_return_one_object_per_token():
+    a, b = tok("a", 1), tok("b", 2)
+    assert generator("a", 1) is a
+    assert generator("a", 2) is not a
+    assert suspend(a) is suspend(generator("a", 1))
+    assert desuspend(a) is desuspend(a)
+    assert desuspend(suspend(a)) is a and suspend(desuspend(a)) is a
+    assert tensor_token(a, b) is tensor_token(a, b)
+    assert tensor_token(a, b) is not tensor_token(b, a)
+    assert word_token([a, b]) is word_token((a, b))
+    assert word_token(()) is word_token([])
+    assert dual_token(a) is dual_token(a) and dual_token(dual_token(a)) is a
+    nested = tensor_token(word_token((suspend(a),)), dual_token(b))
+    assert nested is tensor_token(word_token([suspend(generator("a", 1))]), dual_token(b))
+    assert {nested: 1}[tensor_token(word_token((suspend(a),)), dual_token(b))] == 1
+
+
+# The coHochschild basis of rp_hirsch in degree 4, as printed before tokens
+# were interned: interning must keep every repr and the sort order.
+RP_HOCH_BASIS_4 = [
+    "(1 (x) [s'(('y', 4))])",
+    "(1 (x) [s'(('y', 1))|s'(('y', 3))])",
+    "(1 (x) [s'(('y', 2))|s'(('y', 2))])",
+    "(1 (x) [s'(('y', 3))|s'(('y', 1))])",
+    "(1 (x) [s'(('y', 1))|s'(('y', 1))|s'(('y', 2))])",
+    "(1 (x) [s'(('y', 1))|s'(('y', 2))|s'(('y', 1))])",
+    "(1 (x) [s'(('y', 2))|s'(('y', 1))|s'(('y', 1))])",
+    "(1 (x) [s'(('y', 1))|s'(('y', 1))|s'(('y', 1))|s'(('y', 1))])",
+    "(('y', 1) (x) [s'(('y', 2))])",
+    "(('y', 1) (x) [s'(('y', 1))|s'(('y', 1))])",
+    "(('y', 2) (x) [s'(('y', 1))])",
+    "(('y', 3) (x) [])",
+]
+
+
+def test_interned_basis_keeps_reprs_and_sort_order():
+    import random
+    from loopchain.fixtures import rp_hirsch
+    from loopchain.hochschild import cohochschild_complex
+    C, hirsch = rp_hirsch(max_degree=6)
+    basis = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=5).complex.basis.basis(4)
+    assert [repr(t) for t in basis] == RP_HOCH_BASIS_4
+    shuffled = list(basis)
+    random.Random(0).shuffle(shuffled)
+    assert sorted(shuffled, key=sort_key) == basis
+    assert sorted(reversed(basis), key=sort_key) == basis
+
+
+_RP_POWER_SCRIPT = """
+import json
+from loopchain.dg import universal_twisting
+from loopchain.fixtures import rp_hirsch
+from loopchain.hochschild import cohochschild_complex, power_map, power_map_on_homology
+C, hirsch = rp_hirsch(max_degree=7)
+hoch = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=6)
+lam = power_map(universal_twisting(C, hirsch.cobar), hirsch, hirsch.loop_hopf(), 2)
+rows = power_map_on_homology(hoch, lam, range(6))
+print(json.dumps([[list(g) for g in row["generators"]] for row in rows]))
+print(json.dumps([row["matrix"] for row in rows]))
+"""
+
+
+def test_power_map_matrices_do_not_depend_on_hash_seed():
+    # tokens hash by address, so any dependence on set or hash order would
+    # show up as different matrices under different hash seeds
+    import os
+    import subprocess
+    import sys
+    import loopchain
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loopchain.__file__)))
+    outputs = []
+    for seed in ("1", "2"):
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", _RP_POWER_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0].splitlines()[1])) == 6

@@ -220,7 +220,7 @@ def test_twist_morphism_compatibility():
 
     from loopchain.chains import LinearMap
     f = LinearMap(ZZ, 0, f_fn, "f")
-    g = cobar_map(f, C, C)
+    g = cobar_map(f)
     t = universal_twisting(C, O)
     alpha = algebra_realization(t)
     for n in range(9):

@@ -22,7 +22,7 @@ def summary(K, degrees, ring=ZZ):
     return [(h.betti, h.torsion) for h in homology(cx, degrees)]
 
 
-@pytest.mark.parametrize("name", ["delta:2", "sphere:2", "circle", "nerve-z2", "rpinfty",
+@pytest.mark.parametrize("name", ["delta:2", "sphere:2", "circle", "nerve-z2", "sigma-rpinfty",
                                   "cyclic-c2", "cyclic-s3"])
 def test_builtin_spaces_satisfy_simplicial_identities(name):
     assert check_simplicial_set(get_space(name), 4) == []
@@ -50,7 +50,7 @@ def test_classifying_space_of_c2_over_f2():
 
 
 def test_suspended_rp_infinity_over_f2():
-    assert summary(get_space("rpinfty"), range(6), F2) == [(1, []), (0, [])] + [(1, [])] * 4
+    assert summary(get_space("sigma-rpinfty"), range(6), F2) == [(1, []), (0, [])] + [(1, [])] * 4
 
 
 def test_zero_sphere_has_two_points():
