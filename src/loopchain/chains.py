@@ -370,7 +370,10 @@ class LinearMap:
 
     fn maps a token to an Element; linear extension over elements is
     implicit.  Composition and tensoring carry the Koszul discipline.
-    Maps are pure, so token images are cached.
+    Maps are pure, so each map caches fn's image of every token it is
+    applied to, keyed by the (interned) token, for as long as the map lives;
+    an element is mapped through the cached images of its tokens.  Cached
+    images are shared Elements, so callers must not mutate them.
     """
 
     __slots__ = ("ring", "shift", "fn", "name", "_cache")

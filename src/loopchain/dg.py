@@ -103,13 +103,21 @@ class DGAlgebra:
 
 
 class DGCoalgebra:
-    """Coaugmented chain coalgebra; connected when degree 0 is R*1."""
+    """Coaugmented chain coalgebra; connected when degree 0 is R*1.
+
+    The comultiplication and the reduced comultiplication are LinearMaps,
+    so each caches its image of a token; a comult that is already a
+    LinearMap is used as it is.
+    """
 
     def __init__(self, complex_, counit_token, comult, counit=None, name=""):
         self.complex = complex_
         self.counit_token = counit_token
-        self._comult = comult
-        self.counit = counit or unit_augmentation(complex_.ring, counit_token)
+        ring = complex_.ring
+        self._comult = comult if isinstance(comult, LinearMap) else \
+            LinearMap(ring, 0, comult, "Delta")
+        self._reduced = LinearMap(ring, 0, self._reduced_image, "Delta-bar")
+        self.counit = counit or unit_augmentation(ring, counit_token)
         self.name = name or complex_.name
 
     @property
@@ -129,6 +137,9 @@ class DGCoalgebra:
 
     def reduced_comult(self, tok):
         """Drop terms with a degree-0 factor; valid for connected coalgebras."""
+        return self._reduced(tok)
+
+    def _reduced_image(self, tok):
         if tok.degree == 0:
             return Element(self.ring)
         return Element(self.ring, [(t, c) for t, c in self._comult(tok).items()
@@ -138,7 +149,7 @@ class DGCoalgebra:
         """Delta-bar^(k): element with k-fold tensor tokens (left-iterated)."""
         if tok.degree == 0:
             return Element(self.ring)
-        return _split_first_iterated(self.ring, tok, self.reduced_comult, k)
+        return _split_first_iterated(self.ring, tok, self._reduced, k)
 
     def comult_iterated(self, tok, k):
         """Full Delta^(k) as an element of k-fold tensor tokens."""
@@ -727,6 +738,13 @@ def convolution_power(H, r):
 class HirschCoalgebra:
     """Connected coalgebra C with a coassociative loop comultiplication:
     an algebra map psi: Cobar C -> Cobar C (x) Cobar C, given on generators.
+
+    psi is one LinearMap, cached per cobar word.  Because psi is an algebra
+    map, the image of l_1|...|l_k is the cached image of its prefix
+    l_1|...|l_{k-1} times the generator image of l_k in the tensor square,
+    so each distinct nonempty word asks for one generator image.  psi,
+    psi_map, iterated_psi and loop_hopf all read this one cache, and
+    loop_hopf returns the same HopfAlgebra on every call.
     """
 
     def __init__(self, C, cobar, generator_images, name=""):
@@ -735,6 +753,8 @@ class HirschCoalgebra:
         self.square = tensor_algebra(cobar, cobar)
         self._gen = generator_images  # letter token -> Element in the square
         self.name = name or "Hirsch(%s)" % C.name
+        self._psi = LinearMap(C.ring, 0, self._psi_image, "psi")
+        self._hopf = HopfAlgebra(cobar, self._psi, name="(Cobar %s, psi)" % C.name)
 
     @property
     def ring(self):
@@ -742,24 +762,28 @@ class HirschCoalgebra:
 
     def psi(self, tok):
         """Algebra-map extension to cobar words."""
-        ring = self.ring
-        out = Element.from_token(ring, tensor_token(word_token(()), word_token(())))
-        for letter in tok.data:
-            out = self.square.multiply(out, self._gen(letter))
-        return out
+        return self._psi(tok)
+
+    def _psi_image(self, tok):
+        """psi(l_1|...|l_k) = psi(l_1|...|l_{k-1}) . psi(l_k), the prefix read
+        from the cache."""
+        letters = tok.data
+        if not letters:
+            return Element.from_token(self.ring, self.square.unit)
+        if len(letters) == 1:
+            return self._gen(letters[0])
+        return self.square.multiply(self._psi(word_token(letters[:-1])), self._gen(letters[-1]))
 
     def psi_map(self):
-        return LinearMap(self.ring, 0, self.psi, "psi")
+        return self._psi
 
     def iterated_psi(self, tok, r):
         """psi^(r)(word) as an element of flat r-fold tensor tokens."""
-        return _split_first_iterated(self.ring, tok, self.psi, r)
+        return _split_first_iterated(self.ring, tok, self._psi, r)
 
     def loop_hopf(self):
         """The chain Hopf algebra (Cobar C, psi)-with values through pairs."""
-        def comult(tok):
-            return self.psi(tok)
-        return HopfAlgebra(self.cobar, comult, name="(Cobar %s, psi)" % self.C.name)
+        return self._hopf
 
     def is_balanced(self, through_degree):
         """tau psi = psi on generators through the given degree."""
@@ -777,7 +801,7 @@ class HirschCoalgebra:
         for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
             for c in self.C.complex.basis.basis(n):
                 w = word_token((desuspend(c),))
-                if dsq(self.psi(w)) != self.psi_map()(self.cobar.d(w)):
+                if dsq(self._psi(w)) != self._psi(self.cobar.d(w)):
                     return c
         return None
 
@@ -785,7 +809,7 @@ class HirschCoalgebra:
         for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
             for c in self.C.complex.basis.basis(n):
                 w = word_token((desuspend(c),))
-                if self.iterated_psi(w, 3) != _split_last(self.ring, w, self.psi):
+                if self.iterated_psi(w, 3) != _split_last(self.ring, w, self._psi):
                     return c
         return None
 

@@ -378,6 +378,11 @@ def hochschild_multiplication(t, nu, H, check_degree=None):
 # Power maps
 
 
+def _check_power(r):
+    if r < 1:
+        raise ValueError("power maps require r >= 1, got %r" % (r,))
+
+
 def check_power_hypotheses(t, hirsch, H, alpha2, c):
     """Hypotheses of the power-map theorem on a token c of C: alpha_t is a
     coalgebra map from (Cobar C, psi) to (H, delta) on s^{-1}c, and
@@ -393,6 +398,7 @@ def check_power_hypotheses(t, hirsch, H, alpha2, c):
 def power_domain(t, H, r, max_degree=None):
     """H(delta^(r) t): the Hochschild complex of the composed twisting
     cochain delta^(r) t: C -> H^(x)r."""
+    _check_power(r)
     ring = t.ring
     Hr = hopf_tensor_power(H, r, max_degree=max_degree)
 
@@ -415,13 +421,17 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
                    ... alpha(u_r) . w_r . alpha(l_1)...alpha(l_{j-1}),
 
     with signs from the Koszul engine on the symbol rearrangement.
-    Runs check_power_hypotheses on the C-degrees read, from C_1."""
+    Runs check_power_hypotheses on the C-degrees read, from C_1; the
+    expansion psi^(r)(s^{-1}c) is computed once per c, after that check."""
+    _check_power(r)
     ring = t.ring
     alpha = algebra_realization(t)
     alpha2 = tensor_map(alpha, alpha)
     check = _hypothesis(t.source, 1, lambda c: check_power_hypotheses(t, hirsch, H, alpha2, c),
                         check_degree)
     A = H.algebra
+    expansions = LinearMap(ring, -1, lambda c: hirsch.iterated_psi(word_token((desuspend(c),)), r),
+                           "psi^(%d) s^-1" % r)
 
     def fn(tok):
         c, wbar = tok.data
@@ -430,9 +440,8 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
         if c.degree == 0:
             prod = A.multiply_all([Element.from_token(ring, w) for w in ws])
             return Element(ring, [(tensor_token(c, v), cv) for v, cv in prod.items()])
-        expansion = hirsch.iterated_psi(word_token((desuspend(c),)), r)
         pairs = []
-        for tens, kappa in expansion.items():
+        for tens, kappa in expansions(c).items():
             u1 = tens.data[0]
             us = tens.data[1:]
             letters = u1.data

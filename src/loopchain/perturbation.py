@@ -272,6 +272,8 @@ def transferred_twisting(sdr, cap=None):
                               for t, c in sdr.f(tok).items() if t.degree > 0])
 
     f1 = LinearMap(ring, -1, ds_f, "s-1f")
+    # Delta-bar h(tok), split once per token and shared by every k
+    split_h = LinearMap(ring, 1, lambda tok: _reduced_of_element(Y, sdr.h(tok)), "Delta-bar h")
     cache = {}
 
     def F_k(tok, k):
@@ -282,8 +284,7 @@ def transferred_twisting(sdr, cap=None):
             out = f1(tok)
         else:
             pairs = []
-            split = _reduced_of_element(Y, sdr.h(tok))
-            for t, c in split.items():
+            for t, c in split_h(tok).items():
                 u, v = t.data
                 # (F_i (x) F_j)(u (x) v): F_j has degree -1
                 coeff = -parity_sign(u.degree) * c

@@ -11,10 +11,10 @@ from loopchain.dg import (
     cobar_construction, bar_construction, universal_twisting,
     couniversal_twisting, cobar_map, bar_map, cartesian_product,
     algebra_realization, coalgebra_realization, bar_cobar_unit,
-    TwistingCochain, hirsch_primitive, tensor_algebra,
+    HirschCoalgebra, TwistingCochain, hirsch_primitive, tensor_algebra,
 )
 from loopchain.fixtures import (
-    sphere_coalgebra, nonreal_aw_hirsch, rp_hirsch, small_commutative,
+    sphere_coalgebra, nonreal_aw_coalgebra, nonreal_aw_hirsch, rp_hirsch, small_commutative,
     monomial_algebra, free_hopf_one, exterior_two, group_ring_hopf, hopf_fixtures,
 )
 from loopchain.groups import BUILTIN_GROUPS
@@ -579,10 +579,9 @@ def test_power_map_restrictions():
             assert proj == expected, tok
 
 
-def test_power_hypothesis_failure_is_reported():
-    # break cocommutativity: psi(s^{-1}z) without its symmetric partner
-    from loopchain.fixtures import nonreal_aw_coalgebra
-    from loopchain.dg import hirsch_primitive as hp
+def _broken_nonreal_aw():
+    """The five-generator coalgebra with psi(s^{-1}z) missing the symmetric
+    partner of its (y', y) term, which breaks cocommutativity at z."""
     C = nonreal_aw_coalgebra()
     O = cobar_construction(C)
     toks = {t.data: t for n in range(8) for t in C.complex.basis.basis(n)}
@@ -591,8 +590,12 @@ def test_power_hypothesis_failure_is_reported():
     img._accumulate(tensor_token(word_token((desuspend(z),)), word_token(())), 1)
     img._accumulate(tensor_token(word_token(()), word_token((desuspend(z),))), 1)
     img._accumulate(tensor_token(word_token((desuspend(yp),)), word_token((desuspend(y),))), 1)
-    bad = hp(C, O, overrides={desuspend(z): img})
-    t = universal_twisting(C, O)
+    bad = hirsch_primitive(C, O, overrides={desuspend(z): img})
+    return C, z, bad, universal_twisting(C, O)
+
+
+def test_power_hypothesis_failure_is_reported():
+    C, z, bad, t = _broken_nonreal_aw()
     with pytest.raises(CompatibilityError):
         power_map(t, bad, bad.loop_hopf(), 2, check_degree=7)
     # z has degree 7: check_degree=6 builds, and so does no check_degree; both
@@ -605,6 +608,100 @@ def test_power_hypothesis_failure_is_reported():
         with pytest.raises(CompatibilityError) as raised:
             lam2(pair(z, word_token(())))
         assert raised.value.token == z
+
+
+def test_warm_psi_cache_skips_no_check():
+    # psi is cached on the Hirsch structure, shared by every power map on it;
+    # each new map must still check z before it reads it
+    C, z, bad, t = _broken_nonreal_aw()
+    lam2 = power_map(t, bad, bad.loop_hopf(), 2, check_degree=6)
+    for n in range(7):
+        for c in C.complex.basis.basis(n):
+            lam2(pair(c, word_token(())))
+    for r in (2, 3):
+        bad.iterated_psi(word_token((desuspend(z),)), r)  # psi of s^{-1}z is now cached
+        with pytest.raises(CompatibilityError) as raised:
+            power_map(t, bad, bad.loop_hopf(), r, check_degree=7)
+        assert raised.value.token is z
+        lam = power_map(t, bad, bad.loop_hopf(), r)
+        with pytest.raises(CompatibilityError) as raised:
+            lam(pair(z, word_token(())))
+        assert raised.value.token is z
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_power_maps_reject_nonpositive_r(r):
+    C, hirsch = rp_hirsch()
+    t = universal_twisting(C, hirsch.cobar)
+    H = hirsch.loop_hopf()
+    for build in (power_map, power_concatenation):
+        with pytest.raises(ValueError, match="r >= 1"):
+            build(t, hirsch, H, r)
+    with pytest.raises(ValueError, match="r >= 1"):
+        power_domain(t, H, r)
+
+
+# --- the cached loop comultiplication psi --------------------------------------
+
+
+def _psi_fold(hirsch, word):
+    """psi(l_1|...|l_k) as the product of the generator images, folded
+    letter by letter from the unit with nothing cached."""
+    out = Element.from_token(hirsch.ring, tensor_token(word_token(()), word_token(())))
+    for letter in word.data:
+        out = hirsch.square.multiply(out, hirsch._gen(letter))
+    return out
+
+
+def _bar_s3_words(bh, top):
+    """The words s^{-1}b_1|...|s^{-1}b_k of Cobar Bar Z[S3] with |b_1| + ... +
+    |b_k| <= top.  Bar Z[S3] has C_1 != 0, so its cobar has degree-0 letters
+    and is listed by this weight rather than by degree."""
+    letters = {n: [desuspend(b) for b in bh.barH.complex.basis.basis(n)] for n in range(1, top + 1)}
+    frontier = [((), 0)]
+    out = []
+    while frontier:
+        frontier = [(w + (l,), weight + n) for w, weight in frontier
+                    for n in range(1, top + 1 - weight) for l in letters[n]]
+        out += [word_token(w) for w, _ in frontier]
+    return out
+
+
+def test_cached_psi_equals_the_letter_fold():
+    rp = rp_hirsch(max_degree=10)[1]
+    aw = hirsch_primitive(nonreal_aw_coalgebra())
+    bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS["s3"]), 5)
+    s3 = bh.hirsch()
+    for hirsch, words in [(rp, [w for n in range(9) for w in rp.cobar.complex.basis.basis(n)]),
+                          (aw, [w for n in range(9) for w in aw.cobar.complex.basis.basis(n)]),
+                          (s3, _bar_s3_words(bh, 3))]:
+        assert len(words) > 30
+        for w in words:
+            assert hirsch.psi(w) == _psi_fold(hirsch, w), w
+        assert hirsch.loop_hopf() is hirsch.loop_hopf()
+        assert hirsch.psi_map() is hirsch.psi_map()
+
+
+def test_psi_builds_each_word_once():
+    C, rp = rp_hirsch(max_degree=8)
+    built = []
+
+    def gen(letter):
+        built.append(letter)
+        return rp._gen(letter)
+
+    hirsch = HirschCoalgebra(C, rp.cobar, gen)
+    t = universal_twisting(C, hirsch.cobar)
+    H = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=6)
+    passes = []
+    for _ in range(2):
+        lam2 = power_map(t, hirsch, hirsch.loop_hopf(), 2)
+        passes.append(power_map_on_homology(H, lam2, range(6)))
+        words = [w for w in hirsch.psi_map()._cache if w.data]
+        assert len(built) == len(words)
+    assert passes[0] == passes[1]
+    # each word's image is built on the cached image of its prefix
+    assert all(word_token(w.data[:-1]) in words for w in words if len(w.data) > 1)
 
 
 def test_power_naturality_under_coalgebra_scaling():

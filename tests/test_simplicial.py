@@ -2,7 +2,7 @@ from math import prod
 
 import pytest
 
-from loopchain.chains import ZZ, F2, verify_chain_map
+from loopchain.chains import ZZ, F2, F3, verify_chain_map
 from loopchain.dg import couniversal_twisting, hirsch_primitive, universal_twisting
 from loopchain.fixtures import free_hopf_one, group_ring_hopf
 from loopchain.groups import BUILTIN_GROUPS
@@ -13,7 +13,7 @@ from loopchain.perturbation import BarHopfStructure
 from loopchain.simplicial import (
     Sphere, check_simplicial_set, double_suspension, get_space, normalized_chains,
 )
-from loopchain.snf import homology, smith_normal_form
+from loopchain.snf import homology, modp_rank, smith_normal_form
 
 
 def summary(K, degrees, ring=ZZ):
@@ -96,9 +96,9 @@ def invariants(rows, f):
     return out
 
 
-def hochschild_power_maps(name, top):
-    """HH(Z[G]) through degree top + 1 and its lambda-tilde_r, r = 2, 3."""
-    H = group_ring_hopf(BUILTIN_GROUPS[name])
+def hochschild_power_maps(name, top, ring=ZZ):
+    """HH(R[G]) through degree top + 1 and its lambda-tilde_r, r = 2, 3."""
+    H = group_ring_hopf(BUILTIN_GROUPS[name], ring)
     bh = BarHopfStructure(H, top + 1)
     hirsch = bh.hirsch()
     t = couniversal_twisting(H.algebra, bh.barH)
@@ -140,6 +140,36 @@ def test_cyclic_nerve_power_maps_match_hochschild(name):
         # g^3 = g in C2, so lambda_3 is the identity
         assert found[3, minus_identity] == [("free", []), ("torsion", 1), ("free", []),
                                             ("torsion", 1), ("free", []), ("torsion", 1)]
+
+
+# HH_*(F_p[G]) = sum over conjugacy classes [g] of H_*(BC_G(g); F_p)
+CYCLIC_DIMENSIONS = {
+    ("c2", 2): [2] * 6,
+    ("c2", 3): [2, 0, 0, 0, 0, 0],
+    ("s3", 2): [3, 2],
+    ("s3", 3): [3, 1],
+}
+
+
+@pytest.mark.parametrize("name", ["c2", "s3"])
+@pytest.mark.parametrize("ring", [F2, F3], ids=repr)
+def test_cyclic_nerve_power_maps_match_hochschild_mod_p(name, ring):
+    # over F_p the ranks of lambda_r and lambda_r - Id on each HH_n are basis-free
+    top = len(CYCLIC_HOMOLOGY[name]) - 1
+    K = get_space("cyclic-" + name)
+    chains = normalized_chains(K, ring, max_degree=max(top + 1, 3))
+    hoch, hoch_maps = hochschild_power_maps(name, top, ring)
+    degrees = range(top + 1)
+    assert [h.betti for h in homology(chains.complex, degrees)] == \
+        [h.betti for h in homology(hoch.complex, degrees)] == CYCLIC_DIMENSIONS[name, ring.p]
+    for r in (2, 3):
+        lam = K.power_map(r, ring)
+        assert verify_chain_map(lam, chains.complex, chains.complex, 3) == (True, None)
+        cyclic = power_map_on_homology(chains, lam, degrees)
+        hochschild = power_map_on_homology(hoch, hoch_maps[r], degrees)
+        for f in (list, minus_identity):
+            ranks = [modp_rank(f(row["matrix"]), ring.p) for row in cyclic]
+            assert ranks == [modp_rank(f(row["matrix"]), ring.p) for row in hochschild]
 
 
 # --- the double-suspension power maps against two oracles ---------------------
