@@ -15,7 +15,7 @@ from .chains import (
     Token, generator, suspend, desuspend, tensor_token, word_token,
     Element, LinearMap, GradedBasis, ChainComplex,
     koszul_sign, tensor_map, tensor_maps, verify_chain_map, dualize,
-    identity_map, zero_map, compose, add_maps,
+    identity_map, zero_map, add_maps,
     DegreeOverflowError, InfiniteTypeError,
 )
 from .snf import smith_normal_form, homology, HomologyBasis, HomologySummary
@@ -25,7 +25,7 @@ __all__ = [
     "Token", "generator", "suspend", "desuspend", "tensor_token", "word_token",
     "Element", "LinearMap", "GradedBasis", "ChainComplex",
     "koszul_sign", "tensor_map", "tensor_maps", "verify_chain_map", "dualize",
-    "identity_map", "zero_map", "compose", "add_maps",
+    "identity_map", "zero_map", "add_maps",
     "DegreeOverflowError", "InfiniteTypeError",
     "smith_normal_form", "homology", "HomologyBasis", "HomologySummary",
 ]

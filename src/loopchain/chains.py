@@ -29,10 +29,6 @@ class Ring:
                 raise ValueError("modulus must be prime, got %r" % (p,))
         self.p = p
 
-    @property
-    def is_field(self):
-        return self.p is not None
-
     def __eq__(self, other):
         return isinstance(other, Ring) and self.p == other.p
 
@@ -397,10 +393,6 @@ class LinearMap:
             return self._image(x)
         return x.apply(self._image)
 
-    def then(self, g):
-        """g o self (apply self first)."""
-        return compose(g, self)
-
     def __repr__(self):
         return "LinearMap(%s, shift=%+d)" % (self.name or "?", self.shift)
 
@@ -411,11 +403,6 @@ def identity_map(ring):
 
 def zero_map(ring, shift=0):
     return LinearMap(ring, shift, lambda t: Element.zero(ring), "0")
-
-
-def compose(f, g):
-    """f o g."""
-    return LinearMap(g.ring, f.shift + g.shift, lambda t: f(g(t)), "%s.%s" % (f.name, g.name))
 
 
 def add_maps(f, g):

@@ -6,8 +6,6 @@ exterior algebra on two generators, truncated polynomial algebras, and
 group rings of C_2 and S_3 in an augmentation-aligned basis.
 """
 
-import json
-
 from .chains import (
     ChainComplex, Element, GradedBasis, LinearMap, generator, koszul_sign,
     tensor_token, word_token, desuspend, zero_map, RINGS, ZZ, F2,
@@ -404,8 +402,3 @@ def dg_fixture_from_dict(doc):
         return C
 
     raise FixtureError("unknown fixture kind %r" % kind)
-
-
-def load_dg_fixture(path):
-    with open(path) as fh:
-        return dg_fixture_from_dict(json.load(fh))

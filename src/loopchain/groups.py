@@ -9,17 +9,9 @@ class FiniteGroup:
         self.elements = list(elements)
         self._mul = mul
         self.unit = unit
-        self._inv = {}
-        for g in self.elements:
-            for h in self.elements:
-                if mul(g, h) == unit:
-                    self._inv[g] = h
 
     def mul(self, g, h):
         return self._mul(g, h)
-
-    def inv(self, g):
-        return self._inv[g]
 
     def __repr__(self):
         return "FiniteGroup(%s)" % self.name

@@ -6,6 +6,9 @@ the coHochschild complex of a coalgebra.  This module provides the
 construction, strict and strong-homotopy functoriality, the monoidal
 isomorphism, the induced (co)multiplications, and the r-th power maps with
 their homology action.
+sh_map, sh_map_dual and power_concatenation are one formula, the extended
+naturality of the paper: keep one piece of c and multiply the t-images of
+the others cyclically around the coefficient.  _rotations is that formula.
 Each map checks its hypothesis on a degree of C when it first reads a token
 of it; a check_degree checks C_lowest..C_check_degree when it is built.
 """
@@ -51,6 +54,29 @@ def _hypothesis(C, lowest, failure, check_degree):
     if check_degree is not None:
         check(check_degree)
     return check
+
+
+def _rotations(pieces, image, middle, middle_degree):
+    """The cyclic rotations of p_1 ... p_k around a middle of degree middle_degree.
+
+    For each kept piece p_j returns (j - 1, sign, factors) with factors
+    image(p_{j+1}), ..., image(p_k), *middle, image(p_1), ..., image(p_{j-1})
+    and sign the Koszul sign of moving p_1 ... p_{j-1} past the rest,
+    (-1)^(P (D - P)) for P = |p_1| + ... + |p_{j-1}| and D the degree of the
+    pieces and the middle.  image has degree 0 on the native letters, so it
+    adds no sign.  A one-piece word gives [(0, 1, middle)] without calling
+    image."""
+    if len(pieces) == 1:
+        return [(0, 1, middle)]
+    images = [image(p) for p in pieces]
+    total = sum(p.degree for p in pieces) + middle_degree
+    out = []
+    before = 0
+    for i, p in enumerate(pieces):
+        out.append((i, parity_sign(before * (total - before)),
+                    images[i + 1:] + middle + images[:i]))
+        before += p.degree
+    return out
 
 
 class HochschildComplex:
@@ -181,8 +207,8 @@ def sh_map(phi, g, t, tprime, check_degree=None):
     """Extended functoriality for (phi, g) with phi: Cobar C -> Cobar C'
     an algebra map and g an algebra map satisfying g alpha_t = alpha_t' phi.
 
-    On c (x) a the image is the cyclic-rotation sum over the word expansion
-    of phi(s^{-1}c), with the kept piece in C' and the t'-images of the
+    On c (x) a the image is the _rotations sum over the word expansion
+    of phi(s^{-1}c), with the kept letter in C' and the t'-images of the
     others multiplied around g(a).  Checks the hypothesis on the C-degrees read, from C_1."""
     ring = t.ring
     A2 = tprime.target
@@ -199,26 +225,13 @@ def sh_map(phi, g, t, tprime, check_degree=None):
         if c.degree == 0:
             return Element(ring, [(tensor_token(tprime.source.counit_token, v), cv)
                                   for v, cv in ga.items()])
-        expansion = phi(word_token((desuspend(c),)))
         pairs = []
-        for wtok, kappa in expansion.items():
-            # work on the native cobar letters: alpha_t' on a single letter
-            # is t' of its suspension (degree 0), the kept letter is
-            # re-suspended at the front, so the cyclic reorder is the only
-            # sign source
+        for wtok, kappa in phi(word_token((desuspend(c),))).items():
             letters = wtok.data
-            k = len(letters)
-            if k == 0:
-                continue
-            degs = [l.degree for l in letters] + [a.degree]
-            for i in range(1, k + 1):
-                order = list(range(i - 1, k)) + [k] + list(range(0, i - 1))
-                coeff = kappa * koszul_sign(degs, order)
-                factors = [tprime.map(suspend(letters[j])) for j in range(i, k)] + \
-                          [ga] + \
-                          [tprime.map(suspend(letters[j])) for j in range(0, i - 1)]
-                kept = suspend(letters[i - 1])
-                pairs += [(tensor_token(kept, v), coeff * cv)
+            for i, sign, factors in _rotations(letters, lambda l: tprime.map(suspend(l)),
+                                               [ga], a.degree):
+                kept = suspend(letters[i])
+                pairs += [(tensor_token(kept, v), kappa * sign * cv)
                           for v, cv in A2.multiply_all(factors).items()]
         return Element(ring, pairs)
 
@@ -240,9 +253,9 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
     a coalgebra map satisfying gamma beta_t = beta_t' f.
 
     Computed by the transposed formula: split c by iterated comultiplication,
-    keep one piece through f, and feed the t-images of the others, cyclically
-    arranged around a, to the DASH family of gamma.  Checks the hypothesis
-    on the C-degrees read, from C_0."""
+    keep one piece through f, and feed the t-images of the others, arranged
+    around a by _rotations, to the DASH family of gamma.  Checks the
+    hypothesis on the C-degrees read, from C_0."""
     ring = t.ring
     A, A2 = t.target, tprime.target
     beta = coalgebra_realization(t)
@@ -265,31 +278,23 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
             pairs += [(tensor_token(u, A2.unit), cu)
                       for u, cu in f(Element.from_token(ring, c)).items()]
         a_el = Element.from_token(ring, a)
-        src = t.source
-        # native-letter discipline: the slot operators s t (degree 0) and f
-        # (degree 0) are sign-free; the suspension over the a slot passes
-        # everything before it, the cyclic reorder acts on the resulting
-        # letter degrees, and the final desuspension passes the kept piece.
+        # the suspension over the a slot passes everything before it (base),
+        # and the final desuspension passes the kept piece
+        base = parity_sign(c.degree)
         for k in range(1, c.degree + 2):
-            for tens, cd in src.comult_iterated(c, k).items():
+            for tens, cd in t.source.comult_iterated(c, k).items():
                 pieces = tens.data
-                degs = [p.degree for p in pieces] + [a.degree + 1]
-                base = parity_sign(c.degree)
-                for i in range(1, k + 1):
-                    tail = [t.map(pieces[j]) for j in range(i, k)] + [a_el] + \
-                           [t.map(pieces[j]) for j in range(0, i - 1)]
+                for i, rot, tail in _rotations(pieces, t.map, [a_el], a.degree + 1):
                     if any(e.is_zero() for e in tail):
                         continue
-                    fc = f(Element.from_token(ring, pieces[i - 1]))
+                    fc = f(Element.from_token(ring, pieces[i]))
                     if fc.is_zero():
                         continue
-                    order = list(range(i - 1, k)) + [k] + list(range(0, i - 1))
-                    rot = koszul_sign(degs, order)
                     gk = evaluate_family(tail)
                     if gk.is_zero():
                         continue
-                    kept_sign = parity_sign(pieces[i - 1].degree)
-                    pairs += tensor_product(ring, [fc, gk], cd * base * rot * kept_sign).items()
+                    sign = cd * base * rot * parity_sign(pieces[i].degree)
+                    pairs += tensor_product(ring, [fc, gk], sign).items()
         return Element(ring, pairs)
 
     return LinearMap(ring, 0, fn, "Hsh_dual")
@@ -420,7 +425,8 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
         s(l_j) (x) alpha(l_{j+1})...alpha(l_k) . w_1 . alpha(u_2) . w_2
                    ... alpha(u_r) . w_r . alpha(l_1)...alpha(l_{j-1}),
 
-    with signs from the Koszul engine on the symbol rearrangement.
+    that is the _rotations of the letters of u_1 around w_1 . alpha(u_2) ...
+    w_r, each signed also by the Koszul sign of interleaving the u's and w's.
     Runs check_power_hypotheses on the C-degrees read, from C_1; the
     expansion psi^(r)(s^{-1}c) is computed once per c, after that check."""
     _check_power(r)
@@ -432,43 +438,32 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
     A = H.algebra
     expansions = LinearMap(ring, -1, lambda c: hirsch.iterated_psi(word_token((desuspend(c),)), r),
                            "psi^(%d) s^-1" % r)
+    # w_1, u_2, w_2, ..., u_r, w_r as positions in u_2 ... u_r w_1 ... w_r
+    interleave = [r - 1] + [q for i in range(r - 1) for q in (i, r + i)]
 
     def fn(tok):
         c, wbar = tok.data
         check(c.degree)
         ws = wbar.data
+        w_elements = [Element.from_token(ring, w) for w in ws]
         if c.degree == 0:
-            prod = A.multiply_all([Element.from_token(ring, w) for w in ws])
+            prod = A.multiply_all(w_elements)
             return Element(ring, [(tensor_token(c, v), cv) for v, cv in prod.items()])
+        w_degrees = [w.degree for w in ws]
         pairs = []
         for tens, kappa in expansions(c).items():
-            u1 = tens.data[0]
-            us = tens.data[1:]
-            letters = u1.data
-            k = len(letters)
-            if k == 0:
+            u1, us = tens.data[0], tens.data[1:]
+            if not u1.data:
                 continue
-            ldegs = [l.degree for l in letters]
-            udegs = [u.degree for u in us]
-            wdegs = [w.degree for w in ws]
-            degrees = ldegs + udegs + wdegs
-            u_idx = [k + q for q in range(r - 1)]
-            w_idx = [k + (r - 1) + q for q in range(r)]
-            for j in range(1, k + 1):
-                order = [j - 1] + list(range(j, k)) + [w_idx[0]]
-                for q in range(r - 1):
-                    order.append(u_idx[q])
-                    order.append(w_idx[q + 1])
-                order += list(range(0, j - 1))
-                coeff = kappa * koszul_sign(degrees, order)
-                factors = [alpha(word_token((l,))) for l in letters[j:]]
-                factors.append(Element.from_token(ring, ws[0]))
-                for q in range(r - 1):
-                    factors.append(alpha(us[q]))
-                    factors.append(Element.from_token(ring, ws[q + 1]))
-                factors += [alpha(word_token((l,))) for l in letters[:j - 1]]
-                kept = suspend(letters[j - 1])
-                pairs += [(tensor_token(kept, v), coeff * cv)
+            middle = w_elements[:1]
+            for u, w in zip(us, w_elements[1:]):
+                middle += [alpha(u), w]
+            middle_degrees = [u.degree for u in us] + w_degrees
+            coeff = kappa * koszul_sign(middle_degrees, interleave)
+            for i, sign, factors in _rotations(u1.data, lambda l: alpha(word_token((l,))),
+                                               middle, sum(middle_degrees)):
+                kept = suspend(u1.data[i])
+                pairs += [(tensor_token(kept, v), coeff * sign * cv)
                           for v, cv in A.multiply_all(factors).items()]
         return Element(ring, pairs)
 

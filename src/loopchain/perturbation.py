@@ -250,18 +250,18 @@ def bar_sdr(A, Aprime, max_degree=None):
 
 
 class PerturbationDivergence(Exception):
-    """Raised when the iterated insertions fail to vanish by the cap."""
+    """Raised when the iterated insertions are not certified to vanish."""
 
 
-def transferred_twisting(sdr, cap=None):
+def transferred_twisting(sdr):
     """Twisting cochain F: Y -> Cobar X from SDR data.
 
     F_1 = s^{-1} f and, for k >= 2,
         F_k = - sum_{i+j=k} (F_i (x) F_j) Delta-bar h,
-    each F_k landing in the word-length-k part.  For bar SDRs the zeta
-    count certifies F_k = 0 for k > wordlength - zeta + 1; without a
-    certificate an explicit cap is required, and a nonzero component
-    beyond the bound raises PerturbationDivergence.
+    each F_k landing in the word-length-k part.  The SDR's zeta count
+    certifies F_k = 0 for k > wordlength - zeta + 1.  An SDR without the
+    certificate, or a nonzero component at k = bound + 1, raises
+    PerturbationDivergence.
     """
     Y, X = sdr.Y, sdr.X
     ring = Y.ring
@@ -300,24 +300,14 @@ def transferred_twisting(sdr, cap=None):
     def F(tok):
         if tok.degree == 0:
             return Element(ring)
-        bound = None
-        if sdr.zeta is not None and tok.kind == "word":
-            bound = len(tok.data) - sdr.zeta(tok) + 1
-        hard_cap = cap if cap is not None else bound
-        if hard_cap is None:
-            raise PerturbationDivergence(
-                "no termination certificate for %r; pass an explicit cap" % (tok,))
-        out = Element(ring, [term for k in range(1, max(hard_cap, 1) + 1)
+        if sdr.zeta is None or tok.kind != "word":
+            raise PerturbationDivergence("no termination certificate for %r" % (tok,))
+        bound = max(len(tok.data) - sdr.zeta(tok) + 1, 1)
+        out = Element(ring, [term for k in range(1, bound + 1)
                              for term in F_k(tok, k).items()])
-        probe = F_k(tok, max(hard_cap, 1) + 1)
-        if not probe.is_zero():
-            if bound is not None and cap is None:
-                raise PerturbationDivergence(
-                    "component violates the filtration bound at %r (k=%d)"
-                    % (tok, hard_cap + 1))
+        if not F_k(tok, bound + 1).is_zero():
             raise PerturbationDivergence(
-                "component still nonzero past the cap k=%d for %r"
-                % (hard_cap + 1, tok))
+                "component violates the filtration bound at %r (k=%d)" % (tok, bound + 1))
         return out
 
     return TwistingCochain(Y, omega_x, LinearMap(ring, -1, F, "F"), "F")
@@ -380,7 +370,6 @@ class BarHopfStructure:
             return H.comult(tok)
 
         bar_delta = bar_map(LinearMap(ring, 0, delta_fn, "delta"), AxA)
-        self.omega_inner = bar_delta
         cobar_bar_delta = cobar_map(bar_delta)
         self._omega = LinearMap(ring, 0, lambda t: alpha_F(cobar_bar_delta(t)), "omega")
         q, square = cobar_tensor_splitting(self.barH, self.barH)
@@ -391,9 +380,6 @@ class BarHopfStructure:
     @property
     def ring(self):
         return self.H.ring
-
-    def omega(self, x):
-        return self._omega(x)
 
     def psi(self, x):
         return self._psi(x)

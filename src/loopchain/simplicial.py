@@ -50,9 +50,6 @@ class SimplicialSet:
     def nondegenerate(self, n):
         raise NotImplementedError
 
-    def core_dim(self, core):
-        raise NotImplementedError
-
     def face_core(self, core, dim, i):
         """i-th face of a nondegenerate simplex, as an encoding."""
         raise NotImplementedError
@@ -121,9 +118,6 @@ class StandardSimplex(SimplicialSet):
             return []
         return [tuple(c) for c in combinations(range(self.n + 1), k + 1)]
 
-    def core_dim(self, core):
-        return len(core) - 1
-
     def face_core(self, core, dim, i):
         return encode_nondegenerate(core[:i] + core[i + 1:], dim - 1)
 
@@ -142,9 +136,6 @@ class Sphere(SimplicialSet):
             return ["top"]
         return []
 
-    def core_dim(self, core):
-        return 0 if core == "*" else self.n
-
     def face_core(self, core, dim, i):
         return ("*", (0,) * dim)
 
@@ -162,9 +153,6 @@ class Nerve(SimplicialSet):
             return [()]
         nontrivial = [g for g in self.group.elements if g != self.group.unit]
         return [tup for tup in product(nontrivial, repeat=n)]
-
-    def core_dim(self, core):
-        return len(core)
 
     def encode(self, entries):
         """Encoding of a possibly-degenerate nerve simplex."""
@@ -197,9 +185,6 @@ class CyclicNerve(Nerve):
 
     def nondegenerate(self, n):
         return [a + (b,) for a in super().nondegenerate(n) for b in self.group.elements]
-
-    def core_dim(self, core):
-        return len(core) - 1
 
     def encode(self, entries):
         """Encoding of a possibly-degenerate simplex (a_1, ..., a_n, b)."""
@@ -249,11 +234,6 @@ class ReducedSuspension(SimplicialSet):
             return ["a0"]
         return [("up", core) for core in self.L.nondegenerate(n - 1)
                 if core != self.basepoint]
-
-    def core_dim(self, core):
-        if core == "a0":
-            return 0
-        return self.L.core_dim(core[1]) + 1
 
     def lift(self, k, enc_l):
         """Encoding of the cone vertex k times followed by the simplex enc_l of

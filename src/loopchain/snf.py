@@ -272,9 +272,6 @@ class HomologySummary:
         self.torsion = torsion
         self.ring = ring
 
-    def as_dict(self):
-        return {"degree": self.degree, "betti": self.betti, "torsion": list(self.torsion)}
-
     def __eq__(self, other):
         return (self.degree, self.betti, self.torsion) == (other.degree, other.betti, other.torsion)
 

@@ -108,10 +108,9 @@ def test_cobar_differential_on_nonreal_aw():
     toks = {t.data: t for n in range(8) for t in C.complex.basis.basis(n)}
     x, y, yp, z = toks["x"], toks["y"], toks["y'"], toks["z"]
     img = O.d(w(desuspend(z)))
-    expected = Element(ZZ)
     # -s^{-1}(dz) vanishes; the reduced-diagonal part carries (-1)^{|x|}
-    expected._accumulate(w(desuspend(x), desuspend(y)), -3)
-    expected._accumulate(w(desuspend(x), desuspend(yp)), 2)
+    expected = Element(ZZ, [(w(desuspend(x), desuspend(y)), -3),
+                            (w(desuspend(x), desuspend(yp)), 2)])
     assert img == expected
 
 
@@ -386,9 +385,7 @@ def test_nonreal_aw_cocommutativity_homotopy():
     ring = C.ring
     toks = {t.data: t for n in range(8) for t in C.complex.basis.basis(n)}
     y, yp, z = toks["y"], toks["y'"], toks["z"]
-    F = Element(ring)
-    F._accumulate(tensor_token(yp, y), 1)
-    F._accumulate(tensor_token(y, yp), -1)
+    F = Element(ring, [(tensor_token(yp, y), 1), (tensor_token(y, yp), -1)])
     dT = add_maps(tensor_map(C.complex.d, identity_map(ring)),
                   tensor_map(identity_map(ring), C.complex.d))
     lhs = dT(F)  # F(dz) = 0 since z is a cycle
