@@ -1,18 +1,25 @@
 """Strong deformation retract data on bar constructions and the
 transferred twisting cochain it induces.
 
-The inclusion is the shuffle embedding Bar A (x) Bar A' -> Bar(A (x) A'),
-the retraction is the front/back splitting, and the homotopy is the
-explicit recursive shuffle formula.  Feeding these to the perturbation
-construction F = sum F_k yields an algebra map Cobar Bar(A (x) A') ->
-Cobar(Bar A (x) Bar A') realizing the splitting up to strong homotopy,
-and from it the loop comultiplication on Cobar Bar H for a Hopf algebra H.
+The inclusion nabla is the shuffle embedding Bar A (x) Bar A' ->
+Bar(A (x) A'), the retraction f is the front/back splitting, and the
+homotopy h is the Eilenberg-Mac Lane formula
+
+    h(L_1...L_n) = sum_m e_m L_1...L_m | s(1 (x) a'_{m+1}...a'_r)
+                              | nabla(sa_{m+1}...sa_r ; sa'_{r+1}...sa'_n)
+
+on letters L_j = s(a_j (x) a'_j), with the sign e_m of bar_em_homotopy.
+nabla and h take their shuffles and Koszul signs from one kernel,
+_shuffles.  Feeding these to the perturbation construction F = sum F_k
+yields an algebra map Cobar Bar(A (x) A') -> Cobar(Bar A (x) Bar A')
+realizing the splitting up to strong homotopy, and from it the loop
+comultiplication on Cobar Bar H for a Hopf algebra H.
 """
 
 from itertools import combinations
 
 from .chains import (
-    Element, LinearMap, desuspend, koszul_sign, parity_sign, suspend,
+    Element, LinearMap, desuspend, parity_sign, suspend,
     tensor_map, tensor_product, tensor_token, word_token,
 )
 from .dg import (
@@ -75,6 +82,31 @@ def _letter_parts(letter):
     return pair.data  # (a, a')
 
 
+def _shuffles(us, vs):
+    """Every shuffle of the letter sequences us and vs, as (letters, sign).
+
+    The sign is the Koszul sign of the shuffle, built up as it is placed:
+    each v passes the us not yet placed, which costs |v| times their degrees.
+    """
+    m, n = len(us), len(vs)
+    rest = [0] * (m + 1)  # rest[i] = |us[i]| + ... + |us[m-1]|
+    for i in range(m - 1, -1, -1):
+        rest[i] = rest[i + 1] + us[i].degree
+    out = []
+    for positions in combinations(range(m + n), m):
+        letters, i, exponent = [], 0, 0
+        for k in range(m + n):
+            if i < m and positions[i] == k:
+                letters.append(us[i])
+                i += 1
+            else:
+                v = vs[k - i]
+                letters.append(v)
+                exponent += v.degree * rest[i]
+        out.append((tuple(letters), parity_sign(exponent)))
+    return out
+
+
 def bar_eilenberg_zilber(A, Aprime):
     """nabla: Bar A (x) Bar A' -> Bar(A (x) A'): Koszul-signed shuffles of
     s(a_i (x) 1) and s(1 (x) a'_j)."""
@@ -83,23 +115,9 @@ def bar_eilenberg_zilber(A, Aprime):
 
     def fn(tok):
         wa, wb = tok.data
-        m, n = len(wa.data), len(wb.data)
         us = [suspend(tensor_token(desuspend(l), one_ap)) for l in wa.data]
         vs = [suspend(tensor_token(one_a, desuspend(l))) for l in wb.data]
-        degrees = [u.degree for u in us] + [v.degree for v in vs]
-        pairs = []
-        for positions in combinations(range(m + n), m):
-            order = [None] * (m + n)
-            ai = 0
-            bi = 0
-            rest = [k for k in range(m + n) if k not in positions]
-            for k, p in enumerate(positions):
-                order[p] = k
-            for k, p in enumerate(rest):
-                order[p] = m + k
-            letters = [us[i] if i < m else vs[i - m] for i in order]
-            pairs.append((word_token(letters), koszul_sign(degrees, order)))
-        return Element(ring, pairs)
+        return Element(ring, [(word_token(w), sign) for w, sign in _shuffles(us, vs)])
 
     return LinearMap(ring, 0, fn, "nabla")
 
@@ -136,85 +154,53 @@ def bar_alexander_whitney(A, Aprime):
 def bar_em_homotopy(A, Aprime):
     """The Eilenberg-Mac Lane homotopy on Bar(A (x) A').
 
-    Vanishes on words of s(1 (x) a')'s; otherwise, with r the last position
-    whose first coordinate is not the unit, sums over m < r the words
+    Write the letters of a word as L_j = s(a_j (x) a'_j), j = 1..n, and let r
+    be the last j with a_j not the unit (h = 0 if there is none).  Then
 
-        prefix | s(1 (x) a'_{m+1}...a'_r) | shuffles(sa_*, sa'_*)
+        h(L_1...L_n) = sum_m e_m L_1...L_m | s(1 (x) a'_{m+1}...a'_r)
+                                  | nabla(sa_{m+1}...sa_r ; sa'_{r+1}...sa'_n),
 
-    with every sign produced by the Koszul engine from the symbol
-    rearrangement (the homotopy's own suspension enters from the left).
+    summed over the m < r with a_{m+1}, ..., a_r all non-units, dropping
+    the unit term of the product a'_{m+1}...a'_r, where
+
+        e_m = (-1)^(|L_1| + ... + |L_m|
+                    + sum_{j=m+1..r} |a'_j| (sum_{i=m+1..j} (1 + |a_i|))):
+
+    the new suspension passes L_1...L_m, and each a'_j passes s a_{m+1}, ...,
+    s a_j on its way to the new letter.
     """
     ring = A.ring
     one_a, one_ap = A.unit, Aprime.unit
 
     def fn(tok):
         letters = tok.data
-        n = len(letters)
         parts = [_letter_parts(l) for l in letters]
-        r = 0
-        for j in range(n, 0, -1):
-            if parts[j - 1][0] is not one_a:
-                r = j
+        r = len(letters)
+        while r and parts[r - 1][0] is one_a:
+            r -= 1
+        vs = letters[r:]  # s(1 (x) a'_j) for j > r: the unit a_j drop out
+        # walk m down from r - 1, growing the block a_{m+1}...a_r; exponent
+        # is the block's part of e_m and primes = |a'_{m+1}| + ... + |a'_r|
+        us, prod, pairs = [], None, []
+        suffix = sum([l.degree for l in vs])  # |L_{m+1}| + ... + |L_n|
+        primes = exponent = 0
+        for m in range(r - 1, -1, -1):
+            a, ap = parts[m]
+            if a is one_a:
                 break
-        if r == 0:
-            return Element(ring)
-        # symbol indices: eta -> 0; sigma_j -> 3j-2, a_j -> 3j-1, a'_j -> 3j
-        degrees = [1]
-        for a, ap in parts:
-            degrees.extend([1, a.degree, ap.degree])
-
-        def sigma(j):
-            return 3 * j - 2
-
-        def apos(j):
-            return 3 * j - 1
-
-        def appos(j):
-            return 3 * j
-
-        pairs = []
-        for m in range(r):
-            if any(parts[j - 1][0] is one_a for j in range(m + 1, r + 1)):
-                continue  # the shuffle block would contain s(1)
-            # product a'_{m+1} ... a'_r in A'
-            prod = Element.from_token(ring, one_ap)
-            for j in range(m + 1, r + 1):
-                prod = Aprime.multiply(prod, Element.from_token(ring, parts[j - 1][1]))
-            merged_terms = [(b, c) for b, c in prod.items() if b is not one_ap]
-            if not merged_terms:
+            us.insert(0, suspend(tensor_token(a, one_ap)))
+            factor = Element.from_token(ring, ap)
+            prod = factor if prod is None else Aprime.multiply(factor, prod)
+            suffix += letters[m].degree
+            primes += ap.degree
+            exponent += (1 + a.degree) * primes
+            terms = [(b, c) for b, c in prod.items() if b is not one_ap]
+            if not terms:
                 continue
-            a_block = list(range(m + 1, r + 1))
-            ap_block = list(range(r + 1, n + 1))
-            la, lb = len(a_block), len(ap_block)
-            for positions in combinations(range(la + lb), la):
-                order = []
-                for j in range(1, m + 1):
-                    order.extend([sigma(j), apos(j), appos(j)])
-                order.append(0)  # eta: the new suspension
-                for j in range(m + 1, r + 1):
-                    order.append(appos(j))
-                rest = [k for k in range(la + lb) if k not in positions]
-                slot_of = {}
-                for k, p in enumerate(positions):
-                    slot_of[p] = ("A", a_block[k])
-                for k, p in enumerate(rest):
-                    slot_of[p] = ("B", ap_block[k])
-                shuffle_letters = []
-                for p in range(la + lb):
-                    side, j = slot_of[p]
-                    if side == "A":
-                        order.extend([sigma(j), apos(j)])
-                        shuffle_letters.append(suspend(tensor_token(parts[j - 1][0], one_ap)))
-                    else:
-                        order.extend([sigma(j), appos(j)])
-                        shuffle_letters.append(suspend(tensor_token(one_a, parts[j - 1][1])))
-                # dead unit symbols close the permutation (degree 0: sign-neutral)
-                for j in range(r + 1, n + 1):
-                    order.append(apos(j))
-                sign = koszul_sign(degrees, order)
-                pairs += [(word_token(letters[:m] + (suspend(tensor_token(one_a, b)),)
-                                      + tuple(shuffle_letters)), sign * c)
-                          for b, c in merged_terms]
+            sign = parity_sign(tok.degree - suffix + exponent)
+            shuffles = _shuffles(us, vs)
+            pairs += [(word_token(letters[:m] + (suspend(tensor_token(one_a, b)),) + w),
+                       sign * s * c) for b, c in terms for w, s in shuffles]
         return Element(ring, pairs)
 
     return LinearMap(ring, 1, fn, "h")

@@ -366,6 +366,7 @@ class HomologyBasis:
         snf_c = smith_normal_form(C, rows=nullity, cols=m)
         self._V = V
         self._Vinv = Vinv
+        self._rank = rank_n
         self._kernel_cols = kernel_cols
         self._Uc = snf_c.U
         self._Ucinv = snf_c.Uinv
@@ -425,6 +426,10 @@ class HomologyBasis:
             w = [0] * len(self._kernel_cols)
             full = [sum(self._Vinv[i][j] * cycle[j] for j in range(len(cycle)))
                     for i in range(len(cycle))]
+            # U d V is diagonal with rank nonzero entries: d(cycle) = 0 iff
+            # the first rank entries of V^{-1} cycle vanish
+            if any(full[:self._rank]):
+                raise ValueError("vector is not a cycle modulo the image")
             for r, idx in enumerate(self._kernel_cols):
                 w[r] = full[idx]
             coords_all = [sum(self._Uc[i][r] * w[r] for r in range(len(w)))

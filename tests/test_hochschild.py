@@ -17,6 +17,7 @@ from loopchain.dg import (
 from loopchain.fixtures import (
     sphere_coalgebra, nonreal_aw_coalgebra, nonreal_aw_hirsch, rp_hirsch, small_commutative,
     monomial_algebra, free_hopf_one, exterior_two, group_ring_hopf, hopf_fixtures,
+    dg_fixture_from_dict,
 )
 from loopchain.groups import BUILTIN_GROUPS
 from loopchain.hochschild import (
@@ -492,6 +493,30 @@ def test_power_map_koszul_sign_on_nonreal_aw(r):
     H = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=11)
     ok, tok = verify_chain_map(lam, H.complex, H.complex, 10)
     assert ok, tok
+
+
+def test_power_concatenation_rotation_sign():
+    # primitive x, y (degree 2), w (3), z (5), d = 0, and
+    # psi(s^-1 z) = s^-1 z (x) 1 + 1 (x) s^-1 z + [s^-1 x|s^-1 y] (x) s^-1 w
+    #               + s^-1 w (x) [s^-1 x|s^-1 y]
+    # Keeping y rotates s^-1 x past s^-1 y s^-1 w: (-1)^(1 * 3) = -1
+    degrees = {"x": 2, "y": 2, "w": 3, "z": 5}
+    C = dg_fixture_from_dict({"kind": "coalgebra", "max_degree": 8, "generators": [
+        {"name": name, "degree": d} for name, d in degrees.items()]})
+    x, y, w, z = (generator(name, d) for name, d in degrees.items())
+    O = cobar_construction(C)
+    sx, sy, sw, sz = (desuspend(c) for c in (x, y, w, z))
+    empty = word_token(())
+    img = Element(ZZ, [(tensor_token(word_token((sz,)), empty), 1),
+                       (tensor_token(empty, word_token((sz,))), 1),
+                       (tensor_token(word_token((sx, sy)), word_token((sw,))), 1),
+                       (tensor_token(word_token((sw,)), word_token((sx, sy))), 1)])
+    hirsch = hirsch_primitive(C, O, overrides={sz: img})
+    t = universal_twisting(C, O)
+    mu2 = power_concatenation(t, hirsch, hirsch.loop_hopf(), 2, check_degree=5)
+    assert mu2(pair(z, tensor_token(empty, empty))) == Element(ZZ, [
+        (pair(x, word_token((sy, sw))), 1), (pair(y, word_token((sw, sx))), -1),
+        (pair(w, word_token((sx, sy))), 1), (pair(z, empty), 1)])
 
 
 def _rp_power_oracle(l, ks, r):

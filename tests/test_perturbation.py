@@ -1,7 +1,10 @@
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopchain.chains import (
-    ZZ, Element, generator, suspend, desuspend, tensor_token, word_token,
+    ZZ, Element, generator, koszul_sign, suspend, desuspend, tensor_token, word_token,
     verify_chain_map, identity_map, zero_map,
 )
 from loopchain.dg import check_twisting, tensor_algebra, universal_twisting
@@ -12,7 +15,7 @@ from loopchain.groups import BUILTIN_GROUPS
 from loopchain.perturbation import (
     SDRData, check_sdr, bar_sdr, bar_eilenberg_zilber, bar_alexander_whitney,
     bar_em_homotopy, transferred_twisting, dcsh_realization, BarHopfStructure,
-    PerturbationDivergence,
+    PerturbationDivergence, _shuffles,
 )
 
 
@@ -94,6 +97,47 @@ def test_em_homotopy_vanishing_cases():
     assert h(w(suspend(tensor_token(A.unit, x)), suspend(tensor_token(A.unit, y)))).is_zero()
     # first-block / second-block words
     assert h(w(suspend(tensor_token(a, Ap.unit)), suspend(tensor_token(A.unit, y)))).is_zero()
+
+
+def test_em_homotopy_nonzero_values():
+    # a one-letter word: e_0 = (-1)^(|x| (1 + |ab|)) = -1
+    A, Ap = exterior_two(), small_commutative()
+    h = bar_em_homotopy(A, Ap)
+    ab = _gen(A, ("mono", 1, 1))
+    x = _gen(Ap, ("mono", 1, 0))
+    assert h(w(suspend(tensor_token(ab, x)))) == \
+        Element(ZZ, [(w(suspend(tensor_token(A.unit, x)), suspend(tensor_token(ab, Ap.unit))), -1)])
+    # two letters, both summands m = 1 and m = 0:
+    # e_1 = (-1)^(|L_1| + |a| (1 + |x|)) = (-1)^(3 + 2), e_0 = (-1)^(|a| (3 + 2))
+    A, Ap = small_commutative(), exterior_two()
+    h = bar_em_homotopy(A, Ap)
+    x, y = _gen(A, ("mono", 1, 0)), _gen(A, ("mono", 0, 1))
+    a, ab = _gen(Ap, ("mono", 1, 0)), _gen(Ap, ("mono", 1, 1))
+    sy, sx = suspend(tensor_token(y, Ap.unit)), suspend(tensor_token(x, Ap.unit))
+    sa, sab = suspend(tensor_token(A.unit, a)), suspend(tensor_token(A.unit, ab))
+    assert h(w(sy, suspend(tensor_token(x, a)))) == \
+        Element(ZZ, [(w(sy, sa, sx), -1), (w(sa, sy, sx), -1)])
+    # a tail of s(1 (x) a') shuffled past s(y): e_0 = (-1)^(|a| (1 + |y|)) = -1,
+    # and the transposed shuffle of two odd letters adds (-1)^(3 * 3)
+    assert h(w(suspend(tensor_token(y, a)), sab)) == \
+        Element(ZZ, [(w(sa, sy, sab), -1), (w(sa, sab, sy), 1)])
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(st.integers(min_value=-2, max_value=4), max_size=4),
+       st.lists(st.integers(min_value=-2, max_value=4), max_size=4))
+def test_shuffles_signs_are_koszul_signs(u_degrees, v_degrees):
+    us = [generator("u%d" % q, d) for q, d in enumerate(u_degrees)]
+    vs = [generator("v%d" % q, d) for q, d in enumerate(v_degrees)]
+    symbols, m = us + vs, len(us)
+    shuffles = _shuffles(us, vs)
+    assert len({letters for letters, _ in shuffles}) == len(shuffles) == comb(len(symbols), m)
+    for letters, sign in shuffles:
+        order = [symbols.index(l) for l in letters]
+        assert sorted(order) == list(range(len(symbols)))
+        assert [q for q in order if q < m] == list(range(m))
+        assert [q for q in order if q >= m] == list(range(m, len(symbols)))
+        assert sign == koszul_sign(u_degrees + v_degrees, order)
 
 
 # --- the five SDR identities -------------------------------------------------

@@ -119,6 +119,18 @@ def test_homology_basis_free_part():
     assert hb.coordinates([3]) == [3]
 
 
+@pytest.mark.parametrize("ring, cycle", [(ZZ, [1, -1]), (F3, [1, 2])])
+def test_homology_basis_rejects_a_non_cycle(ring, cycle):
+    # d(a) = d(a2) = b: H_1 is spanned by a - a2, and a alone is no cycle
+    X = _complex({1: [[1, 1]]}, 2, ring=ring)
+    hb = HomologyBasis(X, 1)
+    assert len(hb.generators) == 1
+    assert hb.coordinates(hb.representatives[0]) == [1]
+    assert hb.coordinates(cycle) != [0]
+    with pytest.raises(ValueError, match="not a cycle"):
+        hb.coordinates([1, 0])
+
+
 def test_modp_rank():
     assert modp_rank([[2, 4], [6, 8]], 2) == 0
     assert modp_rank([[1, 4], [6, 8]], 2) == 1
