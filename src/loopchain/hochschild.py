@@ -483,7 +483,7 @@ def power_map(t, hirsch, H, r, check_degree=None):
 
 
 def power_map_on_homology(hoch, lam, degrees):
-    """Matrices of a chain self-map on homology, in the SNF-lifted basis.
+    """Matrices of a chain self-map on homology, in each degree's HomologyBasis.
 
     Returns a list of {degree, generators, matrix} with matrix columns the
     coordinates of the image of each homology representative."""

@@ -1,11 +1,14 @@
 """Exact integer linear algebra: Smith normal form and homology.
 
-Ranks and torsion come from one sparse elimination per boundary matrix:
-rows are {column: coefficient} dicts, pivots are units (+-1 over Z, any
-nonzero entry over F_p), and over Z a non-unit remainder goes to the dense
-Smith normal form.  That dense SNF, with its transforms, also serves
-HomologyBasis.  Entries are Python ints (arbitrary precision); problem
-sizes here are desk scale.
+Ranks, torsion and the F_p homology bases come from one sparse
+elimination, _reduce: rows are {column: coefficient} dicts, pivots are
+units (+-1 over Z, any nonzero entry over F_p), and over Z a non-unit
+remainder goes to the dense Smith normal form.  Over F_p the elimination
+also records its pivot rows (a semi-echelon basis of the image) and the
+row combinations that vanish (a basis of the kernel), which is all
+HomologyBasis needs.  The dense SNF with its transforms serves only
+HomologyBasis over Z.  Entries are Python ints (arbitrary precision);
+problem sizes here are desk scale.
 """
 
 from .chains import ZZ, DegreeOverflowError
@@ -186,7 +189,7 @@ def _sparse_rows(matrix):
     return [{j: v for j, v in enumerate(row) if v} for row in matrix]
 
 
-def _reduce(rows, p):
+def _reduce(rows, p, pivots=None, kernel=None):
     """(rank, nontrivial invariant factors) of the matrix with the given
     sparse rows, over Z (p None) or F_p.
 
@@ -195,10 +198,19 @@ def _reduce(rows, p):
     the pivot's row and column, each drop one invariant factor 1.  Over Z
     the rows left hold no unit and go to the dense smith_normal_form; over
     F_p none are left.
+
+    Over F_p two lists may record the elimination.  pivots receives
+    (column, row, inverse of row[column]) per pivot, in pivot order; each
+    pivot row is zero at every earlier pivot column, so they are a
+    semi-echelon basis of the row space.  kernel receives, per row that
+    vanishes, the {input row index: coefficient} combination of the input
+    rows that vanished; these are a basis of the vectors x with
+    sum_i x_i rows[i] = 0.
     """
     live = {}   # row id -> {column: coefficient}
     where = {}  # column -> {row id: None} for the live rows holding it
     queue = {}  # row length -> ids of rows that had that length
+    combos = None if kernel is None else {}  # live row id -> its combination
     for i, row in enumerate(rows):
         if p is not None:
             row = {j: v % p for j, v in row.items() if v % p}
@@ -209,6 +221,10 @@ def _reduce(rows, p):
                 if j not in where:
                     where[j] = {}
                 where[j][i] = None
+            if combos is not None:
+                combos[i] = {i: 1}
+        elif kernel is not None:
+            kernel.append({i: 1})
     rank = 0
     while queue:
         size = min(queue)
@@ -227,6 +243,8 @@ def _reduce(rows, p):
         if col is None:
             continue  # no unit: wait for a row operation or the remainder
         inverse = row[col] if p is None else pow(row[col], -1, p)
+        if pivots is not None:
+            pivots.append((col, row, inverse))
         for k in list(where[col]):
             if k == i:
                 continue
@@ -242,13 +260,25 @@ def _reduce(rows, p):
                 elif j in other:
                     del other[j]
                     del where[j][k]
+            if combos is not None:
+                combo = combos[k]
+                for r, v in combos[i].items():
+                    x = ((combo[r] if r in combo else 0) - f * v) % p
+                    if x:
+                        combo[r] = x
+                    elif r in combo:
+                        del combo[r]
             if other:
                 queue.setdefault(len(other), []).append(k)
             else:
                 del live[k]
+                if combos is not None:
+                    kernel.append(combos.pop(k))
         for j in row:
             del where[j][i]
         del live[i]
+        if combos is not None:
+            del combos[i]
         rank += 1
     if not live:
         return rank, []
@@ -260,6 +290,25 @@ def _reduce(rows, p):
 def modp_rank(matrix, p):
     """Rank of a matrix over F_p."""
     return _reduce(_sparse_rows(matrix), p)[0]
+
+
+def _modp_kernel(rows, p):
+    """A basis of the vectors x with sum_i x_i rows[i] = 0 over F_p, as
+    {row index: coefficient} dicts: the row combinations that vanish in
+    _reduce.  On the rows of d_n these are the n-cycles."""
+    kernel = []
+    _reduce(rows, p, kernel=kernel)
+    return kernel
+
+
+def _modp_column_space(rows, p):
+    """A semi-echelon basis of the span of the rows over F_p: _reduce's
+    (column, row, inverse of row[column]) pivots in pivot order.  On the
+    rows of d_{n+1} this spans the column space of its matrix, the
+    n-boundaries."""
+    pivots = []
+    _reduce(rows, p, pivots=pivots)
+    return pivots
 
 
 class HomologySummary:
@@ -285,12 +334,16 @@ def _boundary_rows(complex_, k):
     {target index: coefficient} row per degree-k basis token.  This is the
     transpose of ChainComplex.matrix(k), which has the same rank and
     invariant factors."""
-    if k <= 0:
-        return []
     sources = complex_.basis.basis(k)  # raises DegreeOverflowError past max_degree
+    if k <= 0:
+        return [{} for _ in sources]
     index = complex_.basis.index(k - 1)
     d = complex_.d
     return [{index[t]: c for t, c in d(tok).items()} for tok in sources]
+
+
+def _no_degree_above(n):
+    return DegreeOverflowError("homology at degree %d needs basis at degree %d" % (n, n + 1))
 
 
 def homology(complex_, degrees):
@@ -316,14 +369,11 @@ def homology(complex_, degrees):
 
     out = []
     for n in degrees:
+        if n + 1 > complex_.max_degree:
+            raise _no_degree_above(n)
         dim_n = complex_.basis.dimension(n)
         rank_n = reduced(n)[0]
-        try:
-            rank_n1, torsion = reduced(n + 1)
-        except DegreeOverflowError:
-            raise DegreeOverflowError(
-                "homology at degree %d needs basis at degree %d" % (n, n + 1)
-            )
+        rank_n1, torsion = reduced(n + 1)
         out.append(HomologySummary(n, dim_n - rank_n - rank_n1, list(torsion), ring))
     return out
 
@@ -331,23 +381,51 @@ def homology(complex_, degrees):
 class HomologyBasis:
     """Homology of one degree with chain-level representatives.
 
-    Over Z: generators are labelled ('free', i) or ('torsion', i, order);
-    representatives are integer coordinate vectors in the degree-n basis.
-    coordinates(cycle_vector) expresses a cycle in those generators
-    (torsion coordinates reduced mod the order).
+    representatives are coordinate vectors in the degree-n basis, and
+    coordinates(cycle_vector) expresses a cycle in the generators; it
+    raises ValueError on a vector that is not a cycle.
+
+    Over Z: generators are labelled ('free', i) or ('torsion', i, order),
+    from two dense Smith normal forms with transforms; torsion coordinates
+    are reduced mod the order.
+
+    Over F_p: generators are ('free', i), from the sparse elimination.
+    The boundaries are _reduce's pivot rows of d_{n+1}, the cycles the row
+    combinations of d_n that vanish.  Reducers are the boundary pivots in
+    pivot order, then each cycle that survives reduction against all
+    earlier reducers, led by one of its nonzero entries.  Every reducer is
+    zero at the lead of every earlier one, so reducing a vector against
+    them once, in insertion order, clears every lead; coordinates rely on
+    this order.
     """
 
     def __init__(self, complex_, n):
         self.complex = complex_
         self.n = n
-        ring = complex_.ring
+        if n + 1 > complex_.max_degree:
+            raise _no_degree_above(n)
+        p = complex_.ring.p
+        if p is None:
+            self._build_integral(complex_.matrix(n), complex_.matrix(n + 1),
+                                 complex_.basis.dimension(n))
+            return
+        self._p = p
+        # each reducer is (lead, vector, inverse of vector[lead], generator
+        # index or None for a boundary)
+        self._reducers = [(lead, row, inverse, None) for lead, row, inverse
+                          in _modp_column_space(_boundary_rows(complex_, n + 1), p)]
         dim_n = complex_.basis.dimension(n)
-        d_n = complex_.matrix(n)
-        d_n1 = complex_.matrix(n + 1)
-        if ring.p is None:
-            self._build_integral(d_n, d_n1, dim_n)
-        else:
-            self._build_modp(d_n, d_n1, dim_n, ring.p)
+        self.generators = []
+        self.representatives = []
+        for cycle in _modp_kernel(_boundary_rows(complex_, n), p):
+            self._sift(cycle)
+            if cycle:
+                lead = min(cycle)
+                self._reducers.append((lead, cycle, pow(cycle[lead], -1, p),
+                                       len(self.generators)))
+                self.generators.append(("free", len(self.generators)))
+                self.representatives.append([cycle[j] if j in cycle else 0
+                                             for j in range(dim_n)])
 
     def _build_integral(self, d_n, d_n1, dim_n):
         snf_n = smith_normal_form(d_n, cols=dim_n)
@@ -388,36 +466,23 @@ class HomologyBasis:
                         rep[row] += V[row][idx] * col
             self.representatives.append(rep)
 
-    def _build_modp(self, d_n, d_n1, dim_n, p):
-        M = [[v % p for v in row] for row in d_n] if d_n else []
-        kernel = _modp_kernel(M, dim_n, p)
-        img = _modp_column_space(d_n1, dim_n, p)
-        # echelonized reducers: image vectors first, then surviving cycles.
-        # Each entry is (lead, vector, generator index or None); a vector is
-        # reduced against all earlier reducers, so its lead is fresh.
-        reducers = []
-        gen_count = 0
-        self.representatives = []
-        for vec, is_cycle in [(v, False) for v in img] + [(v, True) for v in kernel]:
-            vec = [x % p for x in vec]
-            for lead, rv, _ in reducers:
-                if vec[lead]:
-                    c = vec[lead]
-                    vec = [(a - c * b) % p for a, b in zip(vec, rv)]
-            lead = next((i for i, x in enumerate(vec) if x), None)
-            if lead is None:
-                continue
-            inv = pow(vec[lead], p - 2, p)
-            vec = [(x * inv) % p for x in vec]
-            if is_cycle:
-                reducers.append((lead, vec, gen_count))
-                self.representatives.append(vec)
-                gen_count += 1
-            else:
-                reducers.append((lead, vec, None))
-        self._p = p
-        self._reducers = reducers
-        self.generators = [("free", i) for i in range(gen_count)]
+    def _sift(self, vec):
+        """Reduce the sparse vector vec in place against the F_p reducers,
+        in insertion order; return the coefficients of the generators."""
+        p = self._p
+        coords = [0] * len(self.generators)
+        for lead, rv, inverse, gen in self._reducers:
+            if lead in vec:
+                c = vec[lead] * inverse % p
+                if gen is not None:
+                    coords[gen] = c
+                for j, v in rv.items():
+                    x = ((vec[j] if j in vec else 0) - c * v) % p
+                    if x:
+                        vec[j] = x
+                    elif j in vec:
+                        del vec[j]
+        return coords
 
     def coordinates(self, cycle):
         """Coordinates of a cycle (vector in the degree-n basis) in homology."""
@@ -444,68 +509,9 @@ class HomologyBasis:
                 out.append(c % order if order else c)
                 gi += 1
             return out
-        # mod p: reduce against the echelon in insertion order
         p = self._p
-        vec = [x % p for x in cycle]
-        coords = [0] * len(self.representatives)
-        for lead, rv, gen in self._reducers:
-            if vec[lead]:
-                c = vec[lead]
-                if gen is not None:
-                    coords[gen] = c
-                vec = [(a - c * b) % p for a, b in zip(vec, rv)]
-        if any(vec):
+        vec = {j: x % p for j, x in enumerate(cycle) if x % p}
+        coords = self._sift(vec)
+        if vec:
             raise ValueError("vector is not a cycle modulo the image")
         return coords
-
-
-def _modp_kernel(M, cols, p):
-    rows = len(M)
-    A = [list(r) for r in M]
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, rows) if A[i][col] % p), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = pow(A[rank][col] % p, p - 2, p)
-        A[rank] = [(v * inv) % p for v in A[rank]]
-        for i in range(rows):
-            if i != rank and A[i][col] % p:
-                c = A[i][col] % p
-                A[i] = [(a - c * b) % p for a, b in zip(A[i], A[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(cols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-A[r][fc]) % p
-        kernel.append(v)
-    return kernel
-
-
-def _modp_column_space(M, dim, p):
-    if not M:
-        return []
-    cols = len(M[0])
-    vecs = [[M[i][j] % p for i in range(dim)] for j in range(cols)]
-    basis = []
-    pivots = {}
-    for v in vecs:
-        vec = list(v)
-        for pi, pv in pivots.items():
-            if vec[pi]:
-                c = vec[pi]
-                vec = [(a - c * b) % p for a, b in zip(vec, pv)]
-        lead = next((i for i, x in enumerate(vec) if x), None)
-        if lead is None:
-            continue
-        inv = pow(vec[lead], p - 2, p)
-        vec = [(x * inv) % p for x in vec]
-        pivots[lead] = vec
-        basis.append(vec)
-    return basis

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopchain.chains import (
-    ZZ, F2, Element, LinearMap, generator, suspend, desuspend,
+    ZZ, F2, F3, Element, LinearMap, generator, suspend, desuspend,
     tensor_token, word_token, verify_chain_map, identity_map, koszul_sign,
 )
 from loopchain.dg import (
@@ -789,6 +789,22 @@ def test_power_map_on_homology_sphere2_matches_convolution_oracle():
             assert tok == word
             gi = row["generators"].index((kind, idx, order))
             assert row["matrix"][gi][gi] == ev % order, (r, k)
+
+
+@pytest.mark.parametrize("make, top", [
+    (lambda: _cohoch_of_rp(7)[0], 7),
+    (lambda: cohochschild_complex(sphere_coalgebra(2, max_degree=8), max_degree=7), 6),
+    (lambda: cohochschild_complex(sphere_coalgebra(2, ring=F3, max_degree=8), max_degree=7), 6),
+], ids=["rp-f2", "sphere-2-z", "sphere-2-f3"])
+def test_identity_acts_as_identity_on_homology(make, top):
+    # representatives and coordinates of one HomologyBasis, tied together
+    # through the caller that writes a chain map in them
+    hoch = make()
+    rows = power_map_on_homology(hoch, identity_map(hoch.ring), range(top + 1))
+    assert any(row["generators"] for row in rows)
+    for row in rows:
+        k = len(row["generators"])
+        assert row["matrix"] == [[int(i == j) for j in range(k)] for i in range(k)], row["degree"]
 
 
 # --- power maps compose: lambda_r o lambda_s = lambda_rs on homology ----------

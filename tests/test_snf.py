@@ -164,10 +164,63 @@ def test_homology_matches_dense_snf(matrix):
         assert modp_rank(matrix, ring.p) == rank - tor
 
 
-def test_homology_needs_the_degree_above():
-    X = _complex({1: [[2]]}, 2)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_boundary_matrices)
+def test_modp_homology_basis_matches_dense_snf(matrix):
+    # F_p bases of a two-term complex C_1 -> C_0 against the dense SNF over
+    # Z, which does not run the sparse elimination the bases come from
+    rows, cols = len(matrix), len(matrix[0])
+    factors = [abs(d) for d in smith_normal_form(matrix).factors]
+    rank = len(factors)
+    for ring in (F2, F3, F5):
+        p = ring.p
+        tor = sum(1 for d in factors if d % p == 0)
+        X = _complex({1: matrix}, 2, ring=ring)
+        h0, h1 = HomologyBasis(X, 0), HomologyBasis(X, 1)
+        assert len(h0.generators) == rows - rank + tor
+        assert len(h1.generators) == cols - rank + tor
+        boundaries = [[row[j] for row in matrix] for j in range(cols)]
+        for rep in h1.representatives:
+            assert all(sum(x * b[r] for x, b in zip(rep, boundaries)) % p == 0
+                       for r in range(rows))
+        for hb, dim, added in ((h0, rows, boundaries), (h1, cols, [])):
+            gens = range(len(hb.generators))
+            for i, rep in enumerate(hb.representatives):
+                e_i = [int(k == i) for k in gens]
+                assert hb.coordinates(rep) == e_i
+                for b in added:
+                    assert hb.coordinates([x + y for x, y in zip(rep, b)]) == e_i
+            # coordinates are linear: the sum of k * rep_k has coordinates k
+            mix = [sum((k + 1) * rep[r] for k, rep in enumerate(hb.representatives))
+                   for r in range(dim)]
+            assert hb.coordinates(mix) == [(k + 1) % p for k in gens]
+        for j, b in enumerate(boundaries):
+            if any(x % p for x in b):
+                with pytest.raises(ValueError, match="not a cycle"):
+                    h1.coordinates([int(k == j) for k in range(cols)])
+
+
+def test_modp_homology_basis_runs_the_named_layers():
+    # the benchmark's snf.modp_s and snf.basis_s find the F_p basis work by
+    # the code objects of these functions
+    import cProfile
+    from loopchain import snf
+    X = _complex({1: [[1, 1], [0, 2]], 2: [[1], [-1]]}, 3, ring=F3)
+    prof = cProfile.Profile()
+    prof.runcall(lambda: HomologyBasis(X, 1).coordinates([1, 2]))
+    seen = {e.code for e in prof.getstats()}
+    for fn in (snf._modp_kernel, snf._modp_column_space, HomologyBasis.__init__,
+               HomologyBasis.coordinates):
+        assert fn.__code__ in seen, fn.__qualname__
+
+
+@pytest.mark.parametrize("ring", [ZZ, F2], ids=["Z", "F2"])
+def test_homology_needs_the_degree_above(ring):
+    X = _complex({1: [[2]]}, 2, ring=ring)
     with pytest.raises(DegreeOverflowError, match="homology at degree 2 needs basis at degree 3"):
         homology(X, range(3))
+    with pytest.raises(DegreeOverflowError, match="homology at degree 2 needs basis at degree 3"):
+        HomologyBasis(X, 2)
 
 
 def test_homology_rejects_a_cochain_complex():
