@@ -462,6 +462,7 @@ class GradedBasis:
         else:
             self._fn = source
         self._cache = {}
+        self._index = {}
 
     def basis(self, n):
         if n < 0:
@@ -480,7 +481,9 @@ class GradedBasis:
         return len(self.basis(n))
 
     def index(self, n):
-        return {t: i for i, t in enumerate(self.basis(n))}
+        if n not in self._index:
+            self._index[n] = {t: i for i, t in enumerate(self.basis(n))}
+        return self._index[n]
 
 
 class DegreeOverflowError(Exception):
@@ -514,18 +517,6 @@ class ChainComplex:
                 if not self.d(self.d(tok)).is_zero():
                     return tok
         return None
-
-    def matrix(self, n):
-        """Matrix of d out of degree n: rows indexed by target basis."""
-        target = n + self.d.shift
-        rows = self.basis.basis(target) if 0 <= target <= self.max_degree else []
-        idx = {t: i for i, t in enumerate(rows)}
-        cols = self.basis.basis(n)
-        mat = [[0] * len(cols) for _ in rows]
-        for j, tok in enumerate(cols):
-            for t, c in self.d(tok).items():
-                mat[idx[t]][j] = c
-        return mat
 
 
 def verify_chain_map(f, src, dst, through_degree):

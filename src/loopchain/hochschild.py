@@ -24,7 +24,7 @@ from .dg import (
     coalgebra_realization, couniversal_twisting, hopf_tensor_power, twist_tensor,
     universal_twisting,
 )
-from .snf import HomologyBasis
+from .snf import HomologyBasis, boundary_reader
 
 
 class CompatibilityError(ValueError):
@@ -487,9 +487,10 @@ def power_map_on_homology(hoch, lam, degrees):
 
     Returns a list of {degree, generators, matrix} with matrix columns the
     coordinates of the image of each homology representative."""
+    rows = boundary_reader(hoch.complex)
     out = []
     for n in degrees:
-        hb = HomologyBasis(hoch.complex, n)
+        hb = HomologyBasis(hoch.complex, n, rows)
         idx = hoch.complex.basis.index(n)
         toks = hoch.complex.basis.basis(n)
         cols = []

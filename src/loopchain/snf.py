@@ -1,14 +1,14 @@
 """Exact integer linear algebra: Smith normal form and homology.
 
-Ranks, torsion and the F_p homology bases come from one sparse
-elimination, _reduce: rows are {column: coefficient} dicts, pivots are
-units (+-1 over Z, any nonzero entry over F_p), and over Z a non-unit
-remainder goes to the dense Smith normal form.  Over F_p the elimination
-also records its pivot rows (a semi-echelon basis of the image) and the
-row combinations that vanish (a basis of the kernel), which is all
-HomologyBasis needs.  The dense SNF with its transforms serves only
-HomologyBasis over Z.  Entries are Python ints (arbitrary precision);
-problem sizes here are desk scale.
+Ranks, torsion and homology bases, over Z and over F_p, come from one
+sparse elimination, _reduce: rows are {column: coefficient} dicts and
+pivots are units (+-1 over Z, any nonzero entry over F_p).  Each pivot is a
+Gaussian elimination of the chain complex, so the pivots of d_{n+1} and
+d_n reduce H_n to a small remainder complex.  Over F_p the remainder has
+zero differentials; over Z its rows hold no unit, and only that remainder
+goes to the dense smith_normal_form, which builds its transform on one
+side.  Entries are Python ints (arbitrary precision); problem sizes here
+are desk scale.
 """
 
 from .chains import ZZ, DegreeOverflowError
@@ -19,20 +19,18 @@ def _identity(n):
 
 
 class SNFResult:
-    """U * M * V = D diagonal with divisibility d_1 | d_2 | ...
+    """U * M * V = D diagonal with divisibility d_1 | d_2 | ..., for
+    unimodular U and V.
 
-    U, V are unimodular; Uinv, Vinv their inverses, tracked alongside.
-    factors lists the nonzero diagonal entries.
+    Only the row transform U and its inverse Uinv are built; a caller that
+    needs the column side passes the transpose.  factors lists the nonzero
+    diagonal entries.
     """
 
-    def __init__(self, diagonal, U, V, Uinv, Vinv, rows, cols):
+    def __init__(self, diagonal, U, Uinv):
         self.diagonal = diagonal
         self.U = U
-        self.V = V
         self.Uinv = Uinv
-        self.Vinv = Vinv
-        self.rows = rows
-        self.cols = cols
 
     @property
     def factors(self):
@@ -44,14 +42,14 @@ class SNFResult:
 
 
 def smith_normal_form(matrix, rows=None, cols=None):
-    """SNF with transforms; smallest-|pivot| pivoting with full gcd reduction."""
+    """SNF with its row transform; smallest-|pivot| pivoting with full gcd
+    reduction.  Column operations act on the matrix alone."""
     if rows is None:
         rows = len(matrix)
     if cols is None:
         cols = len(matrix[0]) if matrix else 0
     M = [list(r) for r in matrix]
     U, Uinv = _identity(rows), _identity(rows)
-    V, Vinv = _identity(cols), _identity(cols)
 
     def row_op(i, j, c):
         # row_i += c * row_j ; U tracks it, Uinv the inverse op
@@ -66,10 +64,6 @@ def smith_normal_form(matrix, rows=None, cols=None):
         # col_j += c * col_i
         for k in range(rows):
             M[k][j] += c * M[k][i]
-        for k in range(cols):
-            V[k][j] += c * V[k][i]
-        for k in range(cols):
-            Vinv[i][k] -= c * Vinv[j][k]
 
     def row_swap(i, j):
         M[i], M[j] = M[j], M[i]
@@ -80,9 +74,6 @@ def smith_normal_form(matrix, rows=None, cols=None):
     def col_swap(i, j):
         for k in range(rows):
             M[k][i], M[k][j] = M[k][j], M[k][i]
-        for k in range(cols):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def row_negate(i):
         for k in range(cols):
@@ -165,55 +156,47 @@ def smith_normal_form(matrix, rows=None, cols=None):
                 changed = True
 
     diagonal = [M[i][i] for i in range(min(rows, cols))]
-    return SNFResult(diagonal, U, V, Uinv, Vinv, rows, cols)
+    return SNFResult(diagonal, U, Uinv)
 
 
-def mat_mul(A, B):
-    n, m = len(A), len(B[0]) if B else 0
-    k = len(B)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] += a * Bt[j]
-    return out
+def _sparse_rows(matrix, p):
+    """The rows of a dense matrix as {column: coefficient} dicts, reduced
+    mod p."""
+    return [{j: v % p for j, v in enumerate(row) if v % p} for row in matrix]
 
 
-def _sparse_rows(matrix):
-    """The rows of a dense matrix as {column: coefficient} dicts."""
-    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
-
-
-def _reduce(rows, p, pivots=None, kernel=None):
-    """(rank, nontrivial invariant factors) of the matrix with the given
-    sparse rows, over Z (p None) or F_p.
+def _reduce(rows, p, pivots=None, combos=None, skip=()):
+    """Unit elimination of the matrix with the given sparse rows, over Z
+    (p None) or F_p, whose nonzero entries must be reduced mod p.  Returns
+    (number of pivots, {row index: row} of the rows left nonzero).
 
     Repeatedly takes a shortest row holding a unit, pivots on its unit in
     the shortest column, clears that column with row operations and drops
-    the pivot's row and column, each drop one invariant factor 1.  Over Z
-    the rows left hold no unit and go to the dense smith_normal_form; over
-    F_p none are left.
+    the pivot's row and column, each drop one invariant factor 1.  On the
+    rows of d_k (one per degree-k token) each pivot is a Gaussian
+    elimination of the chain complex: it pairs the token of its row with
+    the token of its column, and both drop out.  Over F_p every entry is a
+    unit and no row is left; over Z the rows left hold no unit.  Rows whose
+    index is in skip take no part.  rows is not changed: a row is copied
+    the first time a row operation changes it.
 
-    Over F_p two lists may record the elimination.  pivots receives
-    (column, row, inverse of row[column]) per pivot, in pivot order; each
-    pivot row is zero at every earlier pivot column, so they are a
-    semi-echelon basis of the row space.  kernel receives, per row that
-    vanishes, the {input row index: coefficient} combination of the input
-    rows that vanished; these are a basis of the vectors x with
+    pivots receives (column, row, inverse of row[column]) per pivot, in
+    pivot order; each pivot row is zero at every earlier pivot column, so
+    sifting a vector through them in order clears every pivot column.
+    combos receives, for each row not pivoted on, the {input row index:
+    coefficient} combination of input rows that it has become: its own
+    index with coefficient 1 plus rows that were pivoted on.  Those of the
+    rows that vanish are a basis of the vectors x, supported off skip, with
     sum_i x_i rows[i] = 0.
     """
     live = {}   # row id -> {column: coefficient}
     where = {}  # column -> {row id: None} for the live rows holding it
     queue = {}  # row length -> ids of rows that had that length
-    combos = None if kernel is None else {}  # live row id -> its combination
     for i, row in enumerate(rows):
-        if p is not None:
-            row = {j: v % p for j, v in row.items() if v % p}
+        if i in skip:
+            continue
+        if combos is not None:
+            combos[i] = {i: 1}
         if row:
             live[i] = row
             queue.setdefault(len(row), []).append(i)
@@ -221,10 +204,6 @@ def _reduce(rows, p, pivots=None, kernel=None):
                 if j not in where:
                     where[j] = {}
                 where[j][i] = None
-            if combos is not None:
-                combos[i] = {i: 1}
-        elif kernel is not None:
-            kernel.append({i: 1})
     rank = 0
     while queue:
         size = min(queue)
@@ -245,10 +224,14 @@ def _reduce(rows, p, pivots=None, kernel=None):
         inverse = row[col] if p is None else pow(row[col], -1, p)
         if pivots is not None:
             pivots.append((col, row, inverse))
+        if combos is not None:
+            pivot_combo = combos.pop(i)
         for k in list(where[col]):
             if k == i:
                 continue
             other = live[k]
+            if other is rows[k]:
+                other = live[k] = other.copy()
             f = other[col] * inverse
             for j, v in row.items():
                 x = (other[j] if j in other else 0) - f * v
@@ -262,8 +245,10 @@ def _reduce(rows, p, pivots=None, kernel=None):
                     del where[j][k]
             if combos is not None:
                 combo = combos[k]
-                for r, v in combos[i].items():
-                    x = ((combo[r] if r in combo else 0) - f * v) % p
+                for r, v in pivot_combo.items():
+                    x = (combo[r] if r in combo else 0) - f * v
+                    if p is not None:
+                        x %= p
                     if x:
                         combo[r] = x
                     elif r in combo:
@@ -272,43 +257,52 @@ def _reduce(rows, p, pivots=None, kernel=None):
                 queue.setdefault(len(other), []).append(k)
             else:
                 del live[k]
-                if combos is not None:
-                    kernel.append(combos.pop(k))
         for j in row:
             del where[j][i]
         del live[i]
-        if combos is not None:
-            del combos[i]
         rank += 1
-    if not live:
+    return rank, live
+
+
+def _rank_and_torsion(rows, p):
+    """(rank, nontrivial invariant factors) of the matrix with the given
+    sparse rows: _reduce, then the dense Smith normal form of the rows left,
+    oriented so that its transform is built on the shorter side."""
+    rank, left = _reduce(rows, p)
+    if not left:
         return rank, []
-    cols = [j for j, held in where.items() if held]
-    factors = smith_normal_form([[row.get(j, 0) for j in cols] for row in live.values()]).factors
+    cols = list(dict.fromkeys(j for row in left.values() for j in row))
+    if len(left) <= len(cols):
+        dense = [[row[j] if j in row else 0 for j in cols] for row in left.values()]
+    else:
+        dense = [[row[j] if j in row else 0 for row in left.values()] for j in cols]
+    factors = smith_normal_form(dense).factors
     return rank + len(factors), [abs(d) for d in factors if abs(d) != 1]
 
 
 def modp_rank(matrix, p):
     """Rank of a matrix over F_p."""
-    return _reduce(_sparse_rows(matrix), p)[0]
+    return _reduce(_sparse_rows(matrix, p), p)[0]
 
 
-def _modp_kernel(rows, p):
-    """A basis of the vectors x with sum_i x_i rows[i] = 0 over F_p, as
-    {row index: coefficient} dicts: the row combinations that vanish in
-    _reduce.  On the rows of d_n these are the n-cycles."""
-    kernel = []
-    _reduce(rows, p, kernel=kernel)
-    return kernel
+def _modp_kernel(rows, p, skip=()):
+    """_reduce of the rows of d_n that skip leaves, over Z or F_p: (the
+    combination each row not pivoted on has become, the rows left).  The
+    rows that vanish give n-cycles; over F_p every unpivoted row does.
+    The benchmark's snf.modp_s finds this function by name."""
+    combos = {}
+    left = _reduce(rows, p, combos=combos, skip=skip)[1]
+    return combos, left
 
 
 def _modp_column_space(rows, p):
-    """A semi-echelon basis of the span of the rows over F_p: _reduce's
-    (column, row, inverse of row[column]) pivots in pivot order.  On the
-    rows of d_{n+1} this spans the column space of its matrix, the
-    n-boundaries."""
+    """_reduce of the rows of d_{n+1}, over Z or F_p: (its unit pivots in
+    pivot order, the rows left).  The pivot rows are boundaries; over F_p
+    they span the n-boundaries and no row is left.  The benchmark's
+    snf.modp_s finds this function by name."""
     pivots = []
-    _reduce(rows, p, pivots=pivots)
-    return pivots
+    left = _reduce(rows, p, pivots=pivots)[1]
+    return pivots, left
 
 
 class HomologySummary:
@@ -331,15 +325,26 @@ class HomologySummary:
 
 def _boundary_rows(complex_, k):
     """d_k as sparse rows read straight from the differential: one
-    {target index: coefficient} row per degree-k basis token.  This is the
-    transpose of ChainComplex.matrix(k), which has the same rank and
-    invariant factors."""
+    {target index: coefficient} row per degree-k token."""
     sources = complex_.basis.basis(k)  # raises DegreeOverflowError past max_degree
     if k <= 0:
         return [{} for _ in sources]
     index = complex_.basis.index(k - 1)
     d = complex_.d
     return [{index[t]: c for t, c in d(tok).items()} for tok in sources]
+
+
+def boundary_reader(complex_):
+    """k -> _boundary_rows(complex_, k), reading each d_k once.  Every
+    caller of the reader gets the same rows, so none may change them."""
+    read = {}
+
+    def rows(k):
+        if k not in read:
+            read[k] = _boundary_rows(complex_, k)
+        return read[k]
+
+    return rows
 
 
 def _no_degree_above(n):
@@ -364,7 +369,7 @@ def homology(complex_, degrees):
 
     def reduced(k):
         if k not in reductions:
-            reductions[k] = _reduce(_boundary_rows(complex_, k), ring.p)
+            reductions[k] = _rank_and_torsion(_boundary_rows(complex_, k), ring.p)
         return reductions[k]
 
     out = []
@@ -378,140 +383,151 @@ def homology(complex_, degrees):
     return out
 
 
+def _inverted(rows):
+    """The sparse rows {x: coefficient} as {x: [(row number, coefficient)]}."""
+    index = {}
+    for k, row in enumerate(rows):
+        for x, c in row.items():
+            index.setdefault(x, []).append((k, c))
+    return index
+
+
+def _products(index, vector, m):
+    """The dot products of m rows, given _inverted, with a sparse vector."""
+    out = [0] * m
+    for x, v in vector.items():
+        if x in index:
+            for k, c in index[x]:
+                out[k] += c * v
+    return out
+
+
+def _remainder_generators(kept, boundaries, left):
+    """Generators of H_n of the remainder, as (order, coordinate row,
+    cycle), both {kept token: coefficient}: order 0 for a free generator,
+    the coordinate of a remainder cycle z is its dot product with the
+    coordinate row (mod the order), and cycle is the generator.  Torsion
+    comes first, by increasing order.
+
+    kept are the remainder's n-tokens, left their d_n rows that did not
+    vanish, and boundaries the rows of d_{n+1} that no unit pivot took;
+    over F_p both are empty and every kept token is a free generator.  Over
+    Z dense Smith normal forms run on the remainder alone: one of left,
+    whose row transform gives the cycles among the tokens in left, and one
+    of the boundaries in those cycles' coordinates, transformed on the
+    cycles' side.
+    """
+    cycles = [{x: 1} for x in kept if x not in left]
+    readers = list(cycles)  # reader k dotted with a cycle gives its k-th coordinate
+    tied = [x for x in kept if x in left]
+    if tied:
+        cols = list(dict.fromkeys(j for x in tied for j in left[x]))
+        snf = smith_normal_form([[left[x][j] if j in left[x] else 0 for j in cols]
+                                 for x in tied])
+        # z is a cycle iff (z Uinv)[:rank] = 0, and then z = (z Uinv) U
+        for k in range(snf.rank, len(tied)):
+            cycles.append({x: c for x, c in zip(tied, snf.U[k]) if c})
+            readers.append({x: row[k] for x, row in zip(tied, snf.Uinv) if row[k]})
+    m = len(cycles)
+    index = _inverted(readers)
+    images = [image for image in (_products(index, row, m) for row in boundaries.values())
+              if any(image)]
+    if not images:
+        return [(0, reader, cycle) for reader, cycle in zip(readers, cycles)]
+    # in the coordinates U w of the cycles, the boundaries are spanned by d_i e_i
+    snf = smith_normal_form([[image[k] for image in images] for k in range(m)])
+    out = []
+    for i in range(m):
+        order = abs(snf.diagonal[i]) if i < len(snf.diagonal) else 0
+        if order == 1:
+            continue
+        coordinate, cycle = {}, {}
+        for k in range(m):
+            for target, vector, c in ((coordinate, readers[k], snf.U[i][k]),
+                                      (cycle, cycles[k], snf.Uinv[k][i])):
+                if c:
+                    for x, v in vector.items():
+                        target[x] = (target[x] if x in target else 0) + c * v
+        out.append((order, coordinate, cycle))
+    return out
+
+
 class HomologyBasis:
-    """Homology of one degree with chain-level representatives.
+    """Homology of one degree with chain-level representatives, over Z or
+    F_p, from the elimination that gives homology() its ranks.
+
+    The unit pivots of d_{n+1} each pair an n-token with an (n+1)-token,
+    and the unit pivots of d_n on the n-tokens left each pair one with an
+    (n-1)-token; the paired tokens drop out, a reduction of the complex
+    (an algebraic Morse matching).  The kept n-tokens span the remainder.
+    f takes a cycle to the remainder: sift it through the pivots of
+    d_{n+1} in pivot order and keep its kept entries.  nabla takes a kept
+    token to the combination of d_n's rows that its row became: the token
+    plus paired tokens.  Over F_p the remainder has zero differentials and
+    its tokens are the generators.  Over Z its rows hold no unit, and the
+    generators come from dense Smith normal forms of the remainder alone.
 
     representatives are coordinate vectors in the degree-n basis, and
     coordinates(cycle_vector) expresses a cycle in the generators; it
-    raises ValueError on a vector that is not a cycle.
+    raises ValueError on a vector that is not a cycle.  Generators are
+    labelled ('free', i) or ('torsion', i, order), i their position;
+    torsion (over Z only) comes first, by increasing order, and torsion
+    coordinates are reduced mod the order.
 
-    Over Z: generators are labelled ('free', i) or ('torsion', i, order),
-    from two dense Smith normal forms with transforms; torsion coordinates
-    are reduced mod the order.
-
-    Over F_p: generators are ('free', i), from the sparse elimination.
-    The boundaries are _reduce's pivot rows of d_{n+1}, the cycles the row
-    combinations of d_n that vanish.  Reducers are the boundary pivots in
-    pivot order, then each cycle that survives reduction against all
-    earlier reducers, led by one of its nonzero entries.  Every reducer is
-    zero at the lead of every earlier one, so reducing a vector against
-    them once, in insertion order, clears every lead; coordinates rely on
-    this order.
+    rows, a boundary_reader of the complex, lets bases of several degrees
+    read each d_k once.
     """
 
-    def __init__(self, complex_, n):
+    def __init__(self, complex_, n, rows=None):
         self.complex = complex_
         self.n = n
         if n + 1 > complex_.max_degree:
             raise _no_degree_above(n)
-        p = complex_.ring.p
-        if p is None:
-            self._build_integral(complex_.matrix(n), complex_.matrix(n + 1),
-                                 complex_.basis.dimension(n))
-            return
-        self._p = p
-        # each reducer is (lead, vector, inverse of vector[lead], generator
-        # index or None for a boundary)
-        self._reducers = [(lead, row, inverse, None) for lead, row, inverse
-                          in _modp_column_space(_boundary_rows(complex_, n + 1), p)]
+        if rows is None:
+            rows = boundary_reader(complex_)
+        p = self._p = complex_.ring.p
+        self._rows = rows(n)
+        self._pivots, boundaries = _modp_column_space(rows(n + 1), p)
+        combos, left = _modp_kernel(self._rows, p, {col for col, _, _ in self._pivots})
+        gens = _remainder_generators(sorted(combos), boundaries, left)
         dim_n = complex_.basis.dimension(n)
         self.generators = []
         self.representatives = []
-        for cycle in _modp_kernel(_boundary_rows(complex_, n), p):
-            self._sift(cycle)
-            if cycle:
-                lead = min(cycle)
-                self._reducers.append((lead, cycle, pow(cycle[lead], -1, p),
-                                       len(self.generators)))
-                self.generators.append(("free", len(self.generators)))
-                self.representatives.append([cycle[j] if j in cycle else 0
-                                             for j in range(dim_n)])
-
-    def _build_integral(self, d_n, d_n1, dim_n):
-        snf_n = smith_normal_form(d_n, cols=dim_n)
-        rank_n = snf_n.rank
-        nullity = dim_n - rank_n
-        # kernel basis: last `nullity` columns of V
-        V, Vinv = snf_n.V, snf_n.Vinv
-        kernel_cols = list(range(rank_n, dim_n))
-        m = len(d_n1[0]) if d_n1 else 0
-        # image of d_{n+1} in kernel coordinates: rows of Vinv * d_n1 at kernel indices
-        C = [[0] * m for _ in kernel_cols]
-        if m:
-            VinvB = mat_mul(Vinv, d_n1) if d_n1 else []
-            for r, idx in enumerate(kernel_cols):
-                C[r] = VinvB[idx]
-        snf_c = smith_normal_form(C, rows=nullity, cols=m)
-        self._V = V
-        self._Vinv = Vinv
-        self._rank = rank_n
-        self._kernel_cols = kernel_cols
-        self._Uc = snf_c.U
-        self._Ucinv = snf_c.Uinv
-        self._orders = snf_c.diagonal + [0] * (nullity - len(snf_c.diagonal))
-        self.generators = []
-        self.representatives = []
-        for i in range(nullity):
-            order = abs(self._orders[i]) if i < len(self._orders) else 0
-            if order == 1:
-                continue
-            label = ("free", i) if order == 0 else ("torsion", i, order)
-            self.generators.append(label)
-            # representative chain: K * (i-th column of Ucinv)
+        for i, (order, _, cycle) in enumerate(gens):
+            self.generators.append(("torsion", i, order) if order else ("free", i))
             rep = [0] * dim_n
-            for r, idx in enumerate(self._kernel_cols):
-                col = self._Ucinv[r][i]
-                if col:
-                    for row in range(dim_n):
-                        rep[row] += V[row][idx] * col
+            for x, w in cycle.items():
+                for j, v in combos[x].items():
+                    rep[j] += w * v
             self.representatives.append(rep)
+        self._moduli = [order or p for order, _, _ in gens]
+        self._readers = _inverted([coordinate for _, coordinate, _ in gens])
 
-    def _sift(self, vec):
-        """Reduce the sparse vector vec in place against the F_p reducers,
-        in insertion order; return the coefficients of the generators."""
+    def coordinates(self, cycle):
+        """Coordinates of a cycle (vector in the degree-n basis) in homology."""
         p = self._p
-        coords = [0] * len(self.generators)
-        for lead, rv, inverse, gen in self._reducers:
+        boundary = {}
+        vec = {}
+        for j, x in enumerate(cycle):
+            if p:
+                x %= p
+            if x:
+                vec[j] = x
+                for k, v in self._rows[j].items():
+                    boundary[k] = (boundary[k] if k in boundary else 0) + x * v
+        for v in boundary.values():
+            if v % p if p else v:
+                raise ValueError("vector is not a cycle")
+        for lead, row, inverse in self._pivots:
             if lead in vec:
-                c = vec[lead] * inverse % p
-                if gen is not None:
-                    coords[gen] = c
-                for j, v in rv.items():
-                    x = ((vec[j] if j in vec else 0) - c * v) % p
+                c = vec[lead] * inverse
+                for j, v in row.items():
+                    x = (vec[j] if j in vec else 0) - c * v
+                    if p:
+                        x %= p
                     if x:
                         vec[j] = x
                     elif j in vec:
                         del vec[j]
-        return coords
-
-    def coordinates(self, cycle):
-        """Coordinates of a cycle (vector in the degree-n basis) in homology."""
-        ring = self.complex.ring
-        if ring.p is None:
-            w = [0] * len(self._kernel_cols)
-            full = [sum(self._Vinv[i][j] * cycle[j] for j in range(len(cycle)))
-                    for i in range(len(cycle))]
-            # U d V is diagonal with rank nonzero entries: d(cycle) = 0 iff
-            # the first rank entries of V^{-1} cycle vanish
-            if any(full[:self._rank]):
-                raise ValueError("vector is not a cycle modulo the image")
-            for r, idx in enumerate(self._kernel_cols):
-                w[r] = full[idx]
-            coords_all = [sum(self._Uc[i][r] * w[r] for r in range(len(w)))
-                          for i in range(len(w))]
-            out = []
-            gi = 0
-            for i in range(len(w)):
-                order = abs(self._orders[i]) if i < len(self._orders) else 0
-                if order == 1:
-                    continue
-                c = coords_all[i]
-                out.append(c % order if order else c)
-                gi += 1
-            return out
-        p = self._p
-        vec = {j: x % p for j, x in enumerate(cycle) if x % p}
-        coords = self._sift(vec)
-        if vec:
-            raise ValueError("vector is not a cycle modulo the image")
-        return coords
+        out = _products(self._readers, vec, len(self.generators))
+        return [c % m if m else c for c, m in zip(out, self._moduli)]

@@ -235,22 +235,43 @@ print(json.dumps([[list(g) for g in row["generators"]] for row in rows]))
 print(json.dumps([row["matrix"] for row in rows]))
 """
 
+# lambda-tilde_2 on HH_0..1(Z[S3]): the integral bases, with HH_1 = Z/2 + Z/6
+_S3_POWER_SCRIPT = """
+import json
+from loopchain.dg import couniversal_twisting
+from loopchain.fixtures import group_ring_hopf
+from loopchain.groups import BUILTIN_GROUPS
+from loopchain.hochschild import hochschild_of_algebra, power_map, power_map_on_homology
+from loopchain.perturbation import BarHopfStructure
+H = group_ring_hopf(BUILTIN_GROUPS["s3"])
+bh = BarHopfStructure(H, 5)
+hoch = hochschild_of_algebra(H.algebra, bar=bh.barH, max_degree=2)
+lam = power_map(couniversal_twisting(H.algebra, bh.barH), bh.hirsch(), H, 2, check_degree=2)
+rows = power_map_on_homology(hoch, lam, range(2))
+print(json.dumps([[list(g) for g in row["generators"]] for row in rows]))
+print(json.dumps([row["matrix"] for row in rows]))
+"""
+
 
 def test_power_map_matrices_do_not_depend_on_hash_seed():
     # tokens hash by address, so any dependence on set or hash order would
-    # show up as different matrices under different hash seeds
+    # show up as different generators or matrices under different hash seeds
     import os
     import subprocess
     import sys
     import loopchain
     src = os.path.dirname(os.path.dirname(os.path.abspath(loopchain.__file__)))
-    outputs = []
-    for seed in ("1", "2"):
-        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
-        run = subprocess.run([sys.executable, "-c", _RP_POWER_SCRIPT], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
-    assert outputs[0] == outputs[1]
-    assert len(json.loads(outputs[0].splitlines()[1])) == 6
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    for script, degrees in ((_RP_POWER_SCRIPT, 6), (_S3_POWER_SCRIPT, 2)):
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        generators = json.loads(outputs[0].splitlines()[0])
+        assert len(generators) == degrees
+    # the torsion of HH_1(Z[S3]) reaches the integral bases
+    assert [g[0] for g in generators[1]] == ["torsion", "torsion"]

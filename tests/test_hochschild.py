@@ -30,7 +30,7 @@ from loopchain.hochschild import (
 )
 from loopchain.perturbation import BarHopfStructure, bar_shuffle_hopf
 from loopchain.simplicial import double_suspension, get_space, normalized_chains
-from loopchain.snf import homology, mat_mul
+from loopchain.snf import homology
 
 
 def pair(c, a):
@@ -867,7 +867,8 @@ def test_power_maps_compose_on_homology(name, r, s):
     p = hoch.ring.p or 0
     for row_r, row_s, row_rs in zip(rows[r], rows[s], rows[r * s]):
         moduli = [g[2] if g[0] == "torsion" else p for g in row_rs["generators"]]
-        product = mat_mul(row_r["matrix"], row_s["matrix"])
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*row_s["matrix"])]
+                   for row in row_r["matrix"]]
         for i, m in enumerate(moduli):
             for j, want in enumerate(row_rs["matrix"][i]):
                 diff = product[i][j] - want

@@ -1,3 +1,7 @@
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -5,7 +9,31 @@ from loopchain.chains import (
     ZZ, F2, F3, F5, Ring, Element, GradedBasis, ChainComplex, DegreeOverflowError,
     dualize, generator, map_from_table, zero_map,
 )
-from loopchain.snf import smith_normal_form, mat_mul, homology, HomologyBasis, modp_rank
+from loopchain.snf import (
+    _reduce, boundary_reader, smith_normal_form, homology, HomologyBasis, modp_rank,
+)
+
+
+def mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def determinant(m):
+    m = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(m)):
+        lead = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if lead is None:
+            return 0
+        if lead != k:
+            m[k], m[lead] = m[lead], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            for j in range(k, len(m)):
+                m[i][j] -= f * m[k][j]
+    return int(det)
 
 
 def test_identity():
@@ -42,19 +70,25 @@ _small_matrices = st.lists(
 def test_snf_postconditions(matrix):
     res = smith_normal_form(matrix)
     rows, cols = len(matrix), len(matrix[0])
-    # U M V is the diagonal of invariant factors
-    D = mat_mul(mat_mul(res.U, matrix), res.V)
-    for i in range(rows):
-        for j in range(cols):
-            expected = res.diagonal[i] if i == j and i < len(res.diagonal) else 0
-            assert D[i][j] == expected
-    # divisibility chain
+    # U is unimodular: Uinv is its inverse
+    assert mat_mul(res.U, res.Uinv) == [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    # divisibility chain, the nonzero factors first
     facs = res.factors
+    assert res.diagonal[:len(facs)] == facs
     for a, b in zip(facs, facs[1:]):
         assert b % a == 0
-    # transforms are inverse pairs (hence unimodular)
-    assert mat_mul(res.U, res.Uinv) == [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    assert mat_mul(res.V, res.Vinv) == [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    # U M = D W, where the rank rows of W have coprime maximal minors, so W
+    # extends to a unimodular matrix and U M V = D for V its inverse
+    UM = mat_mul(res.U, matrix)
+    assert not any(any(row) for row in UM[len(facs):])
+    W = []
+    for d, row in zip(facs, UM):
+        assert all(v % d == 0 for v in row)
+        W.append([v // d for v in row])
+    g = 0
+    for cs in combinations(range(cols), len(W)):
+        g = gcd(g, determinant([[row[j] for j in cs] for row in W]))
+    assert g == 1
 
 
 def _complex(diffs, maxdeg, ring=ZZ):
@@ -200,12 +234,63 @@ def test_modp_homology_basis_matches_dense_snf(matrix):
                     h1.coordinates([int(k == j) for k in range(cols)])
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_boundary_matrices)
+def test_integral_homology_basis_matches_dense_snf(matrix):
+    # Z bases of a two-term complex C_1 -> C_0 against the dense SNF of the
+    # whole matrix, which does not run the sparse elimination the bases come
+    # from; both bases share one reader, so each reduces the same rows of d_1
+    rows, cols = len(matrix), len(matrix[0])
+    factors = [abs(d) for d in smith_normal_form(matrix).factors]
+    rank = len(factors)
+    X = _complex({1: matrix}, 2)
+    reader = boundary_reader(X)
+    h0, h1 = HomologyBasis(X, 0, reader), HomologyBasis(X, 1, reader)
+    assert [g[2] for g in h0.generators if g[0] == "torsion"] == [d for d in factors if d > 1]
+    assert sum(g[0] == "free" for g in h0.generators) == rows - rank
+    assert h1.generators == [("free", i) for i in range(cols - rank)]
+    assert [g[1] for g in h0.generators] == list(range(len(h0.generators)))
+    boundaries = [[row[j] for row in matrix] for j in range(cols)]
+    for rep in h1.representatives:
+        assert all(sum(x * b[r] for x, b in zip(rep, boundaries)) == 0 for r in range(rows))
+    for hb, dim, added in ((h0, rows, boundaries), (h1, cols, [])):
+        orders = [g[2] if g[0] == "torsion" else 0 for g in hb.generators]
+        for i, rep in enumerate(hb.representatives):
+            e_i = [int(k == i) for k in range(len(orders))]
+            assert hb.coordinates(rep) == e_i
+            for b in added:
+                assert hb.coordinates([x + y for x, y in zip(rep, b)]) == e_i
+            if orders[i]:
+                # order times a torsion generator is a boundary
+                assert hb.coordinates([orders[i] * x for x in rep]) == [0] * len(orders)
+        # coordinates are linear: the sum of k * rep_k has coordinates k,
+        # taken mod the order of a torsion generator
+        mix = [sum((k + 1) * rep[r] for k, rep in enumerate(hb.representatives))
+               for r in range(dim)]
+        assert hb.coordinates(mix) == [(k + 1) % o if o else k + 1 for k, o in enumerate(orders)]
+    for j, b in enumerate(boundaries):
+        if any(b):
+            with pytest.raises(ValueError, match="not a cycle"):
+                h1.coordinates([int(k == j) for k in range(cols)])
+
+
+def test_reduce_leaves_its_rows_unchanged():
+    # d_1 has a unit pivot whose clearing changes the other rows, and a
+    # remainder without units
+    rows = [{0: 1, 1: 2}, {0: 1, 1: 4}, {0: 3, 1: 2}]
+    before = [dict(row) for row in rows]
+    for p in (None, 5):
+        _reduce(rows, p, pivots=[], combos={})
+        assert rows == before
+    assert homology(_complex({1: [[1, 1, 3], [2, 4, 2]]}, 2), range(1))[0].torsion == [2]
+
+
 def test_modp_homology_basis_runs_the_named_layers():
     # the benchmark's snf.modp_s and snf.basis_s find the F_p basis work by
     # the code objects of these functions
     import cProfile
     from loopchain import snf
-    X = _complex({1: [[1, 1], [0, 2]], 2: [[1], [-1]]}, 3, ring=F3)
+    X = _complex({1: [[1, 1], [2, 2]], 2: [[1], [-1]]}, 3, ring=F3)
     prof = cProfile.Profile()
     prof.runcall(lambda: HomologyBasis(X, 1).coordinates([1, 2]))
     seen = {e.code for e in prof.getstats()}
