@@ -611,16 +611,17 @@ def _tensor_complex(factors, max_degree):
 def tensor_algebra(*algebras, max_degree=None):
     """Componentwise algebra on flat tensor tokens with Koszul signs."""
     ring = algebras[0].ring
-    n_factors = len(algebras)
     cx = _tensor_complex(algebras, max_degree)
     unit = tensor_token(*[a.unit for a in algebras])
-    order = [k for i in range(n_factors) for k in (i, n_factors + i)]
 
     def mult(s, t):
-        a_parts, b_parts = s.data, t.data
-        sign = koszul_sign([x.degree for x in a_parts + b_parts], order)
-        return tensor_product(ring, [algebras[i].mult(a_parts[i], b_parts[i])
-                                     for i in range(n_factors)], sign)
+        # interleave a_1..a_n b_1..b_n: each b_i passes a_j for j > i
+        later, exponent = s.degree, 0
+        for a, b in zip(s.data, t.data):
+            later -= a.degree
+            exponent += b.degree * later
+        return tensor_product(ring, [alg.mult(a, b) for alg, a, b in
+                                     zip(algebras, s.data, t.data)], parity_sign(exponent))
 
     def aug(tok):
         v = 1

@@ -7,7 +7,7 @@ group rings of C_2 and S_3 in an augmentation-aligned basis.
 """
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, generator, koszul_sign,
+    ChainComplex, Element, GradedBasis, LinearMap, generator, parity_sign,
     tensor_token, word_token, desuspend, zero_map, RINGS, ZZ, F2,
 )
 from .dg import (
@@ -152,25 +152,25 @@ def monomial_algebra(ring, gens, max_degree, name, truncations=None):
     cx = ChainComplex(basis, zero_map(ring, -1), name)
     unit = _monomial_token(gens, [0] * len(gens))
 
-    def symbols(exps):
-        out = []
-        for i, e in enumerate(exps):
-            out.extend([i] * e)
-        return out
+    table = {}  # finitely many basis pairs: each product is built once
 
     def mult(s, t):
-        es = list(s.data[1:])
-        et = list(t.data[1:])
-        combined = [a + b for a, b in zip(es, et)]
-        for i, e in enumerate(combined):
-            if e >= truncations[i] or (gens[i][1] % 2 and e > 1):
-                return Element(ring)
-        # Koszul sign of sorting the concatenated generator symbols
-        seq = symbols(es) + symbols(et)
-        degrees = [gens[i][1] for i in seq]
-        order = sorted(range(len(seq)), key=lambda k: (seq[k], k))
-        sign = koszul_sign(degrees, order)
-        return Element.from_token(ring, _monomial_token(gens, combined), sign)
+        out = table.get((s, t))
+        if out is None:
+            es, et = s.data[1:], t.data[1:]
+            combined = [a + b for a, b in zip(es, et)]
+            if any(e >= truncations[i] or (gens[i][1] % 2 and e > 1)
+                   for i, e in enumerate(combined)):
+                out = Element(ring)
+            else:
+                # Koszul sign of sorting: each symbol of t passes the symbols
+                # of s with a larger generator index
+                exponent = sum(es[i] * gens[i][1] * et[j] * gens[j][1]
+                               for i in range(len(gens)) for j in range(i))
+                out = Element.from_token(ring, _monomial_token(gens, combined),
+                                         parity_sign(exponent))
+            table[s, t] = out
+        return out
 
     return DGAlgebra(cx, unit, mult, name=name)
 

@@ -15,8 +15,7 @@ of it; a check_degree checks C_lowest..C_check_degree when it is built.
 
 from .chains import (
     ChainComplex, Element, GradedBasis, LinearMap, identity_map, koszul_sign,
-    operator_application_sign, parity_sign, suspend, desuspend, tensor_map,
-    tensor_product, tensor_token, word_token,
+    parity_sign, suspend, desuspend, tensor_map, tensor_product, tensor_token, word_token,
 )
 from .dg import (
     TwistingCochain, algebra_realization, bar_cobar_unit, bar_construction,
@@ -110,8 +109,12 @@ def hochschild_general(t, max_degree=None, name=""):
 
     d_t(y (x) x) = dy (x) x + (-1)^|y| y (x) dx
                    - (-1)^|y_j| y_j (x) t(c^j).x
-                   + (-1)^((|c_i|-1)(|y^i|+|x|)) y^i (x) x.t(c_i),
-    all signs produced by the Koszul engine.
+                   + (-1)^((|c_i|-1)(|y^i|+|x|)) y^i (x) x.t(c_i).
+
+    The two twisted terms are read once per C-token y: the terms a of
+    (Id (x) t)Delta(y) and of (t (x) Id)Delta(y) where t is nonzero, with
+    their signs except the factor (-1)^(|a||x|) of the last term.  Each token
+    y (x) x then only multiplies by x and applies that factor.
     """
     ring = t.ring
     C, A = t.source, t.target
@@ -128,32 +131,31 @@ def hochschild_general(t, max_degree=None, name=""):
         return out
 
     basis = GradedBasis(ring, basis_fn, max_degree, label)
+    twisted = {}
+
+    def twisted_terms(y):
+        """Lists (y_j, a, coefficient) for t(c^j) and (y^i, a, coefficient) for
+        t(c_i) over Delta(y), in the order of Delta(y); shared, never mutated."""
+        left, right = [], []
+        for pair, c in C.comult(y).items():
+            u, v = pair.data
+            left += [(u, a, -parity_sign(u.degree) * c * ca) for a, ca in t.map(v).items()]
+            right += [(v, a, parity_sign(a.degree * v.degree) * c * ca)
+                      for a, ca in t.map(u).items()]
+        twisted[y] = left, right
+        return left, right
 
     def differential(tok):
         y, x = tok.data
         sign = parity_sign(y.degree)
         pairs = [(tensor_token(u, x), c) for u, c in C.complex.d(y).items()]
         pairs += [(tensor_token(y, u), sign * c) for u, c in A.complex.d(x).items()]
-        coproduct = C.comult(y).items()
-        # - (Id (x) m(t (x) Id)) (Delta (x) Id): t passes y_j
-        for pair, c in coproduct:
-            yj, cj = pair.data
-            tv = t.map(cj)
-            if tv.is_zero():
-                continue
-            coeff = -operator_application_sign([0, -1], [yj.degree, cj.degree]) * c
-            pairs += [(tensor_token(yj, m), coeff * ca * cm)
-                      for a, ca in tv.items() for m, cm in A.mult(a, x).items()]
-        # + move c_i to the end, then apply t there
-        for pair, c in coproduct:
-            ci, yi = pair.data
-            tv = t.map(ci)
-            if tv.is_zero():
-                continue
-            rot = koszul_sign([ci.degree, yi.degree, x.degree], [1, 2, 0])
-            app = operator_application_sign([0, 0, -1], [yi.degree, x.degree, ci.degree])
-            pairs += [(tensor_token(yi, m), rot * app * c * ca * cm)
-                      for a, ca in tv.items() for m, cm in A.mult(x, a).items()]
+        left, right = twisted.get(y) or twisted_terms(y)
+        for u, a, c in left:
+            pairs += [(tensor_token(u, m), c * cm) for m, cm in A.mult(a, x).items()]
+        for u, a, c in right:
+            c *= parity_sign(a.degree * x.degree)
+            pairs += [(tensor_token(u, m), c * cm) for m, cm in A.mult(x, a).items()]
         return Element(ring, pairs)
 
     cx = ChainComplex(basis, LinearMap(ring, -1, differential, "d_t"), label)

@@ -1,9 +1,11 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopchain.chains import (
-    ZZ, F2, Element, generator, suspend, desuspend, tensor_token, word_token,
+    ZZ, F2, F3, Element, generator, suspend, desuspend, tensor_token, word_token,
+    koszul_sign, parity_sign, tensor_product,
     verify_chain_map, identity_map, tensor_map, add_maps,
     ChainComplex, DegreeOverflowError, GradedBasis, InfiniteTypeError, zero_map,
 )
@@ -344,6 +346,69 @@ def test_convolution_of_powers_adds_on_cocommutative():
         for n in range(0, 5):
             for tok in H.complex.basis.basis(n):
                 assert conv(tok) == lam_rs(tok)
+
+
+# --- monomial and tensor algebras --------------------------------------------
+
+
+def _sorted_symbol_sign(degrees, es, et):
+    """Koszul sign of sorting the generator symbols of s, then t, by index."""
+    seq = [i for exps in (es, et) for i, e in enumerate(exps) for _ in range(e)]
+    order = sorted(range(len(seq)), key=lambda k: (seq[k], k))
+    return koszul_sign([degrees[i] for i in seq], order)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_monomial_sign_is_the_sorted_symbol_sign(data):
+    degrees = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=1 if d % 2 else 2)
+                            for d in degrees])
+    es, et = data.draw(exponents), data.draw(exponents)
+    top = sum(d if d % 2 else 4 * d for d in degrees)
+    A = monomial_algebra(ZZ, [("g%d" % i, d) for i, d in enumerate(degrees)], top, "M",
+                         truncations=[2 if d % 2 else 5 for d in degrees])
+    tokens = {tok.data[1:]: tok for n in range(top + 1) for tok in A.complex.basis.basis(n)}
+    product = tuple(a + b for a, b in zip(es, et))
+    expected = Element(ZZ)
+    if product in tokens:
+        expected = el(ZZ, tokens[product], _sorted_symbol_sign(degrees, es, et))
+    assert A.mult(tokens[es], tokens[et]) == expected
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3])
+def test_monomial_algebra_laws(ring):
+    # x and z odd, y even with y^3 = 0
+    A = monomial_algebra(ring, [("x", 1), ("y", 2), ("z", 3)], 10, "E(x,z)P(y)/y^3",
+                         truncations=[2, 3, 2])
+    toks = {tok.data[1:]: tok for n in range(9) for tok in A.complex.basis.basis(n)}
+    assert len(toks) == 12
+    y, y2 = toks[0, 1, 0], toks[0, 2, 0]
+    assert A.mult(y, y) == el(ring, y2) and A.mult(y, y2).is_zero()
+    assert A.mult(toks[0, 0, 1], toks[1, 0, 0]) == el(ring, toks[1, 0, 1], -1)
+    assert A.check_associativity(8) is None
+    for a in toks.values():
+        for b in toks.values():
+            ab = A.mult(a, b)
+            assert ab == A.mult(b, a).scale(parity_sign(a.degree * b.degree)), (a, b)
+            assert A.mult(a, b) == ab
+
+
+@pytest.mark.parametrize("n_factors", [2, 3])
+def test_tensor_algebra_sign_is_the_interleave_koszul_sign(n_factors):
+    A = monomial_algebra(ZZ, [("x", 1), ("y", 2)], 6, "E(x)P(y)/y^3", truncations=[2, 3])
+    T = tensor_algebra(*[A] * n_factors, max_degree=4)
+    toks = [tok for n in range(5) for tok in T.complex.basis.basis(n)]
+    # a_1 .. a_n b_1 .. b_n -> a_1 b_1 .. a_n b_n
+    order = [k for i in range(n_factors) for k in (i, n_factors + i)]
+    signs = set()
+    for s in toks:
+        for t in toks:
+            sign = koszul_sign([u.degree for u in s.data + t.data], order)
+            signs.add(sign)
+            expected = tensor_product(ZZ, [A.mult(a, b) for a, b in zip(s.data, t.data)], sign)
+            assert T.mult(s, t) == expected, (s, t)
+    assert signs == {1, -1}
 
 
 # --- Hopf fixture sanity -----------------------------------------------------
