@@ -12,9 +12,12 @@ by identity and each keeps its sort key once computed.
 Sums have one home, Element: its constructor is the one loop that merges
 (token, coefficient) pairs, reduces them mod p and drops zero terms.  Every
 sum in the library is built through it, by the constructor on a list of
-pairs or by the combinators on top of it: Element.apply (linear extension),
-Element.bilinear (bilinear extension) and tensor_product (the tensor fold
-into tensor or word tokens).
+pairs or by the combinators on top of it: Element.apply (linear extension
+of a token -> Element map), Element.bilinear (bilinear extension of a
+function returning unreduced (token, coefficient) pairs, such as an
+algebra's product) and tensor_product (the tensor fold into tensor or word
+tokens).  Functions that only feed a sum return pairs, not an Element, so
+a product of two elements merges into one Element, not one per term pair.
 """
 
 
@@ -313,10 +316,12 @@ class Element:
 
     def bilinear(self, other, fn):
         """Bilinear extension: the sum of c1 * c2 * fn(t1, t2) over the terms
-        c1*t1 of self and c2*t2 of other, where fn returns an Element."""
+        c1*t1 of self and c2*t2 of other, where fn returns (token,
+        coefficient) pairs, unreduced: tokens may repeat and coefficients
+        need not be reduced mod p."""
         right = other.terms.items()
         return Element(self.ring, [(u, c1 * c2 * cu) for t1, c1 in self.terms.items()
-                                   for t2, c2 in right for u, cu in fn(t1, t2).terms.items()])
+                                   for t2, c2 in right for u, cu in fn(t1, t2)])
 
     def __eq__(self, other):
         return (

@@ -22,14 +22,19 @@ def unit_augmentation(ring, unit_token):
 class DGAlgebra:
     """Augmented chain algebra with a basis-aligned augmentation.
 
-    mult(tok, tok) returns an Element; non-unit basis tokens must be
-    killed by the augmentation (fixtures are stated in such a basis).
+    The algebra is given by one product function: product(a, b) on basis
+    tokens returns the (token, coefficient) pairs of ab as a tuple, list or
+    items view, unreduced (tokens may repeat, coefficients need not be
+    reduced mod p), and () for zero.  multiply merges all products of two
+    elements into one Element; mult(a, b) is the product of two tokens as
+    an Element.  Non-unit basis tokens must be killed by the augmentation
+    (fixtures are stated in such a basis).
     """
 
-    def __init__(self, complex_, unit, mult, augmentation=None, name=""):
+    def __init__(self, complex_, unit, product, augmentation=None, name=""):
         self.complex = complex_
         self.unit = unit
-        self._mult = mult
+        self.product = product
         self.augmentation = augmentation or unit_augmentation(complex_.ring, unit)
         self.name = name or complex_.name
 
@@ -46,21 +51,25 @@ class DGAlgebra:
         return self.complex.max_degree
 
     def mult(self, a, b):
-        return self._mult(a, b)
+        return Element(self.ring, self.product(a, b))
 
     def multiply(self, x, y):
         """Product of two elements (no Koszul signs: values, not maps)."""
-        return x.bilinear(y, self._mult)
+        return x.bilinear(y, self.product)
 
     def multiply_all(self, elements):
-        out = Element.from_token(self.ring, self.unit)
-        for e in elements:
+        """The product x_1 ... x_k of a list of elements; the unit for k = 0."""
+        if not elements:
+            return Element.from_token(self.ring, self.unit)
+        out = elements[0]
+        for e in elements[1:]:
             out = self.multiply(out, e)
         return out
 
     def mult_on_pairs(self, x):
         """Apply multiplication to an element of binary tensor tokens."""
-        return x.apply(lambda t: self._mult(*t.data))
+        product = self.product
+        return Element(self.ring, [(u, c * cu) for t, c in x.items() for u, cu in product(*t.data)])
 
     def aug_ideal_basis(self, n):
         toks = self.complex.basis.basis(n)
@@ -94,7 +103,7 @@ class DGAlgebra:
             for m in range(through_degree + 1 - n):
                 for a in self.complex.basis.basis(n):
                     for b in self.complex.basis.basis(m):
-                        lhs = self.d(self._mult(a, b))
+                        lhs = self.d(self.mult(a, b))
                         rhs = self.multiply(self.d(a), self.element(b)) + \
                             self.multiply(self.element(a), self.d(b)).scale(parity_sign(n))
                         if lhs != rhs:
@@ -357,7 +366,7 @@ def bar_construction(A, max_degree=None):
                 merge_sign = passage * parity_sign(letter.degree)
                 pairs += [(word_token(letters[:j] + (suspend(u),) + letters[j + 2:]),
                            merge_sign * c)
-                          for u, c in A.mult(a, b).items() if u is not A.unit]
+                          for u, c in A.product(a, b) if u is not A.unit]
             prefix_deg += letter.degree
         return Element(ring, pairs)
 
@@ -430,6 +439,8 @@ def cobar_construction(C, max_degree=None):
                          parity_sign(t.data[0].degree) * coeff)
                         for t, coeff in C.reduced_comult(c).items()])
 
+    d_letter = LinearMap(ring, -1, letter_image, "d_Cobar on letters")
+
     def differential(tok):
         letters = tok.data
         pairs = []
@@ -437,7 +448,7 @@ def cobar_construction(C, max_degree=None):
         for j, letter in enumerate(letters):
             passage = parity_sign(prefix_deg)
             pairs += [(word_token(letters[:j] + w.data + letters[j + 1:]), passage * c)
-                      for w, c in letter_image(letter).items()]
+                      for w, c in d_letter(letter).items()]
             prefix_deg += letter.degree
         return Element(ring, pairs)
 
@@ -445,10 +456,10 @@ def cobar_construction(C, max_degree=None):
     cx = ChainComplex(basis, d, name="Cobar(%s)" % C.name)
     empty = word_token(())
 
-    def mult(u, v):
-        return Element.from_token(ring, word_token(u.data + v.data))
+    def product(u, v):
+        return ((word_token(u.data + v.data), 1),)
 
-    return DGAlgebra(cx, empty, mult, name="Cobar(%s)" % C.name)
+    return DGAlgebra(cx, empty, product, name="Cobar(%s)" % C.name)
 
 
 def cobar_map(f):
@@ -496,16 +507,12 @@ def couniversal_twisting(A, bar=None):
 
 def algebra_realization(t):
     """alpha_t: Cobar C -> A, the multiplicative extension of t."""
-    ring = t.ring
     A = t.target
 
     def fn(tok):
-        out = Element.from_token(ring, A.unit)
-        for letter in tok.data:
-            out = A.multiply(out, t.map(suspend(letter)))
-        return out
+        return A.multiply_all([t.map(suspend(letter)) for letter in tok.data])
 
-    return LinearMap(ring, 0, fn, "alpha_t")
+    return LinearMap(t.ring, 0, fn, "alpha_t")
 
 
 def coalgebra_realization(t):
@@ -610,18 +617,21 @@ def _tensor_complex(factors, max_degree):
 
 def tensor_algebra(*algebras, max_degree=None):
     """Componentwise algebra on flat tensor tokens with Koszul signs."""
-    ring = algebras[0].ring
     cx = _tensor_complex(algebras, max_degree)
     unit = tensor_token(*[a.unit for a in algebras])
+    products = [a.product for a in algebras]
 
-    def mult(s, t):
+    def product(s, t):
         # interleave a_1..a_n b_1..b_n: each b_i passes a_j for j > i
         later, exponent = s.degree, 0
         for a, b in zip(s.data, t.data):
             later -= a.degree
             exponent += b.degree * later
-        return tensor_product(ring, [alg.mult(a, b) for alg, a, b in
-                                     zip(algebras, s.data, t.data)], parity_sign(exponent))
+        partial = [((), parity_sign(exponent))]
+        for prod, a, b in zip(products, s.data, t.data):
+            factor = prod(a, b)
+            partial = [(us + (u,), c * cu) for us, c in partial for u, cu in factor]
+        return [(tensor_token(*us), c) for us, c in partial]
 
     def aug(tok):
         v = 1
@@ -629,7 +639,7 @@ def tensor_algebra(*algebras, max_degree=None):
             v *= a.augmentation(part)
         return v
 
-    return DGAlgebra(cx, unit, mult, aug, cx.name)
+    return DGAlgebra(cx, unit, product, aug, cx.name)
 
 
 def tensor_coalgebra(*coalgebras, max_degree=None):

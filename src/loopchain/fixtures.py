@@ -154,25 +154,24 @@ def monomial_algebra(ring, gens, max_degree, name, truncations=None):
 
     table = {}  # finitely many basis pairs: each product is built once
 
-    def mult(s, t):
+    def product(s, t):
         out = table.get((s, t))
         if out is None:
             es, et = s.data[1:], t.data[1:]
             combined = [a + b for a, b in zip(es, et)]
             if any(e >= truncations[i] or (gens[i][1] % 2 and e > 1)
                    for i, e in enumerate(combined)):
-                out = Element(ring)
+                out = ()
             else:
                 # Koszul sign of sorting: each symbol of t passes the symbols
                 # of s with a larger generator index
                 exponent = sum(es[i] * gens[i][1] * et[j] * gens[j][1]
                                for i in range(len(gens)) for j in range(i))
-                out = Element.from_token(ring, _monomial_token(gens, combined),
-                                         parity_sign(exponent))
+                out = ((_monomial_token(gens, combined), parity_sign(exponent)),)
             table[s, t] = out
         return out
 
-    return DGAlgebra(cx, unit, mult, name=name)
+    return DGAlgebra(cx, unit, product, name=name)
 
 
 def primitive_hopf(algebra):
@@ -255,10 +254,10 @@ def free_hopf_one(degree, ring=ZZ, max_degree=None, name="x"):
     basis = GradedBasis(ring, basis_fn, max_degree, label)
     cx = ChainComplex(basis, zero_map(ring, -1), label)
 
-    def mult(s, t):
-        return Element.from_token(ring, tok(s.data[2] + t.data[2]))
+    def product(s, t):
+        return ((tok(s.data[2] + t.data[2]), 1),)
 
-    A = DGAlgebra(cx, tok(0), mult, name=label)
+    A = DGAlgebra(cx, tok(0), product, name=label)
     return primitive_hopf(A)
 
 
@@ -278,16 +277,16 @@ def group_ring_hopf(group, ring=ZZ, max_degree=8):
                         max_degree, "R[%s]" % group.name)
     cx = ChainComplex(basis, zero_map(ring, -1), "R[%s]" % group.name)
 
-    def mult(s, t):
+    def product(s, t):
         if s is unit:
-            return Element.from_token(ring, t)
+            return ((t, 1),)
         if t is unit:
-            return Element.from_token(ring, s)
+            return ((s, 1),)
         g, h = s.data[2], t.data[2]
-        return Element(ring, [(tok(x), c) for x, c in ((group.mul(g, h), 1), (g, -1), (h, -1))
-                              if x != group.unit])
+        return [(tok(x), c) for x, c in ((group.mul(g, h), 1), (g, -1), (h, -1))
+                if x != group.unit]
 
-    A = DGAlgebra(cx, unit, mult, name="R[%s]" % group.name)
+    A = DGAlgebra(cx, unit, product, name="R[%s]" % group.name)
 
     def comult(t):
         if t is unit:
@@ -365,18 +364,16 @@ def dg_fixture_from_dict(doc):
         mtable = {}
         for key, entries in doc.get("multiplication", {}).items():
             a, b = key.split("|")
-            mtable[(names[a], names[b])] = parse_element(entries)
+            mtable[(names[a], names[b])] = tuple(parse_element(entries).items())
 
-        def mult(s, t):
+        def product(s, t):
             if s is unit:
-                return Element.from_token(ring, t)
+                return ((t, 1),)
             if t is unit:
-                return Element.from_token(ring, s)
-            if (s, t) in mtable:
-                return mtable[(s, t)]
-            return Element(ring)
+                return ((s, 1),)
+            return mtable.get((s, t), ())
 
-        A = DGAlgebra(cx, unit, mult, name=doc.get("name", "fixture"))
+        A = DGAlgebra(cx, unit, product, name=doc.get("name", "fixture"))
         bad = A.check_associativity(max_degree)
         if bad is not None:
             raise FixtureError("multiplication table fails associativity at %r" % (bad,))

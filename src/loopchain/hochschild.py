@@ -145,6 +145,8 @@ def hochschild_general(t, max_degree=None, name=""):
         twisted[y] = left, right
         return left, right
 
+    product = A.product
+
     def differential(tok):
         y, x = tok.data
         sign = parity_sign(y.degree)
@@ -152,10 +154,10 @@ def hochschild_general(t, max_degree=None, name=""):
         pairs += [(tensor_token(y, u), sign * c) for u, c in A.complex.d(x).items()]
         left, right = twisted.get(y) or twisted_terms(y)
         for u, a, c in left:
-            pairs += [(tensor_token(u, m), c * cm) for m, cm in A.mult(a, x).items()]
+            pairs += [(tensor_token(u, m), c * cm) for m, cm in product(a, x)]
         for u, a, c in right:
             c *= parity_sign(a.degree * x.degree)
-            pairs += [(tensor_token(u, m), c * cm) for m, cm in A.mult(x, a).items()]
+            pairs += [(tensor_token(u, m), c * cm) for m, cm in product(x, a)]
         return Element(ring, pairs)
 
     cx = ChainComplex(basis, LinearMap(ring, -1, differential, "d_t"), label)

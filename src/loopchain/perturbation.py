@@ -324,10 +324,10 @@ def bar_shuffle_hopf(A, max_degree=None):
     mmap = LinearMap(ring, 0, lambda tok: A.mult(*tok.data), "m")
     nu = bar_map(mmap, A)
 
-    def mult(u, v):
-        return nu(nabla(tensor_token(u, v)))
+    def product(u, v):
+        return nu(nabla(tensor_token(u, v))).items()
 
-    algebra = DGAlgebra(barA.complex, word_token(()), mult,
+    algebra = DGAlgebra(barA.complex, word_token(()), product,
                         name="Bar(%s)-shuffle" % A.name)
     hopf = HopfAlgebra(algebra, barA.comult, name="Bar(%s)-shuffle" % A.name)
     return hopf, barA, nu

@@ -1,5 +1,6 @@
 """The Element combinators against plain dict-of-sums references."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from loopchain.chains import (
@@ -25,12 +26,13 @@ def reference(ring, pairs):
 
 
 def image(tok):
-    """A fixed token -> Element table for the linear and bilinear extensions."""
+    """A fixed token -> pairs table for the linear extension."""
     d = tok.degree
     return [(word_token((tok,)), d + 1), (word_token((tok, tok)), -2), (TOKENS[d % 5], 3)]
 
 
 def product(s, t):
+    """A fixed pair-valued product for the bilinear extension."""
     return [(tensor_token(s, t), 1), (tensor_token(t, s), s.degree - t.degree)]
 
 
@@ -49,7 +51,7 @@ def test_apply_is_the_linear_extension(ring, pairs):
 @given(rings, pair_lists, pair_lists)
 def test_bilinear_is_the_bilinear_extension(ring, xs, ys):
     x, y = Element(ring, xs), Element(ring, ys)
-    got = x.bilinear(y, lambda s, t: Element(ring, product(s, t)))
+    got = x.bilinear(y, product)
     assert got.terms == reference(ring, [(u, cs * ct * cu) for s, cs in x.items()
                                          for t, ct in y.items() for u, cu in product(s, t)])
 
@@ -57,13 +59,32 @@ def test_bilinear_is_the_bilinear_extension(ring, xs, ys):
 @given(rings, pair_lists, pair_lists, pair_lists, coefficients)
 def test_bilinear_is_linear_in_each_argument(ring, xs, xs2, ys, k):
     x, x2, y = Element(ring, xs), Element(ring, xs2), Element(ring, ys)
+    assert (x + x2).bilinear(y, product) == x.bilinear(y, product) + x2.bilinear(y, product)
+    assert y.bilinear(x + x2, product) == y.bilinear(x, product) + y.bilinear(x2, product)
+    assert x.scale(k).bilinear(y, product) == x.bilinear(y, product).scale(k)
 
-    def mult(s, t):
-        return Element(ring, product(s, t))
 
-    assert (x + x2).bilinear(y, mult) == x.bilinear(y, mult) + x2.bilinear(y, mult)
-    assert y.bilinear(x + x2, mult) == y.bilinear(x, mult) + y.bilinear(x2, mult)
-    assert x.scale(k).bilinear(y, mult) == x.bilinear(y, mult).scale(k)
+@pytest.mark.parametrize("ring", [ZZ, F2, F3, F5])
+def test_bilinear_merges_repeated_tokens_that_cancel(ring):
+    b, c, d = TOKENS[1], TOKENS[2], TOKENS[3]
+
+    def cancelling(s, t):
+        return [(tensor_token(s, t), 1), (tensor_token(t, s), 2), (tensor_token(s, t), -1)]
+
+    got = Element.from_token(ring, b).bilinear(Element(ring, [(c, 1), (d, 1)]), cancelling)
+    assert got.terms == reference(ring, [(tensor_token(c, b), 2), (tensor_token(d, b), 2)])
+    assert tensor_token(b, c) not in got.terms
+
+
+@pytest.mark.parametrize("ring", [F2, F3, F5])
+def test_bilinear_drops_a_coefficient_equal_to_p(ring):
+    b, c = TOKENS[1], TOKENS[2]
+
+    def p_times(s, t):
+        return ((tensor_token(s, t), ring.p), (tensor_token(t, s), 1))
+
+    got = Element.from_token(ring, b).bilinear(Element.from_token(ring, c), p_times)
+    assert got.terms == {tensor_token(c, b): 1}
 
 
 @given(rings, st.lists(pair_lists, max_size=3), coefficients)
