@@ -218,13 +218,15 @@ def twist_tensor(ring, x):
 
 
 class HopfAlgebra:
-    """Chain Hopf algebra: a DGAlgebra with a comultiplication."""
+    """Chain Hopf algebra: a DGAlgebra and the DGCoalgebra of its comultiplication."""
 
     def __init__(self, algebra, comult, counit=None, name=""):
         self.algebra = algebra
-        self._comult = comult
         self.counit = counit or unit_augmentation(algebra.ring, algebra.unit)
         self.name = name or algebra.name
+        self._coalgebra = DGCoalgebra(algebra.complex, algebra.unit, comult, self.counit,
+                                      self.name)
+        self._comult = self._coalgebra._comult
 
     @property
     def ring(self):
@@ -246,14 +248,14 @@ class HopfAlgebra:
         return self._comult(tok)
 
     def as_coalgebra(self):
-        return DGCoalgebra(self.complex, self.unit, self._comult, self.counit, self.name)
+        return self._coalgebra
 
     def comult_power(self, tok, r):
         """Full Delta^(r) with values in flat r-fold tensor tokens."""
-        return _split_first_iterated(self.ring, tok, self._comult, r)
+        return self._coalgebra.comult_iterated(tok, r)
 
     def is_cocommutative(self, through_degree):
-        return self.as_coalgebra().is_cocommutative(through_degree)
+        return self._coalgebra.is_cocommutative(through_degree)
 
     def check_comult_is_algebra_map(self, through_degree):
         """delta(ab) = delta(a)delta(b) in the Koszul-signed tensor square."""

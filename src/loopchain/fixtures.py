@@ -32,6 +32,8 @@ def _primitive_comult(ring, one):
 
 def sphere_coalgebra(n, ring=ZZ, max_degree=None):
     """Chains model of an n-sphere: unit and one primitive generator."""
+    if n < 1:
+        raise ValueError("sphere_coalgebra needs n >= 1, got %r" % (n,))
     if max_degree is None:
         max_degree = 2 * n + 10
     one = generator("1", 0)
@@ -183,12 +185,9 @@ def primitive_hopf(algebra):
     """
     ring = algebra.ring
     square = tensor_algebra(algebra, algebra)
-    cache = {}
     primitive = _primitive_comult(ring, algebra.unit)
 
     def comult(tok):
-        if tok in cache:
-            return cache[tok]
         if tok is algebra.unit:
             out = Element.from_token(ring, tensor_token(tok, tok))
         elif tok.kind == "atom" and isinstance(tok.data, tuple) and tok.data[0] == "mono":
@@ -208,7 +207,6 @@ def primitive_hopf(algebra):
                 out = square.multiply(out, prim)
         else:
             raise ValueError("no primitive comultiplication for %r" % (tok,))
-        cache[tok] = out
         return out
 
     return HopfAlgebra(algebra, comult, name=algebra.name)

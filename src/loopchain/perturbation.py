@@ -10,10 +10,11 @@ homotopy h is the Eilenberg-Mac Lane formula
 
 on letters L_j = s(a_j (x) a'_j), with the sign e_m of bar_em_homotopy.
 nabla and h take their shuffles and Koszul signs from one kernel,
-_shuffles.  Feeding these to the perturbation construction F = sum F_k
-yields an algebra map Cobar Bar(A (x) A') -> Cobar(Bar A (x) Bar A')
-realizing the splitting up to strong homotopy, and from it the loop
-comultiplication on Cobar Bar H for a Hopf algebra H.
+_shuffles.  The perturbation construction, the one recursion per token
+F = s^{-1} f - mu (F (x) F) Delta-bar h checked against the SDR's
+filtration bound, yields an algebra map Cobar Bar(A (x) A') ->
+Cobar(Bar A (x) Bar A') realizing the splitting up to strong homotopy,
+and from it the loop comultiplication on Cobar Bar H for a Hopf algebra H.
 """
 
 from itertools import combinations
@@ -232,71 +233,62 @@ def bar_sdr(A, Aprime, max_degree=None):
 
 
 # ---------------------------------------------------------------------------
-# The transferred twisting cochain F = sum_k F_k
+# The transferred twisting cochain F = s^{-1} f - mu (F (x) F) Delta-bar h
 
 
 class PerturbationDivergence(Exception):
-    """Raised when the iterated insertions are not certified to vanish."""
+    """Raised when the perturbation series is not certified to terminate."""
 
 
 def transferred_twisting(sdr):
-    """Twisting cochain F: Y -> Cobar X from SDR data.
+    """Twisting cochain F: Y -> Cobar X from SDR data: the one recursion
 
-    F_1 = s^{-1} f and, for k >= 2,
-        F_k = - sum_{i+j=k} (F_i (x) F_j) Delta-bar h,
-    each F_k landing in the word-length-k part.  The SDR's zeta count
-    certifies F_k = 0 for k > wordlength - zeta + 1.  An SDR without the
-    certificate, or a nonzero component at k = bound + 1, raises
-    PerturbationDivergence.
+        F = s^{-1} f - mu (F (x) F) Delta-bar h,
+
+    mu concatenating cobar words, computed once per token.  Its
+    word-length-k part is F_k = - sum_{i+j=k} (F_i (x) F_j) Delta-bar h,
+    which the SDR's zeta count certifies to vanish for k > wordlength -
+    zeta + 1.  Every word of every image is checked against that bound; a
+    word past it, an SDR without the certificate, or a recursion that
+    re-enters a token raises PerturbationDivergence.
     """
     Y, X = sdr.Y, sdr.X
     ring = Y.ring
     omega_x = cobar_construction(X)
+    pending = set()
 
-    def ds_f(tok):
-        return Element(ring, [(word_token((desuspend(t),)), c)
-                              for t, c in sdr.f(tok).items() if t.degree > 0])
-
-    f1 = LinearMap(ring, -1, ds_f, "s-1f")
-    # Delta-bar h(tok), split once per token and shared by every k
-    split_h = LinearMap(ring, 1, lambda tok: _reduced_of_element(Y, sdr.h(tok)), "Delta-bar h")
-    cache = {}
-
-    def F_k(tok, k):
-        key = (tok, k)
-        if key in cache:
-            return cache[key]
-        if k == 1:
-            out = f1(tok)
-        else:
-            pairs = []
-            for t, c in split_h(tok).items():
-                u, v = t.data
-                # (F_i (x) F_j)(u (x) v): F_j has degree -1
-                coeff = -parity_sign(u.degree) * c
-                for j in range(1, k):
-                    left = F_k(u, k - j)
-                    if left.is_zero():
-                        continue
-                    pairs += tensor_product(ring, [left, F_k(v, j)], coeff, _concat_words).items()
-            out = Element(ring, pairs)
-        cache[key] = out
-        return out
-
-    def F(tok):
+    def F_k(tok):
         if tok.degree == 0:
             return Element(ring)
         if sdr.zeta is None or tok.kind != "word":
             raise PerturbationDivergence("no termination certificate for %r" % (tok,))
+        if tok in pending:
+            raise PerturbationDivergence("the recursion for F re-enters %r" % (tok,))
+        pending.add(tok)
+        try:
+            pairs = [(word_token((desuspend(t),)), c)
+                     for t, c in sdr.f(tok).items() if t.degree > 0]
+            for t, c in _reduced_of_element(Y, sdr.h(tok)).items():
+                u, v = t.data
+                left = F(u)
+                if left.is_zero():
+                    continue
+                # (F (x) F)(u (x) v): F has degree -1
+                pairs += tensor_product(ring, [left, F(v)], -parity_sign(u.degree) * c,
+                                        _concat_words).items()
+        finally:
+            pending.discard(tok)
+        out = Element(ring, pairs)
         bound = max(len(tok.data) - sdr.zeta(tok) + 1, 1)
-        out = Element(ring, [term for k in range(1, bound + 1)
-                             for term in F_k(tok, k).items()])
-        if not F_k(tok, bound + 1).is_zero():
-            raise PerturbationDivergence(
-                "component violates the filtration bound at %r (k=%d)" % (tok, bound + 1))
+        for word, _ in out.items():
+            if len(word.data) > bound:
+                raise PerturbationDivergence(
+                    "F(%r) has a word of length %d, past the filtration bound %d"
+                    % (tok, len(word.data), bound))
         return out
 
-    return TwistingCochain(Y, omega_x, LinearMap(ring, -1, F, "F"), "F")
+    F = LinearMap(ring, -1, F_k, "F")
+    return TwistingCochain(Y, omega_x, F, "F")
 
 
 def _concat_words(words):

@@ -316,7 +316,10 @@ class HomologySummary:
         self.ring = ring
 
     def __eq__(self, other):
-        return (self.degree, self.betti, self.torsion) == (other.degree, other.betti, other.torsion)
+        if not isinstance(other, HomologySummary):
+            return NotImplemented
+        return (self.degree, self.betti, self.torsion, self.ring) == \
+            (other.degree, other.betti, other.torsion, other.ring)
 
     def __repr__(self):
         parts = [repr(self.ring)] * self.betti + ["Z/%d" % t for t in self.torsion]

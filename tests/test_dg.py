@@ -92,6 +92,13 @@ def test_bar_is_a_complex_and_coalgebra():
 # --- cobar construction ------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sphere_coalgebra_needs_positive_dimension(n):
+    # n = 0 would put the generator y on top of the unit in degree 0
+    with pytest.raises(ValueError, match="n >= 1"):
+        sphere_coalgebra(n)
+
+
 def test_cobar_of_sphere_is_free_on_one_generator():
     C = sphere_coalgebra(3, max_degree=14)
     O = cobar_construction(C)
@@ -418,6 +425,17 @@ def test_hopf_fixture_axioms():
     for name, H in hopf_fixtures().items():
         assert H.check_comult_is_algebra_map(5) is None, name
         assert H.as_coalgebra().check_coassociativity(5) is None, name
+
+
+def test_hopf_algebra_has_one_coalgebra():
+    # every use of Delta reads the coalgebra's one cached image
+    H = group_ring_hopf(BUILTIN_GROUPS["c2"])
+    C = H.as_coalgebra()
+    assert H.as_coalgebra() is C
+    g = H.algebra.aug_ideal_basis(0)[0]
+    assert H.comult(g) is C.comult(g)
+    assert H.comult_power(g, 3) == C.comult_iterated(g, 3)
+    assert H.is_cocommutative(0)
 
 
 # --- Hirsch structures -------------------------------------------------------

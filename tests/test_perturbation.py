@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from loopchain.chains import (
     ZZ, Element, generator, koszul_sign, suspend, desuspend, tensor_token, word_token,
-    verify_chain_map, identity_map, zero_map,
+    verify_chain_map, identity_map, zero_map, LinearMap, sort_key,
 )
-from loopchain.dg import check_twisting, tensor_algebra, universal_twisting
+from loopchain.dg import bar_map, check_twisting, tensor_algebra, universal_twisting
 from loopchain.fixtures import (
     exterior_two, small_commutative, free_hopf_one, group_ring_hopf, monomial_algebra,
 )
@@ -224,6 +224,97 @@ def test_missing_certificate_is_rejected():
     tok = B.complex.basis.basis(2)[0]
     with pytest.raises(PerturbationDivergence):
         F.map(tok)
+
+
+def _literal_components(sdr):
+    """(tok, k) -> F_k(tok) straight from the definition: F_1 = s^{-1} f and
+    F_k = - sum_{i+j=k} (F_i (x) F_j) Delta-bar h, with F_i of degree -1."""
+    ring = sdr.Y.ring
+    memo = {}
+
+    def F(tok, k):
+        if (tok, k) not in memo:
+            if k == 1:
+                pairs = [(w(desuspend(t)), c) for t, c in sdr.f(tok).items() if t.degree > 0]
+            else:
+                pairs = [(word_token(a.data + b.data), -(-1) ** u.degree * c * ca * cb)
+                         for t, c in sdr.h(tok).apply(sdr.Y.reduced_comult).items()
+                         for u, v in (t.data,)
+                         for i in range(1, k)
+                         for a, ca in F(u, i).items()
+                         for b, cb in F(v, k - i).items()]
+            memo[(tok, k)] = Element(ring, pairs)
+        return memo[(tok, k)]
+
+    return F
+
+
+def _check_against_components(sdr, tokens):
+    F, literal = transferred_twisting(sdr), _literal_components(sdr)
+    longest = 0
+    for tok in tokens:
+        bound = max(len(tok.data) - sdr.zeta(tok) + 1, 1)
+        total = Element(sdr.Y.ring)
+        for k in range(1, bound + 1):
+            total = total + literal(tok, k)
+            if not literal(tok, k).is_zero():
+                longest = max(longest, k)
+        assert F.map(tok) == total, tok
+        assert literal(tok, bound + 1).is_zero(), tok
+    return longest
+
+
+def test_one_recursion_sums_the_components():
+    sdr = bar_sdr(exterior_two(), small_commutative(), max_degree=7)
+    tokens = [t for n in range(1, 7) for t in sdr.Y.complex.basis.basis(n)]
+    # components up to F_3 occur, so the sum and its signs are exercised
+    assert _check_against_components(sdr, tokens) >= 3
+
+
+def test_one_recursion_sums_the_components_for_a_group_ring():
+    # the tokens psi feeds to F: Bar(delta) of bar words of Z[S3]
+    bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS["s3"]), 4)
+    delta = bar_map(LinearMap(bh.ring, 0, bh.H.comult, "delta"),
+                    tensor_algebra(bh.H.algebra, bh.H.algebra))
+    tokens = {t for n in range(1, 4) for word in bh.barH.complex.basis.basis(n)
+              for t, _ in delta(word).items()}
+    assert _check_against_components(bh.sdr, sorted(tokens, key=sort_key)) >= 3
+
+
+def test_too_tight_a_certificate_is_caught():
+    # zeta = word length claims F = s^{-1} f, which the EM homotopy breaks
+    sdr = bar_sdr(exterior_two(), small_commutative(), max_degree=7)
+    sdr.zeta = lambda tok: len(tok.data)
+    F = transferred_twisting(sdr)
+    tokens = [t for n in range(1, 7) for t in sdr.Y.complex.basis.basis(n)]
+
+    def failures():
+        out = {}
+        for tok in tokens:
+            try:
+                F.map(tok)
+            except PerturbationDivergence as e:
+                out[tok] = str(e)
+        return out
+
+    first = failures()
+    assert first and all("filtration bound" in message for message in first.values())
+    # a failed image leaves no token marked as being built
+    assert failures() == first
+
+
+def test_a_cyclic_homotopy_is_caught():
+    # h(x) = x | s[g] puts x itself into Delta-bar h(x): F(x) needs F(x)
+    from loopchain.dg import bar_construction
+    A = group_ring_hopf(BUILTIN_GROUPS["c2"]).algebra
+    B = bar_construction(A, max_degree=6)
+    sg = w(suspend(A.aug_ideal_basis(0)[0]))
+    h = LinearMap(ZZ, 1, lambda tok: Element.from_token(ZZ, word_token(tok.data + sg.data)), "h")
+    sdr = SDRData(B, B, identity_map(ZZ), identity_map(ZZ), h, zeta=lambda tok: 0)
+    F = transferred_twisting(sdr)
+    for _ in range(2):  # a failed image leaves nothing behind
+        with pytest.raises(PerturbationDivergence):
+            F.map(sg)
 
 
 # --- the loop comultiplication on Cobar Bar H --------------------------------

@@ -10,7 +10,8 @@ from loopchain.chains import (
     dualize, generator, map_from_table, zero_map,
 )
 from loopchain.snf import (
-    _reduce, boundary_reader, smith_normal_form, homology, HomologyBasis, modp_rank,
+    _reduce, boundary_reader, smith_normal_form, homology, HomologyBasis, HomologySummary,
+    modp_rank,
 )
 
 
@@ -320,3 +321,16 @@ def test_homology_rejects_an_invalid_modulus():
     X = ChainComplex(GradedBasis(bad, {0: [generator("pt", 0)]}, 2), zero_map(ZZ, -1))
     with pytest.raises(ValueError, match="composite or invalid modulus"):
         homology(X, range(1))
+
+
+def test_homology_summary_compares_the_ring():
+    # d_1 = 0 on one generator in each degree: H_0 is one copy of the ring
+    over_z = homology(_complex({1: [[0]]}, 2), range(1))[0]
+    over_f2 = homology(_complex({1: [[0]]}, 2, ring=F2), range(1))[0]
+    assert (over_z.betti, over_f2.betti) == (1, 1)
+    assert over_z != over_f2
+    assert over_z == HomologySummary(0, 1, [], ZZ)
+    assert over_f2 == HomologySummary(0, 1, [], F2)
+    # a summary is never equal to, and never fails on, another type
+    assert over_z != (0, 1, [])
+    assert not over_z == None  # noqa: E711
