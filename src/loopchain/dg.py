@@ -679,7 +679,7 @@ def hopf_tensor_power(H, r, max_degree=None):
     """H^{(x)r} with componentwise Hopf structure."""
     algebra = tensor_algebra(*([H.algebra] * r), max_degree=max_degree)
     coalgebra = tensor_coalgebra(*([H.as_coalgebra()] * r), max_degree=max_degree)
-    return HopfAlgebra(algebra, coalgebra.comult, coalgebra.counit, name=algebra.name)
+    return HopfAlgebra(algebra, coalgebra._comult, coalgebra.counit, name=algebra.name)
 
 
 # ---------------------------------------------------------------------------

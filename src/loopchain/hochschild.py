@@ -349,9 +349,7 @@ def hochschild_comultiplication(t, omega, H, check_degree=None):
     Hypothesis: (alpha_t (x) alpha_t) q omega = delta alpha_t, that is
     delta alpha_t = alpha_{t*t} omega, which sh_map checks from C_1."""
     ring = t.ring
-    tt = cartesian_product(t, t)
-    delta = LinearMap(ring, 0, lambda tok: H.comult(tok), "delta")
-    hs = sh_map(omega, delta, t, tt, check_degree=check_degree)
+    hs = sh_map(omega, H._comult, t, cartesian_product(t, t), check_degree=check_degree)
     fwd, _ = monoidal_iso(t, t)
 
     def fn(tok):

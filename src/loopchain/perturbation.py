@@ -12,7 +12,8 @@ on letters L_j = s(a_j (x) a'_j), with the sign e_m of bar_em_homotopy.
 nabla and h take their shuffles and Koszul signs from one kernel,
 _shuffles.  The perturbation construction, the one recursion per token
 F = s^{-1} f - mu (F (x) F) Delta-bar h checked against the SDR's
-filtration bound, yields an algebra map Cobar Bar(A (x) A') ->
+filtration bound, with Delta-bar read as deconcatenation of h's words and
+only F's images cached, yields an algebra map Cobar Bar(A (x) A') ->
 Cobar(Bar A (x) Bar A') realizing the splitting up to strong homotopy,
 and from it the loop comultiplication on Cobar Bar H for a Hopf algebra H.
 """
@@ -21,7 +22,7 @@ from itertools import combinations
 
 from .chains import (
     Element, LinearMap, desuspend, parity_sign, suspend,
-    tensor_map, tensor_product, tensor_token, word_token,
+    tensor_map, tensor_token, word_token,
 )
 from .dg import (
     DGAlgebra, HirschCoalgebra, HopfAlgebra, TwistingCochain,
@@ -250,7 +251,11 @@ def transferred_twisting(sdr):
     which the SDR's zeta count certifies to vanish for k > wordlength -
     zeta + 1.  Every word of every image is checked against that bound; a
     word past it, an SDR without the certificate, or a recursion that
-    re-enters a token raises PerturbationDivergence.
+    re-enters a token raises PerturbationDivergence.  Y is a bar construction
+    (the certificate needs word tokens), so Delta-bar h is read off h(tok)'s
+    words as sign-free deconcatenation.  f and h are read once per token
+    through f.fn and h.fn: the caches of f, h and Y's Delta and Delta-bar
+    stay empty, and F's is the only one filled.
     """
     Y, X = sdr.Y, sdr.X
     ring = Y.ring
@@ -267,15 +272,8 @@ def transferred_twisting(sdr):
         pending.add(tok)
         try:
             pairs = [(word_token((desuspend(t),)), c)
-                     for t, c in sdr.f(tok).items() if t.degree > 0]
-            for t, c in _reduced_of_element(Y, sdr.h(tok)).items():
-                u, v = t.data
-                left = F(u)
-                if left.is_zero():
-                    continue
-                # (F (x) F)(u (x) v): F has degree -1
-                pairs += tensor_product(ring, [left, F(v)], -parity_sign(u.degree) * c,
-                                        _concat_words).items()
+                     for t, c in sdr.f.fn(tok).items() if t.degree > 0]
+            pairs += _reduced_of_element(F, sdr.h.fn(tok))
         finally:
             pending.discard(tok)
         out = Element(ring, pairs)
@@ -291,12 +289,21 @@ def transferred_twisting(sdr):
     return TwistingCochain(Y, omega_x, F, "F")
 
 
-def _concat_words(words):
-    return word_token(words[0].data + words[1].data)
-
-
-def _reduced_of_element(Y, x):
-    return x.apply(Y.reduced_comult)
+def _reduced_of_element(F, x):
+    """The pairs of -mu (F (x) F) Delta-bar x, x in a bar construction: each cut u|v
+    of a term c*w of x into nonempty words gives -(-1)^|u| c F(u)F(v), skipped if F(u) = 0."""
+    pairs = []
+    for w, c in x.items():
+        letters = w.data
+        for k in range(1, len(letters)):
+            u = word_token(letters[:k])
+            left = F(u).items()
+            if left:
+                right = F(word_token(letters[k:])).items()
+                sign = -parity_sign(u.degree) * c
+                pairs += [(word_token(a.data + b.data), sign * ca * cb)
+                          for a, ca in left for b, cb in right]
+    return pairs
 
 
 def dcsh_realization(sdr):
@@ -321,7 +328,7 @@ def bar_shuffle_hopf(A, max_degree=None):
 
     algebra = DGAlgebra(barA.complex, word_token(()), product,
                         name="Bar(%s)-shuffle" % A.name)
-    hopf = HopfAlgebra(algebra, barA.comult, name="Bar(%s)-shuffle" % A.name)
+    hopf = HopfAlgebra(algebra, barA._comult, name="Bar(%s)-shuffle" % A.name)
     return hopf, barA, nu
 
 
@@ -342,12 +349,7 @@ class BarHopfStructure:
         alpha_F, F = dcsh_realization(self.sdr)
         self.F = F
         self.alpha_F = alpha_F
-        AxA = tensor_algebra(A, A)
-
-        def delta_fn(tok):
-            return H.comult(tok)
-
-        bar_delta = bar_map(LinearMap(ring, 0, delta_fn, "delta"), AxA)
+        bar_delta = bar_map(H._comult, tensor_algebra(A, A))
         cobar_bar_delta = cobar_map(bar_delta)
         self._omega = LinearMap(ring, 0, lambda t: alpha_F(cobar_bar_delta(t)), "omega")
         q, square = cobar_tensor_splitting(self.barH, self.barH)

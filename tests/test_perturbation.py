@@ -15,7 +15,7 @@ from loopchain.groups import BUILTIN_GROUPS
 from loopchain.perturbation import (
     SDRData, check_sdr, bar_sdr, bar_eilenberg_zilber, bar_alexander_whitney,
     bar_em_homotopy, transferred_twisting, dcsh_realization, BarHopfStructure,
-    PerturbationDivergence, _shuffles,
+    PerturbationDivergence, _shuffles, bar_shuffle_hopf,
 )
 
 
@@ -281,6 +281,35 @@ def test_one_recursion_sums_the_components_for_a_group_ring():
     assert _check_against_components(bh.sdr, sorted(tokens, key=sort_key)) >= 3
 
 
+def test_F_caches_nothing_but_its_own_images():
+    # Delta-bar h is read off h's words: F fills no cache of Y, f or h,
+    # and every cut it reads is of two nonempty words
+    sdr = bar_sdr(exterior_two(), small_commutative(), max_degree=6)
+    F = transferred_twisting(sdr)
+    for n in range(1, 6):
+        for tok in sdr.Y.complex.basis.basis(n):
+            F.map(tok)
+    assert not sdr.Y._comult._cache and not sdr.Y._reduced._cache
+    assert not sdr.f._cache and not sdr.h._cache
+    assert all(tok.degree > 0 for tok in F.map._cache)
+    # the split was read: some image has a cobar word of two letters
+    assert any(len(word.data) > 1 for img in F.map._cache.values() for word in img.terms)
+
+
+def test_a_cut_with_a_vanishing_left_factor_reads_no_right_factor():
+    # f = 0 makes F(a) = 0.  h(b) = a|b has the one cut a (x) b, whose right
+    # factor F(b) is being built; h(ab) = b|a|a re-enters b from ab, the
+    # whole word.  Neither is read, so F(b) = 0 and nothing re-enters.
+    from loopchain.dg import bar_construction
+    A = group_ring_hopf(BUILTIN_GROUPS["s3"]).algebra
+    B = bar_construction(A, max_degree=5)
+    a, b = (w(suspend(x)) for x in A.aug_ideal_basis(0)[:2])
+    table = {b: w(*a.data, *b.data), w(*a.data, *b.data): w(*b.data, *a.data, *a.data)}
+    h = LinearMap(ZZ, 1, lambda tok: Element(ZZ, [(table[tok], 1)] if tok in table else []), "h")
+    sdr = SDRData(B, B, identity_map(ZZ), zero_map(ZZ), h, zeta=lambda tok: 0)
+    assert transferred_twisting(sdr).map(b).is_zero()
+
+
 def test_too_tight_a_certificate_is_caught():
     # zeta = word length claims F = s^{-1} f, which the EM homotopy breaks
     sdr = bar_sdr(exterior_two(), small_commutative(), max_degree=7)
@@ -401,6 +430,20 @@ def test_bar_hopf_psi_is_coassociative_on_generators():
                                      for t, c in img.items()
                                      for s, cs in bh.psi(t.data[1]).items()])
                 assert lhs == rhs, (H.name, tok)
+
+
+def test_comultiplication_images_are_cached_once():
+    # a HopfAlgebra built on a coalgebra's Delta shares its cache
+    import gc
+    from loopchain.dg import hopf_tensor_power
+    H, barA, _ = bar_shuffle_hopf(small_commutative(), 6)
+    H2 = hopf_tensor_power(group_ring_hopf(BUILTIN_GROUPS["c2"]), 2)
+    for hopf, tok in ((H, barA.complex.basis.basis(4)[-1]), (H2, H2.complex.basis.basis(0)[-1])):
+        img = hopf.comult(tok)
+        assert len(img.terms) > 2
+        holders = [m for m in gc.get_objects()
+                   if isinstance(m, LinearMap) and m._cache.get(tok) is img]
+        assert len(holders) == 1, hopf.name
 
 
 def test_bar_hopf_psi_is_an_algebra_map_on_products():
