@@ -488,7 +488,10 @@ def power_map_on_homology(hoch, lam, degrees):
     """Matrices of a chain self-map on homology, in each degree's HomologyBasis.
 
     Returns a list of {degree, generators, matrix} with matrix columns the
-    coordinates of the image of each homology representative."""
+    coordinates of the image of each homology representative.  ValueError if
+    lam's shift is not 0 or an image leaves the degree-n basis."""
+    if lam.shift != 0:
+        raise ValueError("power_map_on_homology expects shift 0, got %+d" % lam.shift)
     rows = boundary_reader(hoch.complex)
     out = []
     for n in degrees:
@@ -500,6 +503,9 @@ def power_map_on_homology(hoch, lam, degrees):
             img = lam(Element(hoch.ring, [(toks[i], c) for i, c in enumerate(rep) if c]))
             vec = [0] * len(toks)
             for tok, c in img.items():
+                if tok not in idx:
+                    raise ValueError("image token %r of degree %d is not in the degree-%d basis"
+                                     % (tok, tok.degree, n))
                 vec[idx[tok]] = c
             cols.append(hb.coordinates(vec))
         matrix = [[cols[j][i] for j in range(len(cols))]

@@ -13,9 +13,10 @@ nabla and h take their shuffles and Koszul signs from one kernel,
 _shuffles.  The perturbation construction, the one recursion per token
 F = s^{-1} f - mu (F (x) F) Delta-bar h checked against the SDR's
 filtration bound, with Delta-bar read as deconcatenation of h's words and
-only F's images cached, yields an algebra map Cobar Bar(A (x) A') ->
-Cobar(Bar A (x) Bar A') realizing the splitting up to strong homotopy,
-and from it the loop comultiplication on Cobar Bar H for a Hopf algebra H.
+only F's images cached, yields a twisting cochain Bar(A (x) A') ->
+Cobar(Bar A (x) Bar A').  The loop comultiplication psi on Cobar Bar H
+takes s^{-1}y to Milgram's q of the merged F-images of Bar(delta)(y), and
+only F and psi cache images of bar words.
 """
 
 from itertools import combinations
@@ -26,9 +27,8 @@ from .chains import (
 )
 from .dg import (
     DGAlgebra, HirschCoalgebra, HopfAlgebra, TwistingCochain,
-    algebra_realization, bar_construction, bar_map, cobar_construction,
-    cobar_map, cobar_bar_counit, cobar_tensor_splitting, tensor_algebra,
-    tensor_coalgebra,
+    bar_construction, bar_map, bar_word, cobar_construction, cobar_bar_counit,
+    cobar_tensor_splitting, tensor_algebra, tensor_coalgebra,
 )
 
 
@@ -306,12 +306,6 @@ def _reduced_of_element(F, x):
     return pairs
 
 
-def dcsh_realization(sdr):
-    """alpha_F: Cobar Y -> Cobar X realizing f's strong homotopy structure."""
-    F = transferred_twisting(sdr)
-    return algebra_realization(F), F
-
-
 def bar_shuffle_hopf(A, max_degree=None):
     """For commutative A: Bar A as a Hopf algebra under the shuffle product
     Bar(m) o nabla, with the word-splitting comultiplication.
@@ -336,8 +330,12 @@ def bar_shuffle_hopf(A, max_degree=None):
 # The loop comultiplication on Cobar Bar H
 
 
-class BarHopfStructure:
-    """omega = alpha_F o Cobar Bar delta and psi = q o omega on Cobar Bar H."""
+class BarHopfStructure(HirschCoalgebra):
+    """Bar H as a Hirsch coalgebra for a Hopf algebra H: psi(s^{-1}y) is
+    Milgram's q (read through q.fn, uncached) of the sum of c F(w) over the
+    terms c w of Bar(delta)(y), merged into one element first.  Besides
+    F's cache and psi's, psi fills only H's Delta and the one-term images
+    per letter of q's twisting cochain."""
 
     def __init__(self, H, max_degree=None):
         self.H = H
@@ -345,31 +343,23 @@ class BarHopfStructure:
         ring = A.ring
         self.sdr = bar_sdr(A, A, max_degree=max_degree)
         self.barH = bar_construction(A, max_degree=None if max_degree is None else max_degree + 1)
-        self.cobar_barH = cobar_construction(self.barH)
-        alpha_F, F = dcsh_realization(self.sdr)
-        self.F = F
-        self.alpha_F = alpha_F
-        bar_delta = bar_map(H._comult, tensor_algebra(A, A))
-        cobar_bar_delta = cobar_map(bar_delta)
-        self._omega = LinearMap(ring, 0, lambda t: alpha_F(cobar_bar_delta(t)), "omega")
-        q, square = cobar_tensor_splitting(self.barH, self.barH)
-        self.square = square
-        self._psi = LinearMap(ring, 0, lambda t: q(self._omega(t)), "psi_H")
+        self.F = transferred_twisting(self.sdr)
         self.counit = cobar_bar_counit(A, self.barH)
+        q, _ = cobar_tensor_splitting(self.barH, self.barH)
+        F = self.F.map
+        unit = tensor_token(A.unit, A.unit)
 
-    @property
-    def ring(self):
-        return self.H.ring
+        def gen(letter):
+            bar_delta = bar_word(ring, [H.comult(desuspend(l)) for l in suspend(letter).data], unit)
+            return Element(ring, [(u, c * cu) for w, c in bar_delta.items()
+                                  for u, cu in F(w).items()]).apply(q.fn)
 
-    def psi(self, x):
-        return self._psi(x)
+        super().__init__(self.barH, cobar_construction(self.barH), gen,
+                         name="Hirsch(Bar %s)" % H.name)
 
     def hirsch(self):
-        """The bar construction as a Hirsch coalgebra with this psi."""
-        def gen(letter):
-            return self._psi(word_token((letter,)))
-        return HirschCoalgebra(self.barH, self.cobar_barH, gen,
-                               name="Hirsch(Bar %s)" % self.H.name)
+        """This structure: Bar H with psi is its own Hirsch coalgebra."""
+        return self
 
     def counit_pair(self, x):
         """(eps (x) eps) applied to an element of the tensor square.

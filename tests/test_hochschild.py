@@ -879,6 +879,25 @@ def test_identity_acts_as_identity_on_homology(make, top):
         assert row["matrix"] == [[int(i == j) for j in range(k)] for i in range(k)], row["degree"]
 
 
+def test_power_map_on_homology_rejects_a_shifted_map():
+    hoch = cohochschild_complex(sphere_coalgebra(2, max_degree=8), max_degree=7)
+    shifted = LinearMap(hoch.ring, 1, lambda tok: Element(hoch.ring), "shifted")
+    with pytest.raises(ValueError, match="expects shift 0, got [+]1"):
+        power_map_on_homology(hoch, shifted, range(3))
+
+
+def test_power_map_on_homology_names_an_image_outside_the_basis():
+    # a map declared of shift 0 whose images sit in degree 2
+    hoch = cohochschild_complex(sphere_coalgebra(2, max_degree=8), max_degree=7)
+    stray = hoch.complex.basis.basis(2)[0]
+    lam = LinearMap(hoch.ring, 0, lambda tok: el(stray), "stray")
+    assert homology(hoch.complex, [0])[0].betti > 0
+    with pytest.raises(ValueError) as err:
+        power_map_on_homology(hoch, lam, range(1))
+    assert str(err.value) == ("image token %r of degree 2 is not in the degree-0 basis"
+                              % (stray,))
+
+
 # --- power maps compose: lambda_r o lambda_s = lambda_rs on homology ----------
 
 

@@ -7,14 +7,17 @@ from loopchain.chains import (
     ZZ, Element, generator, koszul_sign, suspend, desuspend, tensor_token, word_token,
     verify_chain_map, identity_map, zero_map, LinearMap, sort_key,
 )
-from loopchain.dg import bar_map, check_twisting, tensor_algebra, universal_twisting
+from loopchain.dg import (
+    algebra_realization, bar_map, check_twisting, cobar_map, cobar_tensor_splitting,
+    tensor_algebra, universal_twisting,
+)
 from loopchain.fixtures import (
     exterior_two, small_commutative, free_hopf_one, group_ring_hopf, monomial_algebra,
 )
 from loopchain.groups import BUILTIN_GROUPS
 from loopchain.perturbation import (
     SDRData, check_sdr, bar_sdr, bar_eilenberg_zilber, bar_alexander_whitney,
-    bar_em_homotopy, transferred_twisting, dcsh_realization, BarHopfStructure,
+    bar_em_homotopy, transferred_twisting, BarHopfStructure,
     PerturbationDivergence, _shuffles, bar_shuffle_hopf,
 )
 
@@ -414,11 +417,16 @@ def test_bar_hopf_counit_claims():
 
 
 def test_bar_hopf_psi_is_coassociative_on_generators():
-    fixtures = [(free_hopf_one(2, max_degree=10), 7),
-                (group_ring_hopf(BUILTIN_GROUPS["c2"]), 6)]
-    for H, topdeg in fixtures:
+    # (H, top bar degree of the hand check, degree k of the structure's checks)
+    fixtures = [(free_hopf_one(2, max_degree=10), 7, 6),
+                (free_hopf_one(1), 6, 6),
+                (group_ring_hopf(BUILTIN_GROUPS["c2"]), 6, 5),
+                (group_ring_hopf(BUILTIN_GROUPS["s3"]), 3, 2)]
+    for H, topdeg, k in fixtures:
         bh = BarHopfStructure(H, max_degree=topdeg + 2)
         ring = bh.ring
+        assert bh.check_chain_algebra_map(k) is None, H.name
+        assert bh.check_coassociative(k) is None, H.name
         for n in range(1, topdeg):
             for tok in bh.barH.complex.basis.basis(n):
                 gen = word_token((desuspend(tok),))
@@ -449,8 +457,6 @@ def test_comultiplication_images_are_cached_once():
 def test_bar_hopf_psi_is_an_algebra_map_on_products():
     H = group_ring_hopf(BUILTIN_GROUPS["c2"])
     bh = BarHopfStructure(H, max_degree=8)
-    O = bh.cobar_barH
-    ring = bh.ring
     sq = bh.square
     gens = []
     for n in range(1, 4):
@@ -460,3 +466,49 @@ def test_bar_hopf_psi_is_an_algebra_map_on_products():
         for v in gens[:6]:
             prod = word_token(u.data + v.data)
             assert bh.psi(prod) == sq.multiply(bh.psi(u), bh.psi(v))
+
+
+def _composite_psi(bh):
+    """The loop comultiplication as the composite q o alpha_F o Cobar(Bar delta) of
+    the public functors: a second model of bh.psi."""
+    A = bh.H.algebra
+    q, _ = cobar_tensor_splitting(bh.barH, bh.barH)
+    alpha_F = algebra_realization(bh.F)
+    cobar_bar_delta = cobar_map(bar_map(bh.H._comult, tensor_algebra(A, A)))
+    return lambda tok: q(alpha_F(cobar_bar_delta(tok)))
+
+
+def _generators(bh, top):
+    return [word_token((desuspend(tok),))
+            for n in range(1, top + 1) for tok in bh.barH.complex.basis.basis(n)]
+
+
+@pytest.fixture(scope="module")
+def s3_psi_through_4():
+    # psi of every generator through bar degree 4 of Z[S3], computed once
+    bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS["s3"]), 4)
+    hirsch = bh.hirsch()
+    return bh, {g: hirsch.psi(g) for g in _generators(bh, 4)}
+
+
+def test_bar_hopf_psi_matches_the_composite_of_functors(s3_psi_through_4):
+    s3, images = s3_psi_through_4
+    t2 = BarHopfStructure(free_hopf_one(2, max_degree=10), 9)
+    t1 = BarHopfStructure(free_hopf_one(1), 7)
+    for bh, gens in ((s3, list(images)), (t2, _generators(t2, 9)), (t1, _generators(t1, 7))):
+        composite = _composite_psi(bh)
+        for g in gens:
+            assert bh.psi(g) == composite(g), (bh.name, g)
+        for u in gens[:4]:
+            for v in gens[-3:]:
+                uv = word_token(u.data + v.data)
+                assert bh.psi(uv) == composite(uv), (bh.name, uv)
+
+
+def test_bar_hopf_is_its_own_hirsch_coalgebra_with_one_psi_cache(s3_psi_through_4):
+    import gc
+    bh, images = s3_psi_through_4
+    assert bh.hirsch() is bh.hirsch()
+    maps = [m for m in gc.get_objects() if isinstance(m, LinearMap)]
+    for g, img in images.items():
+        assert sum(m._cache.get(g) is img for m in maps) == 1, g
