@@ -3,7 +3,9 @@
 Includes the bar and cobar constructions, the canonical twisting cochains
 and their induced maps, bar/cobar adjunction maps, cartesian products of
 twisting cochains, tensor products of (co)algebras, convolution powers,
-and Hirsch coalgebra structures on cobar constructions.
+and Hirsch coalgebras.  A Hirsch coalgebra C is the chain Hopf algebra
+(Cobar C, psi) of its loop comultiplication psi, with each letter's image
+under psi built once.
 """
 
 from .chains import (
@@ -196,9 +198,12 @@ class DGCoalgebra:
 
 def _split_first_iterated(ring, tok, split, k):
     """(split (x) Id^(k-2)) ... (split (x) Id) split (tok): the left-iterated
-    k-fold splitting of tok, in flat k-fold tensor tokens."""
-    out = Element.from_token(ring, tensor_token(tok))
-    for _ in range(k - 1):
+    k-fold splitting of tok, in flat k-fold tensor tokens.  k = 2 returns
+    split(tok) itself, k = 1 the one-fold tensor token of tok."""
+    if k == 1:
+        return Element.from_token(ring, tensor_token(tok))
+    out = split(tok)
+    for _ in range(k - 2):
         out = Element(ring, [(tensor_token(*(u.data + t.data[1:])), c * cu)
                              for t, c in out.items() for u, cu in split(t.data[0]).items()])
     return out
@@ -748,16 +753,16 @@ def convolution_power(H, r):
 # Hirsch coalgebras
 
 
-class HirschCoalgebra:
+class HirschCoalgebra(HopfAlgebra):
     """Connected coalgebra C with a coassociative loop comultiplication:
     an algebra map psi: Cobar C -> Cobar C (x) Cobar C, given on generators.
+    It is the chain Hopf algebra (Cobar C, psi), so loop_hopf returns itself.
 
-    psi is one LinearMap, cached per cobar word.  Because psi is an algebra
-    map, the image of l_1|...|l_k is the cached image of its prefix
-    l_1|...|l_{k-1} times the generator image of l_k in the tensor square,
-    so each distinct nonempty word asks for one generator image.  psi,
-    psi_map, iterated_psi and loop_hopf all read this one cache, and
-    loop_hopf returns the same HopfAlgebra on every call.
+    psi is the Hopf algebra's one comultiplication LinearMap, cached per
+    cobar word.  Because psi is an algebra map, the image of l_1|...|l_k is
+    the cached image of its prefix l_1|...|l_{k-1} times the cached image
+    of the one-letter word l_k, so each letter's generator image is built
+    once.  psi, comult and comult_power all read this one cache.
     """
 
     def __init__(self, C, cobar, generator_images, name=""):
@@ -765,45 +770,33 @@ class HirschCoalgebra:
         self.cobar = cobar
         self.square = tensor_algebra(cobar, cobar)
         self._gen = generator_images  # letter token -> Element in the square
-        self.name = name or "Hirsch(%s)" % C.name
-        self._psi = LinearMap(C.ring, 0, self._psi_image, "psi")
-        self._hopf = HopfAlgebra(cobar, self._psi, name="(Cobar %s, psi)" % C.name)
-
-    @property
-    def ring(self):
-        return self.C.ring
+        super().__init__(cobar, LinearMap(C.ring, 0, self._psi_image, "psi"),
+                         name=name or "Hirsch(%s)" % C.name)
 
     def psi(self, tok):
         """Algebra-map extension to cobar words."""
-        return self._psi(tok)
+        return self._comult(tok)
 
     def _psi_image(self, tok):
-        """psi(l_1|...|l_k) = psi(l_1|...|l_{k-1}) . psi(l_k), the prefix read
-        from the cache."""
+        """psi(l_1|...|l_k) = psi(l_1|...|l_{k-1}) . psi(l_k), both read from
+        the cache."""
         letters = tok.data
         if not letters:
             return Element.from_token(self.ring, self.square.unit)
         if len(letters) == 1:
             return self._gen(letters[0])
-        return self.square.multiply(self._psi(word_token(letters[:-1])), self._gen(letters[-1]))
-
-    def psi_map(self):
-        return self._psi
-
-    def iterated_psi(self, tok, r):
-        """psi^(r)(word) as an element of flat r-fold tensor tokens."""
-        return _split_first_iterated(self.ring, tok, self._psi, r)
+        return self.square.multiply(self._comult(word_token(letters[:-1])),
+                                    self._comult(word_token(letters[-1:])))
 
     def loop_hopf(self):
-        """The chain Hopf algebra (Cobar C, psi)-with values through pairs."""
-        return self._hopf
+        """The chain Hopf algebra (Cobar C, psi): this structure itself."""
+        return self
 
     def is_balanced(self, through_degree):
         """tau psi = psi on generators through the given degree."""
         for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
             for c in self.C.complex.basis.basis(n):
-                letter = desuspend(c)
-                img = self._gen(letter)
+                img = self._comult(word_token((desuspend(c),)))
                 if twist_tensor(self.ring, img) != img:
                     return False
         return True
@@ -814,7 +807,7 @@ class HirschCoalgebra:
         for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
             for c in self.C.complex.basis.basis(n):
                 w = word_token((desuspend(c),))
-                if dsq(self._psi(w)) != self._psi(self.cobar.d(w)):
+                if dsq(self._comult(w)) != self._comult(self.cobar.d(w)):
                     return c
         return None
 
@@ -822,7 +815,7 @@ class HirschCoalgebra:
         for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
             for c in self.C.complex.basis.basis(n):
                 w = word_token((desuspend(c),))
-                if self.iterated_psi(w, 3) != _split_last(self.ring, w, self._psi):
+                if self.comult_power(w, 3) != _split_last(self.ring, w, self._comult):
                     return c
         return None
 
@@ -845,25 +838,3 @@ def hirsch_primitive(C, cobar=None, overrides=None, name=""):
         return Element(ring, [(tensor_token(w, empty), 1), (tensor_token(empty, w), 1)])
 
     return HirschCoalgebra(C, omega, gen, name=name)
-
-
-def suspension_hirsch(EL_chains, lower_comult, cobar=None, name=""):
-    """Hirsch structure on the chains of a simplicial suspension.
-
-    lower_comult maps a positive-degree token c to the part of the loop
-    comultiplication coming one level down: an Element of binary tensor
-    tokens (u, v) of C-tokens with |u| + |v| = |c| + 1, to be read as
-    s^{-1}u (x) s^{-1}v.  Primitive terms are added automatically.
-    """
-    ring = EL_chains.ring
-    omega = cobar if cobar is not None else cobar_construction(EL_chains)
-    empty = word_token(())
-
-    def gen(letter):
-        w = word_token((letter,))
-        return Element(ring, [(tensor_token(w, empty), 1), (tensor_token(empty, w), 1)] +
-                       [(tensor_token(word_token((desuspend(t.data[0]),)),
-                                      word_token((desuspend(t.data[1]),))), coeff)
-                        for t, coeff in lower_comult(suspend(letter)).items()])
-
-    return HirschCoalgebra(EL_chains, omega, gen, name=name)

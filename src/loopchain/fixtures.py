@@ -11,7 +11,7 @@ from .chains import (
     tensor_token, word_token, desuspend, zero_map, RINGS, ZZ, F2,
 )
 from .dg import (
-    DGAlgebra, DGCoalgebra, HopfAlgebra, hirsch_primitive, suspension_hirsch,
+    DGAlgebra, DGCoalgebra, HopfAlgebra, hirsch_primitive,
     tensor_algebra, cobar_construction,
 )
 from .groups import BUILTIN_GROUPS
@@ -90,7 +90,10 @@ def nonreal_aw_hirsch(ring=ZZ, max_degree=16):
 
 def rp_suspension_coalgebra(ring=F2, max_degree=8):
     """Chains of the suspension of the infinite real projective space model:
-    one primitive generator y_k in each degree k+1, zero differential mod 2."""
+    one primitive generator y_k in each degree k+1, zero differential.
+
+    It models Sigma RP^infinity over F2 only.  Over Z the zero differential
+    is wrong: H_2(Sigma RP^infinity; Z) = Z/2, not Z."""
     def basis_fn(n):
         if n == 0:
             return [generator("1", 0)]
@@ -106,17 +109,18 @@ def rp_suspension_coalgebra(ring=F2, max_degree=8):
 
 
 def rp_hirsch(ring=F2, max_degree=8):
-    """The suspension Hirsch structure: psi(z_k) = sum z_i (x) z_{k-i},
-    transported from the binomial diagonal one level down."""
+    """The suspension Hirsch structure on rp_suspension_coalgebra,
+    psi(z_k) = z_k (x) 1 + 1 (x) z_k + sum_{0<i<k} z_i (x) z_{k-i} for
+    z_k = s^{-1}y_k, transported from the binomial diagonal one level down.
+    Like its coalgebra it models Sigma RP^infinity over F2 only."""
     C = rp_suspension_coalgebra(ring, max_degree)
-
-    def lower_comult(tok):
-        k = tok.degree - 1
-        return Element(ring, [(tensor_token(generator(("y", i), i + 1),
-                                            generator(("y", k - i), k - i + 1)), 1)
-                              for i in range(1, k)])
-
-    return C, suspension_hirsch(C, lower_comult, name="Hirsch(E RP)")
+    empty = word_token(())
+    z = {k: word_token((desuspend(generator(("y", k), k + 1)),)) for k in range(1, max_degree)}
+    images = {z[k].data[0]: Element(ring, [(tensor_token(z[k], empty), 1),
+                                           (tensor_token(empty, z[k]), 1)] +
+                                    [(tensor_token(z[i], z[k - i]), 1) for i in range(1, k)])
+              for k in z}
+    return C, hirsch_primitive(C, overrides=images, name="Hirsch(E RP)")
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,6 @@ def hochschild_general(t, max_degree=None, name=""):
     return HochschildComplex(t, cx, label)
 
 
-def hochschild_complex(t, max_degree=None):
-    """H(t) = (C (x) A, d_t)."""
-    return hochschild_general(t, max_degree=max_degree)
-
-
 def cohochschild_complex(C, cobar=None, max_degree=None):
     """The coHochschild complex: H of the universal twisting cochain."""
     t = universal_twisting(C, cobar)
@@ -393,10 +388,10 @@ def _check_power(r):
 def check_power_hypotheses(t, hirsch, H, alpha2, c):
     """Hypotheses of the power-map theorem on a token c of C: alpha_t is a
     coalgebra map from (Cobar C, psi) to (H, delta) on s^{-1}c, and
-    delta t(c) is symmetric; alpha2 is alpha_t (x) alpha_t.  Returns the
-    message naming a broken hypothesis, or None."""
+    delta t(c) is symmetric; alpha2 is alpha_t (x) alpha_t on one tensor
+    token.  Returns the message naming a broken hypothesis, or None."""
     dt = t.map(c).apply(H.comult)  # delta alpha_t(s^{-1}c) = delta t(c)
-    if alpha2(hirsch.psi(word_token((desuspend(c),)))) != dt:
+    if hirsch.psi(word_token((desuspend(c),))).apply(alpha2) != dt:
         return "alpha_t is not a coalgebra map"
     if twist_tensor(t.ring, dt) != dt:
         return "delta t is not symmetric"
@@ -434,11 +429,11 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
     _check_power(r)
     ring = t.ring
     alpha = algebra_realization(t)
-    alpha2 = tensor_map(alpha, alpha)
+    alpha2 = tensor_map(alpha, alpha).fn  # uncached: each term of psi(s^{-1}c) is read once
     check = _hypothesis(t.source, 1, lambda c: check_power_hypotheses(t, hirsch, H, alpha2, c),
                         check_degree)
     A = H.algebra
-    expansions = LinearMap(ring, -1, lambda c: hirsch.iterated_psi(word_token((desuspend(c),)), r),
+    expansions = LinearMap(ring, -1, lambda c: hirsch.comult_power(word_token((desuspend(c),)), r),
                            "psi^(%d) s^-1" % r)
     # w_1, u_2, w_2, ..., u_r, w_r as positions in u_2 ... u_r w_1 ... w_r
     interleave = [r - 1] + [q for i in range(r - 1) for q in (i, r + i)]

@@ -335,7 +335,8 @@ class BarHopfStructure(HirschCoalgebra):
     Milgram's q (read through q.fn, uncached) of the sum of c F(w) over the
     terms c w of Bar(delta)(y), merged into one element first.  Besides
     F's cache and psi's, psi fills only H's Delta and the one-term images
-    per letter of q's twisting cochain."""
+    per letter of q's twisting cochain.  epsilon is the counit map
+    Cobar Bar A -> A; counit is the Hopf algebra's augmentation."""
 
     def __init__(self, H, max_degree=None):
         self.H = H
@@ -344,7 +345,7 @@ class BarHopfStructure(HirschCoalgebra):
         self.sdr = bar_sdr(A, A, max_degree=max_degree)
         self.barH = bar_construction(A, max_degree=None if max_degree is None else max_degree + 1)
         self.F = transferred_twisting(self.sdr)
-        self.counit = cobar_bar_counit(A, self.barH)
+        self.epsilon = cobar_bar_counit(A, self.barH)
         q, _ = cobar_tensor_splitting(self.barH, self.barH)
         F = self.F.map
         unit = tensor_token(A.unit, A.unit)
@@ -366,4 +367,4 @@ class BarHopfStructure(HirschCoalgebra):
 
         eps has degree 0, so no Koszul signs arise.
         """
-        return tensor_map(self.counit, self.counit)(x)
+        return tensor_map(self.epsilon, self.epsilon)(x)

@@ -13,7 +13,7 @@ from loopchain.dg import (
     cobar_construction, bar_construction, universal_twisting,
     couniversal_twisting, cobar_map, bar_map, cartesian_product,
     algebra_realization, coalgebra_realization, bar_cobar_unit,
-    HirschCoalgebra, TwistingCochain, hirsch_primitive, tensor_algebra,
+    HirschCoalgebra, HopfAlgebra, TwistingCochain, hirsch_primitive, tensor_algebra,
 )
 from loopchain.fixtures import (
     sphere_coalgebra, nonreal_aw_coalgebra, nonreal_aw_hirsch, rp_hirsch, small_commutative,
@@ -22,7 +22,7 @@ from loopchain.fixtures import (
 )
 from loopchain.groups import BUILTIN_GROUPS
 from loopchain.hochschild import (
-    hochschild_complex, cohochschild_complex, hochschild_of_algebra,
+    cohochschild_complex, hochschild_of_algebra,
     hochschild_general, induced_map, cohoch_to_hoch, sh_map, sh_map_dual,
     cohoch_retraction, hoch_section, monoidal_iso,
     hochschild_comultiplication, hochschild_multiplication,
@@ -394,8 +394,8 @@ def test_monoidal_is_a_chain_map():
     tp = universal_twisting(Cp)
     tt = cartesian_product(t, tp)
     Htt = hochschild_general(tt, max_degree=8)
-    Ht = hochschild_complex(t, max_degree=8)
-    Htp = hochschild_complex(tp, max_degree=8)
+    Ht = hochschild_general(t, max_degree=8)
+    Htp = hochschild_general(tp, max_degree=8)
     fwd, bwd = monoidal_iso(t, tp)
     # target: H(t) (x) H(t') with the tensor differential
     from loopchain.chains import add_maps, tensor_map
@@ -717,7 +717,7 @@ def test_warm_psi_cache_skips_no_check():
         for c in C.complex.basis.basis(n):
             lam2(pair(c, word_token(())))
     for r in (2, 3):
-        bad.iterated_psi(word_token((desuspend(z),)), r)  # psi of s^{-1}z is now cached
+        bad.comult_power(word_token((desuspend(z),)), r)  # psi of s^{-1}z is now cached
         with pytest.raises(CompatibilityError) as raised:
             power_map(t, bad, bad.loop_hopf(), r, check_degree=7)
         assert raised.value.token is z
@@ -776,8 +776,7 @@ def test_cached_psi_equals_the_letter_fold():
         assert len(words) > 30
         for w in words:
             assert hirsch.psi(w) == _psi_fold(hirsch, w), w
-        assert hirsch.loop_hopf() is hirsch.loop_hopf()
-        assert hirsch.psi_map() is hirsch.psi_map()
+        assert hirsch.psi(words[-1]) is hirsch.comult(words[-1])
 
 
 def test_psi_builds_each_word_once():
@@ -795,11 +794,47 @@ def test_psi_builds_each_word_once():
     for _ in range(2):
         lam2 = power_map(t, hirsch, hirsch.loop_hopf(), 2)
         passes.append(power_map_on_homology(H, lam2, range(6)))
-        words = [w for w in hirsch.psi_map()._cache if w.data]
-        assert len(built) == len(words)
+        words = [w for w in hirsch._comult._cache if w.data]
+        # each letter's generator image is built once, for the letters of the cached words
+        assert len(built) == len(set(built))
+        assert set(built) == {letter for w in words for letter in w.data}
     assert passes[0] == passes[1]
     # each word's image is built on the cached image of its prefix
     assert all(word_token(w.data[:-1]) in words for w in words if len(w.data) > 1)
+
+
+def test_hirsch_coalgebra_is_its_loop_hopf_algebra():
+    rp = rp_hirsch()[1]
+    aw = nonreal_aw_hirsch()[1]
+    bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS["s3"]), 4)
+    for hirsch, words in [(rp, rp.cobar.complex.basis.basis(5)),
+                          (aw, aw.cobar.complex.basis.basis(6)),
+                          (bh, _bar_s3_words(bh, 2))]:
+        assert isinstance(hirsch, HopfAlgebra)
+        assert hirsch.loop_hopf() is hirsch
+        assert words
+        for w in words:
+            # Delta^(2) is psi itself, read from its cache
+            assert hirsch.comult_power(w, 2) is hirsch.psi(w)
+
+
+def test_power_check_caches_no_alpha_tensor_images():
+    # check_power_hypotheses reads alpha_t (x) alpha_t of each term of psi(s^{-1}c)
+    # once, so it applies it uncached: H's Delta is the only new cache of A (x) A terms
+    import gc
+    H = group_ring_hopf(BUILTIN_GROUPS["s3"])
+    bh = BarHopfStructure(H, 5)
+    t = couniversal_twisting(H.algebra, bh.barH)
+    A = set(H.algebra.complex.basis.basis(0))
+
+    def holders():
+        return [m for m in gc.get_objects() if isinstance(m, LinearMap) and
+                any(u.kind == "tensor" and len(u.data) == 2 and all(a in A for a in u.data)
+                    for img in m._cache.values() for u in img.terms)]
+
+    before = holders()
+    lam2 = power_map(t, bh, H, 2, check_degree=2)  # held, so its caches stay live
+    assert [m for m in holders() if all(m is not b for b in before)] == [H._comult]
 
 
 def test_power_naturality_under_coalgebra_scaling():

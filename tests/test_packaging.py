@@ -34,6 +34,30 @@ def test_every_module_is_imported_by_a_test():
     assert sorted(modules - imported) == []
 
 
+def test_every_definition_is_referenced():
+    # every top-level function and class and every non-dunder method of
+    # loopchain is named somewhere in src/ or tests/, else it is dead code
+    package = pathlib.Path(loopchain.__file__).parent
+    defined, referenced = set(), set()
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(m.name for m in node.body if isinstance(m, ast.FunctionDef)
+                               and not (m.name.startswith("__") and m.name.endswith("__")))
+    for path in [*(ROOT / "src").rglob("*.py"), *TESTS.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rpartition(".")[2])
+    assert len(defined) > 200
+    assert sorted(defined - referenced) == []
+
+
 def test_benchmark_layer_names_resolve():
     # the traced benchmark locates loopchain functions by name; an empty profile
     # still looks every one of them up, so a rename fails here
