@@ -281,23 +281,11 @@ class Element:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        """Common degree of all terms; None for 0, error if mixed."""
-        degs = {t.degree for t in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("mixed-degree element: %r" % sorted(degs))
-        return degs.pop()
-
     def __add__(self, other):
         return Element(self.ring, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, c):
         return Element(self.ring, [(t, c * v) for t, v in self.terms.items()])
@@ -329,9 +317,6 @@ class Element:
             and self.ring == other.ring
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:

@@ -3,9 +3,11 @@
 Includes the bar and cobar constructions, the canonical twisting cochains
 and their induced maps, bar/cobar adjunction maps, cartesian products of
 twisting cochains, tensor products of (co)algebras, convolution powers,
-and Hirsch coalgebras.  A Hirsch coalgebra C is the chain Hopf algebra
-(Cobar C, psi) of its loop comultiplication psi, with each letter's image
-under psi built once.
+and Hirsch coalgebras.  A chain Hopf algebra is one object, both its
+DGAlgebra and its DGCoalgebra, so a product, a unit and a comultiplication
+each have one owner.  A Hirsch coalgebra C is the chain Hopf algebra
+(Cobar C, psi) of its loop comultiplication psi, and so its own Cobar C,
+with each letter's image under psi built once.
 """
 
 from .chains import (
@@ -15,30 +17,8 @@ from .chains import (
 )
 
 
-def unit_augmentation(ring, unit_token):
-    def aug(tok):
-        return 1 if tok is unit_token else 0
-    return aug
-
-
-class DGAlgebra:
-    """Augmented chain algebra with a basis-aligned augmentation.
-
-    The algebra is given by one product function: product(a, b) on basis
-    tokens returns the (token, coefficient) pairs of ab as a tuple, list or
-    items view, unreduced (tokens may repeat, coefficients need not be
-    reduced mod p), and () for zero.  multiply merges all products of two
-    elements into one Element; mult(a, b) is the product of two tokens as
-    an Element.  Non-unit basis tokens must be killed by the augmentation
-    (fixtures are stated in such a basis).
-    """
-
-    def __init__(self, complex_, unit, product, augmentation=None, name=""):
-        self.complex = complex_
-        self.unit = unit
-        self.product = product
-        self.augmentation = augmentation or unit_augmentation(complex_.ring, unit)
-        self.name = name or complex_.name
+class _OnComplex:
+    """What an algebra and a coalgebra read off their one chain complex."""
 
     @property
     def ring(self):
@@ -51,6 +31,28 @@ class DGAlgebra:
     @property
     def max_degree(self):
         return self.complex.max_degree
+
+
+class DGAlgebra(_OnComplex):
+    """Augmented chain algebra whose augmentation is the indicator of the unit.
+
+    The algebra is given by one product function: product(a, b) on basis
+    tokens returns the (token, coefficient) pairs of ab as a tuple, list or
+    items view, unreduced (tokens may repeat, coefficients need not be
+    reduced mod p), and () for zero.  multiply merges all products of two
+    elements into one Element; mult(a, b) is the product of two tokens as
+    an Element.  The basis must be aligned with the augmentation: it kills
+    every basis token but the unit (fixtures are stated in such a basis).
+    """
+
+    def __init__(self, complex_, unit, product, name=""):
+        self.complex = complex_
+        self.unit = unit
+        self.product = product
+        self.name = name or complex_.name
+
+    def augmentation(self, tok):
+        return 1 if tok is self.unit else 0
 
     def mult(self, a, b):
         return Element(self.ring, self.product(a, b))
@@ -76,9 +78,6 @@ class DGAlgebra:
     def aug_ideal_basis(self, n):
         toks = self.complex.basis.basis(n)
         return [t for t in toks if t is not self.unit]
-
-    def is_connected(self):
-        return self.complex.basis.basis(0) == [self.unit]
 
     def element(self, tok, c=1):
         return Element.from_token(self.ring, tok, c)
@@ -113,44 +112,28 @@ class DGAlgebra:
         return None
 
 
-class DGCoalgebra:
+class DGCoalgebra(_OnComplex):
     """Coaugmented chain coalgebra; connected when degree 0 is R*1.
 
-    The comultiplication and the reduced comultiplication are LinearMaps,
-    so each caches its image of a token; a comult that is already a
-    LinearMap is used as it is.
+    The comultiplication is a LinearMap, so it caches its image of a token;
+    a comult that is already a LinearMap is used as it is.  The reduced
+    comultiplication filters that cached image.  The counit defaults to the
+    indicator of counit_token.
     """
 
     def __init__(self, complex_, counit_token, comult, counit=None, name=""):
         self.complex = complex_
         self.counit_token = counit_token
-        ring = complex_.ring
         self._comult = comult if isinstance(comult, LinearMap) else \
-            LinearMap(ring, 0, comult, "Delta")
-        self._reduced = LinearMap(ring, 0, self._reduced_image, "Delta-bar")
-        self.counit = counit or unit_augmentation(ring, counit_token)
+            LinearMap(complex_.ring, 0, comult, "Delta")
+        self.counit = counit or (lambda tok: 1 if tok is counit_token else 0)
         self.name = name or complex_.name
-
-    @property
-    def ring(self):
-        return self.complex.ring
-
-    @property
-    def d(self):
-        return self.complex.d
-
-    @property
-    def max_degree(self):
-        return self.complex.max_degree
 
     def comult(self, tok):
         return self._comult(tok)
 
     def reduced_comult(self, tok):
         """Drop terms with a degree-0 factor; valid for connected coalgebras."""
-        return self._reduced(tok)
-
-    def _reduced_image(self, tok):
         if tok.degree == 0:
             return Element(self.ring)
         return Element(self.ring, [(t, c) for t, c in self._comult(tok).items()
@@ -160,17 +143,15 @@ class DGCoalgebra:
         """Delta-bar^(k): element with k-fold tensor tokens (left-iterated)."""
         if tok.degree == 0:
             return Element(self.ring)
-        return _split_first_iterated(self.ring, tok, self._reduced, k)
+        return _split_first_iterated(self.ring, tok, self.reduced_comult, k)
 
     def comult_iterated(self, tok, k):
-        """Full Delta^(k) as an element of k-fold tensor tokens."""
+        """Full Delta^(k) as an element of k-fold tensor tokens; Delta^(2) is
+        the cached Delta(tok) itself."""
         return _split_first_iterated(self.ring, tok, self._comult, k)
 
     def is_connected(self):
         return self.complex.basis.basis(0) == [self.counit_token]
-
-    def element(self, tok, c=1):
-        return Element.from_token(self.ring, tok, c)
 
     def check_coassociativity(self, through_degree):
         for n in range(through_degree + 1):
@@ -222,55 +203,34 @@ def twist_tensor(ring, x):
                           for t, c in x.items()])
 
 
-class HopfAlgebra:
-    """Chain Hopf algebra: a DGAlgebra and the DGCoalgebra of its comultiplication."""
+class HopfAlgebra(DGAlgebra, DGCoalgebra):
+    """Chain Hopf algebra: one object that is both the DGAlgebra of the given
+    algebra's complex, unit and product and the DGCoalgebra of comult on that
+    complex, counital at the unit.  Its counit is its augmentation."""
 
-    def __init__(self, algebra, comult, counit=None, name=""):
-        self.algebra = algebra
-        self.counit = counit or unit_augmentation(algebra.ring, algebra.unit)
-        self.name = name or algebra.name
-        self._coalgebra = DGCoalgebra(algebra.complex, algebra.unit, comult, self.counit,
-                                      self.name)
-        self._comult = self._coalgebra._comult
-
-    @property
-    def ring(self):
-        return self.algebra.ring
+    def __init__(self, algebra, comult, name=""):
+        name = name or algebra.name
+        DGAlgebra.__init__(self, algebra.complex, algebra.unit, algebra.product, name)
+        DGCoalgebra.__init__(self, algebra.complex, algebra.unit, comult, name=name)
 
     @property
-    def complex(self):
-        return self.algebra.complex
-
-    @property
-    def unit(self):
-        return self.algebra.unit
-
-    @property
-    def d(self):
-        return self.algebra.d
+    def algebra(self):
+        """The underlying chain algebra: this structure itself."""
+        return self
 
     def comult(self, tok):
+        # defined here, not inherited, so that a profile counts the
+        # comultiplications of Hopf algebras apart from those of coalgebras
         return self._comult(tok)
-
-    def as_coalgebra(self):
-        return self._coalgebra
-
-    def comult_power(self, tok, r):
-        """Full Delta^(r) with values in flat r-fold tensor tokens."""
-        return self._coalgebra.comult_iterated(tok, r)
-
-    def is_cocommutative(self, through_degree):
-        return self._coalgebra.is_cocommutative(through_degree)
 
     def check_comult_is_algebra_map(self, through_degree):
         """delta(ab) = delta(a)delta(b) in the Koszul-signed tensor square."""
-        A = self.algebra
-        sq = tensor_algebra(A, A, max_degree=through_degree)
+        sq = tensor_algebra(self, self, max_degree=through_degree)
         for n in range(through_degree + 1):
             for m in range(through_degree + 1 - n):
-                for a in A.complex.basis.basis(n):
-                    for b in A.complex.basis.basis(m):
-                        lhs = A.mult(a, b).apply(self._comult)
+                for a in self.complex.basis.basis(n):
+                    for b in self.complex.basis.basis(m):
+                        lhs = self.mult(a, b).apply(self._comult)
                         rhs = sq.multiply(self._comult(a), self._comult(b))
                         if lhs != rhs:
                             return (a, b)
@@ -295,9 +255,6 @@ class TwistingCochain:
     @property
     def ring(self):
         return self.source.ring
-
-    def __call__(self, x):
-        return self.map(x)
 
     def brown_defect(self, tok):
         """d t(c) + t(d c) - m (t (x) t) Delta(c)."""
@@ -640,13 +597,7 @@ def tensor_algebra(*algebras, max_degree=None):
             partial = [(us + (u,), c * cu) for us, c in partial for u, cu in factor]
         return [(tensor_token(*us), c) for us, c in partial]
 
-    def aug(tok):
-        v = 1
-        for a, part in zip(algebras, tok.data):
-            v *= a.augmentation(part)
-        return v
-
-    return DGAlgebra(cx, unit, product, aug, cx.name)
+    return DGAlgebra(cx, unit, product, cx.name)
 
 
 def tensor_coalgebra(*coalgebras, max_degree=None):
@@ -682,9 +633,9 @@ def tensor_coalgebra(*coalgebras, max_degree=None):
 
 def hopf_tensor_power(H, r, max_degree=None):
     """H^{(x)r} with componentwise Hopf structure."""
-    algebra = tensor_algebra(*([H.algebra] * r), max_degree=max_degree)
-    coalgebra = tensor_coalgebra(*([H.as_coalgebra()] * r), max_degree=max_degree)
-    return HopfAlgebra(algebra, coalgebra._comult, coalgebra.counit, name=algebra.name)
+    algebra = tensor_algebra(*([H] * r), max_degree=max_degree)
+    coalgebra = tensor_coalgebra(*([H] * r), max_degree=max_degree)
+    return HopfAlgebra(algebra, coalgebra._comult)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +682,7 @@ def convolution(H, f, g):
     fg = tensor_map(f, g)
 
     def fn(tok):
-        return H.algebra.mult_on_pairs(fg(H.comult(tok)))
+        return H.mult_on_pairs(fg(H.comult(tok)))
 
     return LinearMap(ring, f.shift + g.shift, fn, "%s*%s" % (f.name, g.name))
 
@@ -743,8 +694,8 @@ def convolution_power(H, r):
     ring = H.ring
 
     def fn(tok):
-        return H.comult_power(tok, r).apply(
-            lambda t: H.algebra.multiply_all([Element.from_token(ring, u) for u in t.data]))
+        return H.comult_iterated(tok, r).apply(
+            lambda t: H.multiply_all([Element.from_token(ring, u) for u in t.data]))
 
     return LinearMap(ring, 0, fn, "lambda_%d" % r)
 
@@ -756,22 +707,28 @@ def convolution_power(H, r):
 class HirschCoalgebra(HopfAlgebra):
     """Connected coalgebra C with a coassociative loop comultiplication:
     an algebra map psi: Cobar C -> Cobar C (x) Cobar C, given on generators.
-    It is the chain Hopf algebra (Cobar C, psi), so loop_hopf returns itself.
+    It is the chain Hopf algebra (Cobar C, psi) on the complex, unit and
+    product of the given cobar construction, so it is its own Cobar C
+    (cobar) and its own loop Hopf algebra (loop_hopf).
 
     psi is the Hopf algebra's one comultiplication LinearMap, cached per
     cobar word.  Because psi is an algebra map, the image of l_1|...|l_k is
     the cached image of its prefix l_1|...|l_{k-1} times the cached image
     of the one-letter word l_k, so each letter's generator image is built
-    once.  psi, comult and comult_power all read this one cache.
+    once.  psi, comult and comult_iterated all read this one cache.
     """
 
     def __init__(self, C, cobar, generator_images, name=""):
         self.C = C
-        self.cobar = cobar
-        self.square = tensor_algebra(cobar, cobar)
         self._gen = generator_images  # letter token -> Element in the square
         super().__init__(cobar, LinearMap(C.ring, 0, self._psi_image, "psi"),
                          name=name or "Hirsch(%s)" % C.name)
+        self.square = tensor_algebra(self, self)
+
+    @property
+    def cobar(self):
+        """Cobar C: this structure itself."""
+        return self
 
     def psi(self, tok):
         """Algebra-map extension to cobar words."""
@@ -807,7 +764,7 @@ class HirschCoalgebra(HopfAlgebra):
         for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
             for c in self.C.complex.basis.basis(n):
                 w = word_token((desuspend(c),))
-                if dsq(self._comult(w)) != self._comult(self.cobar.d(w)):
+                if dsq(self._comult(w)) != self._comult(self.d(w)):
                     return c
         return None
 
@@ -815,7 +772,7 @@ class HirschCoalgebra(HopfAlgebra):
         for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
             for c in self.C.complex.basis.basis(n):
                 w = word_token((desuspend(c),))
-                if self.comult_power(w, 3) != _split_last(self.ring, w, self._comult):
+                if self.comult_iterated(w, 3) != _split_last(self.ring, w, self._comult):
                     return c
         return None
 

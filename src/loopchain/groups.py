@@ -16,9 +16,6 @@ class FiniteGroup:
     def __repr__(self):
         return "FiniteGroup(%s)" % self.name
 
-    def __len__(self):
-        return len(self.elements)
-
 
 def cyclic(n):
     return FiniteGroup("C%d" % n, range(n), lambda a, b: (a + b) % n, 0)

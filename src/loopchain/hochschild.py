@@ -364,7 +364,7 @@ def hochschild_multiplication(t, nu, H, check_degree=None):
 
     def mu_fn(tok):
         u, v = tok.data
-        return H.algebra.mult(u, v)
+        return H.mult(u, v)
 
     mu = LinearMap(ring, 0, mu_fn, "mu")
     hs = sh_map_dual(mu, nu, tt, t, check_degree=check_degree)
@@ -405,9 +405,9 @@ def power_domain(t, H, r, max_degree=None):
     Hr = hopf_tensor_power(H, r, max_degree=max_degree)
 
     def fn(tok):
-        return t.map(tok).apply(lambda a: H.comult_power(a, r))
+        return t.map(tok).apply(lambda a: H.comult_iterated(a, r))
 
-    tr = TwistingCochain(t.source, Hr.algebra, LinearMap(ring, -1, fn, "d(r)t"),
+    tr = TwistingCochain(t.source, Hr, LinearMap(ring, -1, fn, "d(r)t"),
                          "delta^%d %s" % (r, t.name))
     return tr, Hr
 
@@ -432,8 +432,8 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
     alpha2 = tensor_map(alpha, alpha).fn  # uncached: each term of psi(s^{-1}c) is read once
     check = _hypothesis(t.source, 1, lambda c: check_power_hypotheses(t, hirsch, H, alpha2, c),
                         check_degree)
-    A = H.algebra
-    expansions = LinearMap(ring, -1, lambda c: hirsch.comult_power(word_token((desuspend(c),)), r),
+    expansions = LinearMap(ring, -1,
+                           lambda c: hirsch.comult_iterated(word_token((desuspend(c),)), r),
                            "psi^(%d) s^-1" % r)
     # w_1, u_2, w_2, ..., u_r, w_r as positions in u_2 ... u_r w_1 ... w_r
     interleave = [r - 1] + [q for i in range(r - 1) for q in (i, r + i)]
@@ -444,7 +444,7 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
         ws = wbar.data
         w_elements = [Element.from_token(ring, w) for w in ws]
         if c.degree == 0:
-            prod = A.multiply_all(w_elements)
+            prod = H.multiply_all(w_elements)
             return Element(ring, [(tensor_token(c, v), cv) for v, cv in prod.items()])
         w_degrees = [w.degree for w in ws]
         pairs = []
@@ -461,7 +461,7 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
                                                middle, sum(middle_degrees)):
                 kept = suspend(u1.data[i])
                 pairs += [(tensor_token(kept, v), coeff * sign * cv)
-                          for v, cv in A.multiply_all(factors).items()]
+                          for v, cv in H.multiply_all(factors).items()]
         return Element(ring, pairs)
 
     return LinearMap(ring, 0, fn, "mu-tilde_%d" % r)
@@ -474,7 +474,7 @@ def power_map(t, hirsch, H, r, check_degree=None):
 
     def fn(tok):
         c, w = tok.data
-        return H.comult_power(w, r).apply(lambda u: mu(tensor_token(c, u)))
+        return H.comult_iterated(w, r).apply(lambda u: mu(tensor_token(c, u)))
 
     return LinearMap(ring, 0, fn, "lambda-tilde_%d" % r)
 

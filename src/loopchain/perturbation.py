@@ -322,7 +322,7 @@ def bar_shuffle_hopf(A, max_degree=None):
 
     algebra = DGAlgebra(barA.complex, word_token(()), product,
                         name="Bar(%s)-shuffle" % A.name)
-    hopf = HopfAlgebra(algebra, barA._comult, name="Bar(%s)-shuffle" % A.name)
+    hopf = HopfAlgebra(algebra, barA._comult)
     return hopf, barA, nu
 
 
@@ -336,19 +336,19 @@ class BarHopfStructure(HirschCoalgebra):
     terms c w of Bar(delta)(y), merged into one element first.  Besides
     F's cache and psi's, psi fills only H's Delta and the one-term images
     per letter of q's twisting cochain.  epsilon is the counit map
-    Cobar Bar A -> A; counit is the Hopf algebra's augmentation."""
+    Cobar Bar H -> H; counit is the inherited DGCoalgebra.counit of the
+    Hopf algebra Cobar Bar H, the indicator of the empty word."""
 
     def __init__(self, H, max_degree=None):
         self.H = H
-        A = H.algebra
-        ring = A.ring
-        self.sdr = bar_sdr(A, A, max_degree=max_degree)
-        self.barH = bar_construction(A, max_degree=None if max_degree is None else max_degree + 1)
+        ring = H.ring
+        self.sdr = bar_sdr(H, H, max_degree=max_degree)
+        self.barH = bar_construction(H, max_degree=None if max_degree is None else max_degree + 1)
         self.F = transferred_twisting(self.sdr)
-        self.epsilon = cobar_bar_counit(A, self.barH)
+        self.epsilon = cobar_bar_counit(H, self.barH)
         q, _ = cobar_tensor_splitting(self.barH, self.barH)
         F = self.F.map
-        unit = tensor_token(A.unit, A.unit)
+        unit = tensor_token(H.unit, H.unit)
 
         def gen(letter):
             bar_delta = bar_word(ring, [H.comult(desuspend(l)) for l in suspend(letter).data], unit)

@@ -99,7 +99,9 @@ def smith_normal_form(matrix, rows=None, cols=None):
         col_swap(t, pj)
         if M[t][t] < 0:
             row_negate(t)
-        # clear row and column t by gcd reduction
+        # clear row and column t by gcd reduction; a swap brings in the
+        # remainder of a floor division by the positive pivot, so every
+        # pivot, here and in the fold below, stays positive
         dirty = True
         while dirty:
             dirty = False
@@ -109,8 +111,6 @@ def smith_normal_form(matrix, rows=None, cols=None):
                     row_op(i, t, -q)
                     if M[i][t]:
                         row_swap(t, i)
-                        if M[t][t] < 0:
-                            row_negate(t)
                         dirty = True
             if dirty:
                 continue  # finish column t first: column ops then touch row t only
@@ -120,8 +120,6 @@ def smith_normal_form(matrix, rows=None, cols=None):
                     col_op(j, t, -q)
                     if M[t][j]:
                         col_swap(t, j)
-                        if M[t][t] < 0:
-                            row_negate(t)
                         dirty = True
         t += 1
 
@@ -138,12 +136,10 @@ def smith_normal_form(matrix, rows=None, cols=None):
                 while dirty:
                     dirty = False
                     if M[i + 1][i]:
-                        q = M[i + 1][i] // M[i][i] if M[i][i] else 0
+                        q = M[i + 1][i] // M[i][i]
                         row_op(i + 1, i, -q)
                         if M[i + 1][i]:
                             row_swap(i, i + 1)
-                            if M[i][i] < 0:
-                                row_negate(i)
                             dirty = True
                     if M[i][i + 1]:
                         q = M[i][i + 1] // M[i][i]

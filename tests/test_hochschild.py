@@ -717,7 +717,7 @@ def test_warm_psi_cache_skips_no_check():
         for c in C.complex.basis.basis(n):
             lam2(pair(c, word_token(())))
     for r in (2, 3):
-        bad.comult_power(word_token((desuspend(z),)), r)  # psi of s^{-1}z is now cached
+        bad.comult_iterated(word_token((desuspend(z),)), r)  # psi of s^{-1}z is now cached
         with pytest.raises(CompatibilityError) as raised:
             power_map(t, bad, bad.loop_hopf(), r, check_degree=7)
         assert raised.value.token is z
@@ -725,6 +725,17 @@ def test_warm_psi_cache_skips_no_check():
         with pytest.raises(CompatibilityError) as raised:
             lam(pair(z, word_token(())))
         assert raised.value.token is z
+
+
+def test_power_map_rejects_a_psi_alpha_t_does_not_preserve():
+    # alpha_t does not carry the primitive psi on Cobar Bar Z[S3] to delta:
+    # delta[g] = [g] (x) 1 + 1 (x) [g] + [g] (x) [g] for [g] = g - e
+    H = group_ring_hopf(BUILTIN_GROUPS["s3"])
+    bh = BarHopfStructure(H, 3)
+    t = couniversal_twisting(H.algebra, bh.barH)
+    with pytest.raises(CompatibilityError, match="alpha_t is not a coalgebra map") as raised:
+        power_map(t, hirsch_primitive(bh.barH), H, 2, check_degree=1)
+    assert raised.value.token.degree == 1
 
 
 @pytest.mark.parametrize("r", [0, -1])
@@ -811,11 +822,11 @@ def test_hirsch_coalgebra_is_its_loop_hopf_algebra():
                           (aw, aw.cobar.complex.basis.basis(6)),
                           (bh, _bar_s3_words(bh, 2))]:
         assert isinstance(hirsch, HopfAlgebra)
-        assert hirsch.loop_hopf() is hirsch
+        assert hirsch.loop_hopf() is hirsch and hirsch.cobar is hirsch
         assert words
         for w in words:
             # Delta^(2) is psi itself, read from its cache
-            assert hirsch.comult_power(w, 2) is hirsch.psi(w)
+            assert hirsch.comult_iterated(w, 2) is hirsch.psi(w)
 
 
 def test_power_check_caches_no_alpha_tensor_images():

@@ -69,3 +69,14 @@ def test_benchmark_layer_names_resolve():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     # the worker adds runtime.profiled_s, the profiled pass's own wall time
     assert sorted([*metrics, "runtime.profiled_s"]) == sorted(m["name"] for m in declared)
+
+
+def test_benchmark_summed_counts_are_distinct_functions():
+    # a layer metric that adds up several functions counts a call twice if
+    # two of them are one inherited code object
+    from loopchain import dg, snf
+    for functions in [(dg.DGCoalgebra.comult, dg.DGCoalgebra.reduced_comult, dg.HopfAlgebra.comult),
+                      (snf.modp_rank, snf._modp_kernel, snf._modp_column_space),
+                      (snf.HomologyBasis.__init__, snf.HomologyBasis.coordinates)]:
+        codes = [f.__code__ for f in functions]
+        assert len(set(codes)) == len(codes), functions

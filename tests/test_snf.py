@@ -68,6 +68,8 @@ _small_matrices = st.lists(
           [-1, -1, 1, -1, -1, -3, 3, 1], [-3, 1, 2, 2, -3, 2, 3, -3],
           [-1, -3, 3, 1, 2, -1, -1, -3], [-3, -2, 1, -3, 0, 3, 3, 0],
           [-2, -1, 0, -2, -1, -2, 1, -3], [-2, -3, -2, 1, 2, -2, 2, 0]])
+# the divisibility fold clears its row entry with a column swap
+@example([[2, 3, -3, -2], [-6, 4, -4, 4], [4, 2, 2, -3], [0, -2, 6, 4]])
 def test_snf_postconditions(matrix):
     res = smith_normal_form(matrix)
     rows, cols = len(matrix), len(matrix[0])
