@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopchain.chains import (
-    ZZ, Element, generator, koszul_sign, suspend, desuspend, tensor_token, word_token,
+    ZZ, F2, F3, Element, generator, koszul_sign, suspend, desuspend, tensor_token, word_token,
     verify_chain_map, identity_map, zero_map, LinearMap, sort_key,
 )
 from loopchain.dg import (
@@ -13,12 +13,14 @@ from loopchain.dg import (
 )
 from loopchain.fixtures import (
     exterior_two, small_commutative, free_hopf_one, group_ring_hopf, monomial_algebra,
+    primitive_hopf,
 )
+from loopchain import perturbation
 from loopchain.groups import BUILTIN_GROUPS
 from loopchain.perturbation import (
     SDRData, check_sdr, bar_sdr, bar_eilenberg_zilber, bar_alexander_whitney,
     bar_em_homotopy, transferred_twisting, BarHopfStructure,
-    PerturbationDivergence, _shuffles, bar_shuffle_hopf,
+    PerturbationDivergence, _shuffles, bar_shuffle_hopf, group_table,
 )
 
 
@@ -281,7 +283,8 @@ def test_one_recursion_sums_the_components_for_a_group_ring():
                     tensor_algebra(bh.H.algebra, bh.H.algebra))
     tokens = {t for n in range(1, 4) for word in bh.barH.complex.basis.basis(n)
               for t, _ in delta(word).items()}
-    assert _check_against_components(bh.sdr, sorted(tokens, key=sort_key)) >= 3
+    sdr = bar_sdr(bh.H, bh.H, max_degree=4)
+    assert _check_against_components(sdr, sorted(tokens, key=sort_key)) >= 3
 
 
 def test_F_caches_nothing_but_its_own_images():
@@ -421,7 +424,8 @@ def test_bar_hopf_psi_is_coassociative_on_generators():
     fixtures = [(free_hopf_one(2, max_degree=10), 7, 6),
                 (free_hopf_one(1), 6, 6),
                 (group_ring_hopf(BUILTIN_GROUPS["c2"]), 6, 5),
-                (group_ring_hopf(BUILTIN_GROUPS["s3"]), 3, 2)]
+                (group_ring_hopf(BUILTIN_GROUPS["s3"]), 3, 2),
+                (group_ring_hopf(BUILTIN_GROUPS["c4"]), 3, 3)]
     for H, topdeg, k in fixtures:
         bh = BarHopfStructure(H, max_degree=topdeg + 2)
         ring = bh.ring
@@ -470,10 +474,11 @@ def test_bar_hopf_psi_is_an_algebra_map_on_products():
 
 def _composite_psi(bh):
     """The loop comultiplication as the composite q o alpha_F o Cobar(Bar delta) of
-    the public functors: a second model of bh.psi."""
+    the public functors, with F transferred from an SDR of its own: a second
+    model of bh.psi, on the perturbation path for every H."""
     A = bh.H.algebra
     q, _ = cobar_tensor_splitting(bh.barH, bh.barH)
-    alpha_F = algebra_realization(bh.F)
+    alpha_F = algebra_realization(transferred_twisting(bar_sdr(bh.H, bh.H, bh.barH.max_degree - 1)))
     cobar_bar_delta = cobar_map(bar_map(bh.H._comult, tensor_algebra(A, A)))
     return lambda tok: q(alpha_F(cobar_bar_delta(tok)))
 
@@ -505,6 +510,15 @@ def test_bar_hopf_psi_matches_the_composite_of_functors(s3_psi_through_4):
                 assert bh.psi(uv) == composite(uv), (bh.name, uv)
 
 
+@pytest.mark.parametrize("group, ring, top", [("c4", ZZ, 4), ("c2", F2, 6), ("s3", F3, 3)])
+def test_closed_form_psi_matches_the_perturbation_psi(group, ring, top):
+    # a group ring takes Baues' closed form; the composite runs the perturbation
+    bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS[group], ring), top)
+    composite = _composite_psi(bh)
+    for g in _generators(bh, top):
+        assert bh.psi(g) == composite(g), (bh.name, g)
+
+
 def test_bar_hopf_is_its_own_hirsch_coalgebra_with_one_psi_cache(s3_psi_through_4):
     import gc
     bh, images = s3_psi_through_4
@@ -512,3 +526,30 @@ def test_bar_hopf_is_its_own_hirsch_coalgebra_with_one_psi_cache(s3_psi_through_
     maps = [m for m in gc.get_objects() if isinstance(m, LinearMap)]
     for g, img in images.items():
         assert sum(m._cache.get(g) is img for m in maps) == 1, g
+
+
+def test_group_rings_and_only_they_take_the_closed_form(monkeypatch):
+    for name in ("s3", "c4"):
+        G = BUILTIN_GROUPS[name]
+        for ring in (ZZ, F2):
+            H = group_ring_hopf(G, ring)
+            tok = {g: H.unit if g == G.unit else generator(("grp", G.name, g), 0)
+                   for g in G.elements}
+            assert group_table(H) == {(tok[g], tok[h]): tok[G.mul(g, h)]
+                                      for g in G.elements for h in G.elements}, (name, ring)
+            assert not H._comult._cache
+    for H in (free_hopf_one(1), free_hopf_one(2), primitive_hopf(exterior_two())):
+        assert group_table(H) is None, H.name
+        bh = BarHopfStructure(H, 3)
+        bh.psi(_generators(bh, 3)[-1])
+        assert bh.F.map._cache, H.name
+
+    def no_perturbation(*args, **kwargs):
+        raise AssertionError("a group ring entered the perturbation path")
+
+    # psi of Z[S3] builds no SDR and no F, so no map named F holds an image
+    monkeypatch.setattr(perturbation, "bar_sdr", no_perturbation)
+    monkeypatch.setattr(perturbation, "transferred_twisting", no_perturbation)
+    bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS["s3"]), 3)
+    assert not any(bh.psi(g).is_zero() for g in _generators(bh, 3))
+    assert not hasattr(bh, "F")

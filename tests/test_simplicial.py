@@ -142,6 +142,29 @@ def test_cyclic_nerve_power_maps_match_hochschild(name):
                                             ("torsion", 1), ("free", []), ("torsion", 1)]
 
 
+def test_s3_power_map_through_hh3_matches_the_centraliser_decomposition():
+    # HH_n(Z[S3]) is H_n(S3) + H_n(C2) + H_n(C3), the summands of the classes
+    # of e, a transposition t and a 3-cycle c, with centralisers S3, C2 and C3.
+    # lambda_2 takes the [g] summand to the [g^2] summand by the inclusion
+    # C(g) < C(g^2), then the conjugation that carries g^2 to its class's
+    # representative (Burghelea, Comment. Math. Helv. 60, 1985).  So HH_1 is
+    # Z/2 + Z/2 + Z/3, HH_2 = 0 and HH_3 = Z/6 + Z/3 + Z/2 = Z/6 + Z/6.  On
+    # HH_3: e^2 = e; c^2 = c^-1 is carried back to c by an inversion, which
+    # acts on H_3(C3) by (-1)^2 = 1; t^2 = e sends H_3(C2) = Z/2 onto the
+    # 2-torsion of H_3(S3) = Z/6; and nothing squares to t.  On Z/6 + Z/3 + Z/2,
+    # lambda_2 takes (x, y, z) to (x + 3z, y, 0): its image has order 18, that
+    # of 1 - lambda_2 order 2.  Bar degree 7 is what HH_3 with check_degree 4 needs.
+    H = group_ring_hopf(BUILTIN_GROUPS["s3"])
+    bh = BarHopfStructure(H, 7)
+    hoch = hochschild_of_algebra(H.algebra, bar=bh.barH, max_degree=4)
+    lam = power_map(couniversal_twisting(H.algebra, bh.barH), bh.hirsch(), H, 2, check_degree=4)
+    rows = power_map_on_homology(hoch, lam, range(4))
+    assert [[g[2] if g[0] == "torsion" else "free" for g in row["generators"]] for row in rows] == \
+        [["free"] * 3, [2, 6], [], [6, 6]]
+    assert [invariants(rows[3:], f) for f in (list, minus_identity)] == \
+        [[("torsion", 18)], [("torsion", 2)]]
+
+
 # HH_*(F_p[G]) = sum over conjugacy classes [g] of H_*(BC_G(g); F_p)
 CYCLIC_DIMENSIONS = {
     ("c2", 2): [2] * 6,
