@@ -387,6 +387,21 @@ class LinearMap:
         return "LinearMap(%s, shift=%+d)" % (self.name or "?", self.shift)
 
 
+class Table(dict):
+    """A dict that fills a key with fill(key) on its first read, table[key]:
+    each key is computed once, and a later read is one lookup, not a call."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def identity_map(ring):
     return LinearMap(ring, 0, lambda t: Element.from_token(ring, t), "id")
 
@@ -439,8 +454,9 @@ def tensor_maps(maps):
 class GradedBasis:
     """Per-degree ordered basis, eager or generated, hard-truncated.
 
-    Requesting a degree above max_degree raises: silent truncation would
-    corrupt d^2 = 0 checks at the boundary.
+    Each degree is built once and sorted by sort_key.  Requesting a degree
+    above max_degree raises: silent truncation would corrupt d^2 = 0 checks
+    at the boundary.
     """
 
     def __init__(self, ring, source, max_degree, name=""):
@@ -451,8 +467,8 @@ class GradedBasis:
             self._fn = lambda n: source.get(n, [])
         else:
             self._fn = source
-        self._cache = {}
-        self._index = {}
+        self._cache = Table(lambda n: sorted(self._fn(n), key=sort_key))
+        self._index = Table(lambda n: {t: i for i, t in enumerate(self.basis(n))})
 
     def basis(self, n):
         if n < 0:
@@ -461,18 +477,12 @@ class GradedBasis:
             raise DegreeOverflowError(
                 "%s: degree %d exceeds max_degree %d" % (self.name or "basis", n, self.max_degree)
             )
-        if n not in self._cache:
-            toks = list(self._fn(n))
-            toks.sort(key=sort_key)
-            self._cache[n] = toks
         return self._cache[n]
 
     def dimension(self, n):
         return len(self.basis(n))
 
     def index(self, n):
-        if n not in self._index:
-            self._index[n] = {t: i for i, t in enumerate(self.basis(n))}
         return self._index[n]
 
 

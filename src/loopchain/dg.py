@@ -11,7 +11,7 @@ with each letter's image under psi built once.
 """
 
 from .chains import (
-    ChainComplex, DegreeOverflowError, Element, GradedBasis, InfiniteTypeError, LinearMap,
+    ChainComplex, DegreeOverflowError, Element, GradedBasis, InfiniteTypeError, LinearMap, Table,
     add_maps, identity_map, koszul_sign, parity_sign, suspend, desuspend,
     tensor_map, tensor_maps, tensor_product, tensor_token, word_token,
 )
@@ -280,29 +280,27 @@ def check_twisting(t, through_degree):
 # Bar construction
 
 
-def _word_basis(letter_basis, n, min_letter_degree=1):
-    """All words of letters (from letter_basis(d)) with total degree n."""
+def _word_basis(letter_basis, words, n):
+    """All words of letters (from letter_basis(d)) with total degree n, first
+    letter outermost: each letter of degree d = 1..n, then each word of
+    words(n - d), the lower degrees that the same GradedBasis has already
+    built and cached (it then sorts degree n by sort_key)."""
     if n == 0:
         return [word_token(())]
-    out = []
-
-    def extend(prefix, remaining):
-        if remaining == 0:
-            out.append(word_token(tuple(prefix)))
-            return
-        for d in range(min_letter_degree, remaining + 1):
-            for letter in letter_basis(d):
-                prefix.append(letter)
-                extend(prefix, remaining - d)
-                prefix.pop()
-
-    extend([], n)
-    return out
+    return [word_token((l,) + w.data) for d in range(1, n + 1) for l in letter_basis(d)
+            for w in words(n - d)]
 
 
 def bar_construction(A, max_degree=None):
     """Tensor coalgebra on the suspended augmentation ideal with the
-    two-term bar differential; comultiplication splits words."""
+    two-term bar differential; comultiplication splits words.
+
+    d_Bar reads two Tables, each filled once per key: internal[s(a)] holds
+    the letters s(u) of da with the sign -1 of d passing s, read through
+    A.d's cache; merged[s(a), s(b)] holds the letters s(u) of ab, read through
+    A.product, with the merge sign (-1)^|s(a)|.  Terms on the unit are
+    dropped.  On a word the passage sign (-1)^(degree before the letter)
+    starts at 1 and flips after each odd letter.  d_Bar does not read Delta."""
     ring = A.ring
     if max_degree is None:
         max_degree = A.max_degree + 1
@@ -311,27 +309,26 @@ def bar_construction(A, max_degree=None):
         # letters s(a), a in the augmentation ideal of degree d-1
         return [suspend(a) for a in A.aug_ideal_basis(d - 1)]
 
-    basis = GradedBasis(ring, lambda n: _word_basis(letter_basis, n), max_degree,
+    basis = GradedBasis(ring, lambda n: _word_basis(letter_basis, basis.basis, n), max_degree,
                         name="Bar(%s)" % A.name)
+    internal = Table(lambda letter: [(suspend(u), -c) for u, c in A.d(desuspend(letter)).items()
+                                     if u is not A.unit])
+    merged = Table(lambda pair: [(suspend(u), parity_sign(pair[0].degree) * c) for u, c
+                                 in A.product(desuspend(pair[0]), desuspend(pair[1]))
+                                 if u is not A.unit])
 
     def differential(tok):
         letters = tok.data
         pairs = []
-        prefix_deg = 0
+        passage = 1
         for j, letter in enumerate(letters):
-            a = desuspend(letter)
-            passage = parity_sign(prefix_deg)
-            # internal part: s(da_j), entering with operator degree -1
-            pairs += [(word_token(letters[:j] + (suspend(u),) + letters[j + 1:]), -passage * c)
-                      for u, c in A.d(a).items() if u is not A.unit]
-            # merge part: s(a_j a_{j+1})
-            if j + 1 < len(letters):
-                b = desuspend(letters[j + 1])
-                merge_sign = passage * parity_sign(letter.degree)
-                pairs += [(word_token(letters[:j] + (suspend(u),) + letters[j + 2:]),
-                           merge_sign * c)
-                          for u, c in A.product(a, b) if u is not A.unit]
-            prefix_deg += letter.degree
+            head, tail = letters[:j], letters[j + 1:]
+            pairs += [(word_token(head + (s,) + tail), passage * c) for s, c in internal[letter]]
+            if tail:
+                pairs += [(word_token(head + (s,) + tail[1:]), passage * c)
+                          for s, c in merged[letter, tail[0]]]
+            if letter.degree % 2:
+                passage = -passage
         return Element(ring, pairs)
 
     d = LinearMap(ring, -1, differential, "d_Bar")
@@ -369,7 +366,14 @@ def bar_map(g, Aprime):
 
 def cobar_construction(C, max_degree=None):
     """Tensor algebra on the desuspended coaugmentation coideal with the
-    cobar differential; multiplication concatenates."""
+    cobar differential; multiplication concatenates.
+
+    d_Cobar reads one Table, filled once per letter: images[s^{-1}c] holds
+    the letter tuples and coefficients of d on the one-letter word,
+    -s^{-1}(dc) + sum (-1)^|c_i| s^{-1}c_i | s^{-1}c^i, reading dc through
+    C.d and the reduced comultiplication through C's cached Delta.  On a word
+    the passage sign (-1)^(degree before the letter) starts at 1 and flips
+    after each odd letter."""
     ring = C.ring
     if not C.is_connected():
         raise ValueError("cobar needs a connected coalgebra, got %s" % C.name)
@@ -387,33 +391,30 @@ def cobar_construction(C, max_degree=None):
     if not problem:
         def letter_basis(d):
             return [desuspend(c) for c in C.complex.basis.basis(d + 1)]
-        basis_fn = lambda n: _word_basis(letter_basis, n)
+        basis_fn = lambda n: _word_basis(letter_basis, basis.basis, n)
     else:
         def basis_fn(n):
             raise problem
 
     basis = GradedBasis(ring, basis_fn, max_degree, name="Cobar(%s)" % C.name)
 
-    def letter_image(letter):
-        """d on a generator: -s^{-1}(dc) + sum +- s^{-1}c_i | s^{-1}c^i."""
-        c = suspend(letter)
-        return Element(ring, [(word_token((desuspend(u),)), -coeff)
-                              for u, coeff in C.d(c).items() if u.degree > 0] +
-                       [(word_token((desuspend(t.data[0]), desuspend(t.data[1]))),
-                         parity_sign(t.data[0].degree) * coeff)
-                        for t, coeff in C.reduced_comult(c).items()])
+    def letter_terms(letter):
+        y = suspend(letter)
+        return [((desuspend(u),), -c) for u, c in C.d(y).items() if u.degree > 0] + \
+            [((desuspend(t.data[0]), desuspend(t.data[1])), parity_sign(t.data[0].degree) * c)
+             for t, c in C.reduced_comult(y).items()]
 
-    d_letter = LinearMap(ring, -1, letter_image, "d_Cobar on letters")
+    images = Table(letter_terms)
 
     def differential(tok):
         letters = tok.data
         pairs = []
-        prefix_deg = 0
+        passage = 1
         for j, letter in enumerate(letters):
-            passage = parity_sign(prefix_deg)
-            pairs += [(word_token(letters[:j] + w.data + letters[j + 1:]), passage * c)
-                      for w, c in d_letter(letter).items()]
-            prefix_deg += letter.degree
+            head, tail = letters[:j], letters[j + 1:]
+            pairs += [(word_token(head + w + tail), passage * c) for w, c in images[letter]]
+            if letter.degree % 2:
+                passage = -passage
         return Element(ring, pairs)
 
     d = LinearMap(ring, -1, differential, "d_Cobar")

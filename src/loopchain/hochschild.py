@@ -14,7 +14,7 @@ of it; a check_degree checks C_lowest..C_check_degree when it is built.
 """
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, identity_map, koszul_sign,
+    ChainComplex, Element, GradedBasis, LinearMap, Table, identity_map, koszul_sign,
     parity_sign, suspend, desuspend, tensor_map, tensor_product, tensor_token, word_token,
 )
 from .dg import (
@@ -111,10 +111,16 @@ def hochschild_general(t, max_degree=None, name=""):
                    - (-1)^|y_j| y_j (x) t(c^j).x
                    + (-1)^((|c_i|-1)(|y^i|+|x|)) y^i (x) x.t(c_i).
 
-    The two twisted terms are read once per C-token y: the terms a of
-    (Id (x) t)Delta(y) and of (t (x) Id)Delta(y) where t is nonzero, with
-    their signs except the factor (-1)^(|a||x|) of the last term.  Each token
-    y (x) x then only multiplies by x and applies that factor.
+    Each structure is read once per token, into a Table: twisted[y] holds,
+    per C-token y, the terms of dy, (-1)^|y| and the two twisted term lists,
+    the terms a of (Id (x) t)Delta(y) and of (t (x) Id)Delta(y) where t is
+    nonzero, with their signs except the factor (-1)^(|a||x|) of the last
+    term.  Delta(y) is read once, through C's Delta fn, so H(t) leaves C's
+    Delta cache empty.  tc[c] holds the terms of t(c) for each C-token c on a
+    side of a cut ({} where t vanishes), and dA[x] those of dx.  dy, t and dx
+    are read through their cached LinearMaps, and the tables hold the terms
+    of the Elements these return, not copies.  Each token y (x) x then only
+    multiplies by x and applies that factor.
     """
     ring = t.ring
     C, A = t.source, t.target
@@ -131,28 +137,28 @@ def hochschild_general(t, max_degree=None, name=""):
         return out
 
     basis = GradedBasis(ring, basis_fn, max_degree, label)
-    twisted = {}
+    tc = Table(lambda c: t.map(c).terms)
+    dA = Table(lambda x: A.complex.d(x).terms)
 
-    def twisted_terms(y):
-        """Lists (y_j, a, coefficient) for t(c^j) and (y^i, a, coefficient) for
-        t(c_i) over Delta(y), in the order of Delta(y); shared, never mutated."""
+    def twisted_entry(y):
+        """(dy, (-1)^|y|, left, right) with left and right lists (y_j, a,
+        coefficient) for t(c^j) and (y^i, a, coefficient) for t(c_i) over
+        Delta(y), in the order of Delta(y); shared, never mutated."""
         left, right = [], []
-        for pair, c in C.comult(y).items():
+        for pair, c in C._comult.fn(y).items():
             u, v = pair.data
-            left += [(u, a, -parity_sign(u.degree) * c * ca) for a, ca in t.map(v).items()]
-            right += [(v, a, parity_sign(a.degree * v.degree) * c * ca)
-                      for a, ca in t.map(u).items()]
-        twisted[y] = left, right
-        return left, right
+            left += [(u, a, -parity_sign(u.degree) * c * ca) for a, ca in tc[v].items()]
+            right += [(v, a, parity_sign(a.degree * v.degree) * c * ca) for a, ca in tc[u].items()]
+        return C.complex.d(y).terms, parity_sign(y.degree), left, right
 
+    twisted = Table(twisted_entry)
     product = A.product
 
     def differential(tok):
         y, x = tok.data
-        sign = parity_sign(y.degree)
-        pairs = [(tensor_token(u, x), c) for u, c in C.complex.d(y).items()]
-        pairs += [(tensor_token(y, u), sign * c) for u, c in A.complex.d(x).items()]
-        left, right = twisted.get(y) or twisted_terms(y)
+        dy, sign, left, right = twisted[y]
+        pairs = [(tensor_token(u, x), c) for u, c in dy.items()]
+        pairs += [(tensor_token(y, u), sign * c) for u, c in dA[x].items()]
         for u, a, c in left:
             pairs += [(tensor_token(u, m), c * cm) for m, cm in product(a, x)]
         for u, a, c in right:

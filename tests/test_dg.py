@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopchain.chains import (
     ZZ, F2, F3, Element, generator, suspend, desuspend, tensor_token, word_token,
-    koszul_sign, parity_sign, tensor_product,
+    koszul_sign, operator_application_sign, parity_sign, sort_key, tensor_product,
     verify_chain_map, identity_map, tensor_map, add_maps,
     ChainComplex, DegreeOverflowError, GradedBasis, InfiniteTypeError, zero_map,
 )
@@ -15,10 +15,10 @@ from loopchain.dg import (
     algebra_realization, coalgebra_realization,
     bar_cobar_unit, cobar_bar_counit, bar_cobar_retraction, cobar_bar_section,
     cartesian_product, cobar_tensor_splitting, tensor_algebra, tensor_coalgebra,
-    convolution, convolution_power, hirsch_primitive, twist_tensor,
+    convolution, convolution_power, hirsch_primitive, twist_tensor, _word_basis,
 )
 from loopchain.fixtures import (
-    sphere_coalgebra, nonreal_aw_coalgebra, nonreal_aw_hirsch,
+    sphere_coalgebra, nonreal_aw_coalgebra, nonreal_aw_hirsch, rp_suspension_coalgebra,
     exterior_two, small_commutative, monomial_algebra, free_hopf_one,
     group_ring_hopf, hopf_fixtures, dg_fixture_from_dict, FixtureError,
 )
@@ -153,6 +153,131 @@ def test_cobar_propagates_unrelated_basis_errors():
     C = DGCoalgebra(cx, one, lambda t: el(ZZ, tensor_token(one, one)))
     with pytest.raises(ZeroDivisionError, match="broken basis"):
         cobar_construction(C)
+
+
+# --- d_Bar, d_Cobar and the word bases against their literal definitions ----
+
+
+def _passing_d(letters, j):
+    """The Koszul sign of applying Id^(j) (x) d (x) Id^(k-j-1) to a word:
+    d passes the letters before the j-th."""
+    return operator_application_sign([0] * j + [-1], [l.degree for l in letters[:j + 1]])
+
+
+def _literal_d_bar(A, tok):
+    """d_Bar[s a_1|...|s a_k] = sum_j e_j (-[..|s(d a_j)|..] + (-1)^|s a_j| [..|s(a_j a_{j+1})|..])
+    with e_j the sign of d passing s a_1 ... s a_(j-1), terms on the unit dropped;
+    read off A.d and A.mult on every letter."""
+    ring, letters = A.ring, tok.data
+    out = Element(ring)
+    for j, letter in enumerate(letters):
+        e = _passing_d(letters, j)
+        a = desuspend(letter)
+        out += Element(ring, [(word_token(letters[:j] + (suspend(u),) + letters[j + 1:]), -e * c)
+                              for u, c in A.d(a).items() if u is not A.unit])
+        if j + 1 < len(letters):
+            merge = e * parity_sign(letter.degree)
+            out += Element(ring, [(word_token(letters[:j] + (suspend(u),) + letters[j + 2:]),
+                                   merge * c)
+                                  for u, c in A.mult(a, desuspend(letters[j + 1])).items()
+                                  if u is not A.unit])
+    return out
+
+
+def _literal_d_cobar(C, tok):
+    """d_Cobar[s^-1 c_1|...|s^-1 c_k] = sum_j e_j [..|d(s^-1 c_j)|..] with e_j the sign
+    of d passing the letters before the j-th, and d(s^-1 c) = -s^-1(dc) +
+    (s^-1 (x) s^-1) Delta-bar(c), the pair of desuspensions applied with its Koszul
+    sign; read off C.d and C.reduced_comult on every letter."""
+    ring, letters = C.ring, tok.data
+    out = Element(ring)
+    for j, letter in enumerate(letters):
+        e = _passing_d(letters, j)
+        c = suspend(letter)
+        head, tail = letters[:j], letters[j + 1:]
+        out += Element(ring, [(word_token(head + (desuspend(u),) + tail), -e * cu)
+                              for u, cu in C.d(c).items() if u.degree > 0])
+        out += Element(ring, [(word_token(head + tuple(desuspend(q) for q in p.data) + tail),
+                               e * operator_application_sign([-1, -1], [q.degree for q in p.data])
+                               * cp)
+                              for p, cp in C.reduced_comult(c).items()])
+    return out
+
+
+def _bar_of(A, top):
+    return A, bar_construction(A, max_degree=top)
+
+
+def _cobar_of(C):
+    return C, cobar_construction(C)
+
+
+# name: (make, literal d, top, whether some d is nonzero through top); make(top)
+# gives the algebra or coalgebra the literal formula reads and its construction
+WORD_DIFFERENTIALS = {
+    "bar-exterior-z": (lambda top: _bar_of(exterior_two(ZZ, max_degree=top), top),
+                       _literal_d_bar, 7, True),
+    "bar-exterior-f2": (lambda top: _bar_of(exterior_two(F2, max_degree=top), top),
+                        _literal_d_bar, 7, True),
+    "bar-s3": (lambda top: _bar_of(group_ring_hopf(BUILTIN_GROUPS["s3"]).algebra, top),
+               _literal_d_bar, 4, True),
+    "cobar-nonreal-aw": (lambda top: _cobar_of(nonreal_aw_coalgebra(max_degree=top + 1)),
+                         _literal_d_cobar, 7, True),
+    # primitive letters and d = 0: d_Cobar vanishes, and must read so
+    "cobar-rp-f2": (lambda top: _cobar_of(rp_suspension_coalgebra(max_degree=top + 1)),
+                    _literal_d_cobar, 7, False),
+    "cobar-bar-exterior": (lambda top: _cobar_of(bar_construction(exterior_two(),
+                                                                  max_degree=top + 1)),
+                           _literal_d_cobar, 6, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_DIFFERENTIALS))
+def test_word_differentials_match_their_literal_formulas(name):
+    make, literal, top, nonzero = WORD_DIFFERENTIALS[name]
+    base, X = make(top)
+    fired = False
+    for n in range(top + 1):
+        for tok in X.complex.basis.basis(n):
+            expected = literal(base, tok)
+            assert X.d(tok) == expected, tok
+            fired = fired or not expected.is_zero()
+    assert fired == nonzero
+
+
+def _words_first_letter_outermost(letters, n):
+    """The words of total degree n as letter tuples, by the literal recursion:
+    each first letter of degree d = 1..n, then each word of degree n - d."""
+    if n == 0:
+        return [()]
+    return [(l,) + rest for d in range(1, n + 1) for l in letters(d)
+            for rest in _words_first_letter_outermost(letters, n - d)]
+
+
+def _bar_exterior_letters():
+    A = exterior_two(ZZ, max_degree=10)
+    return bar_construction(A), lambda d: [suspend(a) for a in A.complex.basis.basis(d - 1)
+                                           if a is not A.unit]
+
+
+def _cobar_rp_letters():
+    C = rp_suspension_coalgebra(max_degree=12)
+    return cobar_construction(C), lambda d: [desuspend(c) for c in C.complex.basis.basis(d + 1)]
+
+
+@pytest.mark.parametrize("make", [_bar_exterior_letters, _cobar_rp_letters])
+def test_word_bases_keep_their_order(make):
+    # _word_basis puts the first letter outermost, as the recursion does, and
+    # each degree of the GradedBasis is that list in sort_key order
+    X, letters = make()
+
+    def literal(n):
+        return [word_token(w) for w in _words_first_letter_outermost(letters, n)]
+
+    for n in range(11):
+        assert _word_basis(letters, literal, n) == literal(n)
+        assert X.complex.basis.basis(n) == sorted(literal(n), key=sort_key)
+    assert X.complex.basis.dimension(10) > 50
 
 
 # --- twisting cochains -------------------------------------------------------

@@ -170,6 +170,11 @@ def _rp_cohoch(top):
     return cohochschild_complex(C, cobar=hirsch.cobar, max_degree=top)
 
 
+def _nonreal_aw_hirsch_cohoch(top):
+    C, hirsch = nonreal_aw_hirsch(max_degree=top + 1)
+    return cohochschild_complex(C, cobar=hirsch.cobar, max_degree=top)
+
+
 def _s3_hoch(top):
     bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS["s3"]), top)
     return hochschild_of_algebra(bh.H.algebra, bar=bh.barH, max_degree=top)
@@ -181,8 +186,10 @@ D_T_FIXTURES = {
                                                           max_degree=top), 8),
     "hoch-exterior-f2": (lambda top: hochschild_of_algebra(exterior_two(F2, max_degree=top + 2),
                                                            max_degree=top), 8),
-    "hoch-s3": (_s3_hoch, 3),
+    # BarHopfStructure(Z[S3], 4).barH: degree 5, its top, would cost 2.7 s here
+    "hoch-s3": (_s3_hoch, 4),
     "cohoch-rp-f2": (_rp_cohoch, 7),
+    "cohoch-nonreal-aw-hirsch": (_nonreal_aw_hirsch_cohoch, 7),
     "cohoch-nonreal-aw": (lambda top: cohochschild_complex(nonreal_aw_coalgebra(max_degree=top + 1),
                                                            max_degree=top), 8),
     "cohoch-double-suspension-z": (partial(_double_suspension_cohoch, ZZ), 7),
@@ -203,6 +210,27 @@ def test_d_t_matches_four_term_formula(name):
     # both twisted terms were compared somewhere
     assert fired == [True, True]
     assert H.complex.check_d_squared(top) is None
+
+
+def test_d_t_reads_each_structure_once_per_token():
+    # d_t and d_Bar read t, A's d and Bar's Delta into tables: each fn runs at
+    # most once per token, and Bar's Delta cache stays empty
+    A = exterior_two(ZZ, max_degree=10)
+    H = hochschild_of_algebra(A, max_degree=9)
+    reads = {}
+
+    def counted(name, fn):
+        def wrapped(tok):
+            reads[name, tok] = reads.get((name, tok), 0) + 1
+            return fn(tok)
+        return wrapped
+
+    for name, linear_map in [("t", H.t.map), ("dA", A.complex.d), ("Delta", H.N._comult)]:
+        linear_map.fn = counted(name, linear_map.fn)
+    assert [s.betti for s in homology(H.complex, range(8))] == list(range(1, 9))
+    assert {name for name, _ in reads} == {"t", "dA", "Delta"}
+    assert max(reads.values()) == 1
+    assert H.N._comult._cache == {}
 
 
 def test_sphere_even_homology_torsion():

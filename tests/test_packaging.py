@@ -5,7 +5,11 @@ import importlib.util
 import json
 import pathlib
 import pkgutil
-import tomllib
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: the same parser, as the tomli package
+    import tomli as tomllib
 
 import loopchain
 
