@@ -62,13 +62,25 @@ class DGAlgebra(_OnComplex):
         return x.bilinear(y, self.product)
 
     def multiply_all(self, elements):
-        """The product x_1 ... x_k of a list of elements; the unit for k = 0."""
-        if not elements:
-            return Element.from_token(self.ring, self.unit)
-        out = elements[0]
-        for e in elements[1:]:
-            out = self.multiply(out, e)
-        return out
+        """The product x_1 ... x_k of a list of elements, folded by
+        multiply_terms; x_1 itself for k = 1 and the unit for k = 0."""
+        if elements[1:]:
+            return self.multiply_terms([x.terms.items() for x in elements])
+        return elements[0] if elements else Element.from_token(self.ring, self.unit)
+
+    def multiply_terms(self, factors):
+        """The product x_1 ... x_k (k >= 1) of term lists, each an iterable of
+        (token, coefficient) pairs such as Element.terms.items() or
+        ((token, 1),), as one Element.  The left fold merges after every
+        product: one product in Z[S3]'s augmentation basis has 3 terms, so an
+        unmerged fold would grow like 3^k."""
+        ring, product = self.ring, self.product
+        out = None
+        for right in factors[1:]:
+            left = factors[0] if out is None else out.terms.items()
+            out = Element(ring, [(u, c1 * c2 * cu) for t1, c1 in left for t2, c2 in right
+                                 for u, cu in product(t1, t2)])
+        return Element(ring, factors[0]) if out is None else out
 
     def mult_on_pairs(self, x):
         """Apply multiplication to an element of binary tensor tokens."""
@@ -211,7 +223,8 @@ class HopfAlgebra(DGAlgebra, DGCoalgebra):
     def __init__(self, algebra, comult, name=""):
         name = name or algebra.name
         DGAlgebra.__init__(self, algebra.complex, algebra.unit, algebra.product, name)
-        DGCoalgebra.__init__(self, algebra.complex, algebra.unit, comult, name=name)
+        DGCoalgebra.__init__(self, algebra.complex, algebra.unit, comult,
+                             counit=self.augmentation, name=name)
 
     @property
     def algebra(self):
@@ -696,7 +709,7 @@ def convolution_power(H, r):
 
     def fn(tok):
         return H.comult_iterated(tok, r).apply(
-            lambda t: H.multiply_all([Element.from_token(ring, u) for u in t.data]))
+            lambda t: H.multiply_terms([((u, 1),) for u in t.data]))
 
     return LinearMap(ring, 0, fn, "lambda_%d" % r)
 

@@ -8,13 +8,14 @@ isomorphism, the induced (co)multiplications, and the r-th power maps with
 their homology action.
 sh_map, sh_map_dual and power_concatenation are one formula, the extended
 naturality of the paper: keep one piece of c and multiply the t-images of
-the others cyclically around the coefficient.  _rotations is that formula.
+the others cyclically around the coefficient.  _rotations is that formula,
+given the pieces and the list of their images.
 Each map checks its hypothesis on a degree of C when it first reads a token
 of it; a check_degree checks C_lowest..C_check_degree when it is built.
 """
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, Table, identity_map, koszul_sign,
+    ChainComplex, Element, GradedBasis, LinearMap, Table, identity_map,
     parity_sign, suspend, desuspend, tensor_map, tensor_product, tensor_token, word_token,
 )
 from .dg import (
@@ -55,19 +56,17 @@ def _hypothesis(C, lowest, failure, check_degree):
     return check
 
 
-def _rotations(pieces, image, middle, middle_degree):
+def _rotations(pieces, images, middle, middle_degree):
     """The cyclic rotations of p_1 ... p_k around a middle of degree middle_degree.
 
-    For each kept piece p_j returns (j - 1, sign, factors) with factors
-    image(p_{j+1}), ..., image(p_k), *middle, image(p_1), ..., image(p_{j-1})
+    images lists the images of the pieces.  For each kept piece p_j returns
+    (j - 1, sign, factors) with factors images[j:] + middle + images[:j - 1]
     and sign the Koszul sign of moving p_1 ... p_{j-1} past the rest,
     (-1)^(P (D - P)) for P = |p_1| + ... + |p_{j-1}| and D the degree of the
-    pieces and the middle.  image has degree 0 on the native letters, so it
-    adds no sign.  A one-piece word gives [(0, 1, middle)] without calling
-    image."""
+    pieces and the middle.  The images have degree 0 on the native letters,
+    so they add no sign.  A one-piece word gives [(0, 1, middle)]."""
     if len(pieces) == 1:
         return [(0, 1, middle)]
-    images = [image(p) for p in pieces]
     total = sum(p.degree for p in pieces) + middle_degree
     out = []
     before = 0
@@ -233,8 +232,8 @@ def sh_map(phi, g, t, tprime, check_degree=None):
         pairs = []
         for wtok, kappa in phi(word_token((desuspend(c),))).items():
             letters = wtok.data
-            for i, sign, factors in _rotations(letters, lambda l: tprime.map(suspend(l)),
-                                               [ga], a.degree):
+            images = [tprime.map(suspend(l)) for l in letters]
+            for i, sign, factors in _rotations(letters, images, [ga], a.degree):
                 kept = suspend(letters[i])
                 pairs += [(tensor_token(kept, v), kappa * sign * cv)
                           for v, cv in A2.multiply_all(factors).items()]
@@ -289,7 +288,8 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
         for k in range(1, c.degree + 2):
             for tens, cd in t.source.comult_iterated(c, k).items():
                 pieces = tens.data
-                for i, rot, tail in _rotations(pieces, t.map, [a_el], a.degree + 1):
+                images = [t.map(p) for p in pieces]
+                for i, rot, tail in _rotations(pieces, images, [a_el], a.degree + 1):
                     if any(e.is_zero() for e in tail):
                         continue
                     fc = f(Element.from_token(ring, pieces[i]))
@@ -418,6 +418,54 @@ def power_domain(t, H, r, max_degree=None):
     return tr, Hr
 
 
+def _concatenation_table(t, hirsch, H, r, check_degree):
+    """The Table behind mu-tilde_r and lambda-tilde_r, keyed (c, wbar); see
+    power_concatenation."""
+    _check_power(r)
+    ring = t.ring
+    alpha = algebra_realization(t)
+    alpha2 = tensor_map(alpha, alpha).fn  # uncached: each term of psi(s^{-1}c) is read once
+    check = _hypothesis(t.source, 1, lambda c: check_power_hypotheses(t, hirsch, H, alpha2, c),
+                        check_degree)
+    letter = Table(lambda l: t.map(suspend(l)).terms.items())
+    word = Table(lambda u: alpha(u).terms.items())
+
+    def expansion(c):
+        check(c.degree)
+        out = []
+        for tens, kappa in hirsch.comult_iterated(word_token((desuspend(c),)), r).items():
+            u1, us = tens.data[0], tens.data[1:]
+            if u1.data:
+                out.append((u1.data, [letter[l] for l in u1.data], [suspend(l) for l in u1.data],
+                            [word[u] for u in us], [u.degree for u in us],
+                            c.degree - 1 - u1.degree, kappa))
+        return out
+
+    psi = Table(expansion)
+
+    def concatenate(key):
+        c, wbar = key
+        ws = [((w, 1),) for w in wbar.data]
+        if c.degree == 0:
+            return {tensor_token(c, v): cv for v, cv in H.multiply_terms(ws).items()}.items()
+        w_degrees = [w.degree for w in wbar.data]
+        pairs = []
+        for letters, images, kept, alpha_us, u_degrees, rest, kappa in psi[c]:
+            # w_1 . alpha(u_2) . w_2 ... alpha(u_r) . w_r, each u_i moved past w_1 ... w_{i-1}
+            middle, exponent, before = ws[:1], 0, w_degrees[0]
+            for a, du, w, dw in zip(alpha_us, u_degrees, ws[1:], w_degrees[1:]):
+                middle += [a, w]
+                exponent += du * before
+                before += dw
+            coeff = kappa * parity_sign(exponent)
+            for i, sign, factors in _rotations(letters, images, middle, rest + wbar.degree):
+                pairs += [(tensor_token(kept[i], v), coeff * sign * cv)
+                          for v, cv in H.multiply_terms(factors).items()]
+        return Element(ring, pairs).terms.items()
+
+    return Table(concatenate)
+
+
 def power_concatenation(t, hirsch, H, r, check_degree=None):
     """mu-tilde_r: H(delta^(r) t) -> H(t), the loop-concatenation map.
 
@@ -429,58 +477,39 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
                    ... alpha(u_r) . w_r . alpha(l_1)...alpha(l_{j-1}),
 
     that is the _rotations of the letters of u_1 around w_1 . alpha(u_2) ...
-    w_r, each signed also by the Koszul sign of interleaving the u's and w's.
-    Runs check_power_hypotheses on the C-degrees read, from C_1; the
-    expansion psi^(r)(s^{-1}c) is computed once per c, after that check."""
-    _check_power(r)
+    w_r, each signed also by the Koszul sign of interleaving the u's and w's,
+    (-1)^(sum_i |u_i| (|w_1| + ... + |w_{i-1}|)).
+
+    Each structure is read once per token, into a Table: concatenation[c,
+    wbar] holds the terms of mu-tilde_r(c (x) wbar).  psi[c] holds, per
+    C-token c, each term of psi^(r)(s^{-1}c) with u_1 nonempty: the letters
+    of u_1, their images and suspensions, the images of u_2, ..., u_r, their
+    degrees and the sum of those, and kappa.  It is filled after
+    check_power_hypotheses has run on the C-degrees through |c|, from C_1.
+    letter[l] holds the terms of alpha(l) = t(s l), and word[u] those of
+    alpha(u), read through alpha_t's cache and shared by all c.  The
+    products are folded by H.multiply_terms over term lists, each w_i as
+    ((w_i, 1),).  This map reads concatenation as a LinearMap.
+    """
     ring = t.ring
-    alpha = algebra_realization(t)
-    alpha2 = tensor_map(alpha, alpha).fn  # uncached: each term of psi(s^{-1}c) is read once
-    check = _hypothesis(t.source, 1, lambda c: check_power_hypotheses(t, hirsch, H, alpha2, c),
-                        check_degree)
-    expansions = LinearMap(ring, -1,
-                           lambda c: hirsch.comult_iterated(word_token((desuspend(c),)), r),
-                           "psi^(%d) s^-1" % r)
-    # w_1, u_2, w_2, ..., u_r, w_r as positions in u_2 ... u_r w_1 ... w_r
-    interleave = [r - 1] + [q for i in range(r - 1) for q in (i, r + i)]
-
-    def fn(tok):
-        c, wbar = tok.data
-        check(c.degree)
-        ws = wbar.data
-        w_elements = [Element.from_token(ring, w) for w in ws]
-        if c.degree == 0:
-            prod = H.multiply_all(w_elements)
-            return Element(ring, [(tensor_token(c, v), cv) for v, cv in prod.items()])
-        w_degrees = [w.degree for w in ws]
-        pairs = []
-        for tens, kappa in expansions(c).items():
-            u1, us = tens.data[0], tens.data[1:]
-            if not u1.data:
-                continue
-            middle = w_elements[:1]
-            for u, w in zip(us, w_elements[1:]):
-                middle += [alpha(u), w]
-            middle_degrees = [u.degree for u in us] + w_degrees
-            coeff = kappa * koszul_sign(middle_degrees, interleave)
-            for i, sign, factors in _rotations(u1.data, lambda l: alpha(word_token((l,))),
-                                               middle, sum(middle_degrees)):
-                kept = suspend(u1.data[i])
-                pairs += [(tensor_token(kept, v), coeff * sign * cv)
-                          for v, cv in H.multiply_all(factors).items()]
-        return Element(ring, pairs)
-
-    return LinearMap(ring, 0, fn, "mu-tilde_%d" % r)
+    concatenation = _concatenation_table(t, hirsch, H, r, check_degree)
+    return LinearMap(ring, 0, lambda tok: Element(ring, concatenation[tok.data]),
+                     "mu-tilde_%d" % r)
 
 
 def power_map(t, hirsch, H, r, check_degree=None):
-    """lambda-tilde_r = mu-tilde_r (Id (x) delta^(r)): H(t) -> H(t), checked as mu-tilde_r."""
+    """lambda-tilde_r = mu-tilde_r (Id (x) delta^(r)): H(t) -> H(t), checked as mu-tilde_r.
+
+    fn reads, for each term u of delta^(r)(w) on c (x) w, the terms of
+    mu-tilde_r(c (x) u) from power_concatenation's Table concatenation[c, u],
+    not through a LinearMap."""
     ring = t.ring
-    mu = power_concatenation(t, hirsch, H, r, check_degree=check_degree)
+    concatenation = _concatenation_table(t, hirsch, H, r, check_degree)
 
     def fn(tok):
         c, w = tok.data
-        return H.comult_iterated(w, r).apply(lambda u: mu(tensor_token(c, u)))
+        return Element(ring, [(v, cu * cv) for u, cu in H.comult_iterated(w, r).items()
+                              for v, cv in concatenation[c, u]])
 
     return LinearMap(ring, 0, fn, "lambda-tilde_%d" % r)
 

@@ -100,3 +100,41 @@ def test_multiply_is_the_double_sum_of_mult(build, ring, top):
                     for b, cb in y.items():
                         expected = expected + A.mult(a, b).scale(ca * cb)
                 assert A.multiply(x, y) == expected, (x, y)
+
+
+# multiply_terms merges after every product; in the augmentation basis of a
+# group ring one product of basis tokens has 3 terms
+FOLD_CASES = CASES + [
+    pytest.param(lambda ring: group_ring_hopf(BUILTIN_GROUPS[name], ring).algebra, ring, 0,
+                 id="group-%s-%r" % (name, ring))
+    for name, ring in (("c4", ZZ), ("c4", F2), ("s3", F2))]
+
+
+@pytest.mark.parametrize("build, ring, top", FOLD_CASES)
+def test_multiply_all_is_the_left_fold_of_multiply(build, ring, top):
+    A = build(ring)
+    rng = random.Random(11)
+    by_degree = [A.complex.basis.basis(n) for n in range(top + 1)]
+    calls = []
+    product = A.product
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    A.product = counted
+    for k in range(4):
+        for _ in range(4):
+            degrees = []
+            for _ in range(k):
+                degrees.append(rng.randint(0, top - sum(degrees)))
+            factors = [Element(ring, [(tok, rng.randint(-3, 3)) for tok in by_degree[n]
+                                      if rng.random() < 0.7]) for n in degrees]
+            expected = factors[0] if factors else Element.from_token(ring, A.unit)
+            merged = 0  # one product per pair of terms of the merged left factor
+            for x in factors[1:]:
+                merged += len(expected.terms) * len(x.terms)
+                expected = A.multiply(expected, x)
+            del calls[:]
+            assert A.multiply_all(factors) == expected, factors
+            assert len(calls) == merged, factors

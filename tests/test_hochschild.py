@@ -335,7 +335,7 @@ def test_cohoch_retraction_retracts():
 def test_rotations_sign_is_the_koszul_sign(degrees, middle_degree):
     pieces = [generator("p%d" % q, d) for q, d in enumerate(degrees)]
     k = len(pieces)
-    rotations = _rotations(pieces, lambda p: p, ["m"], middle_degree)
+    rotations = _rotations(pieces, pieces, ["m"], middle_degree)
     assert [i for i, _, _ in rotations] == list(range(k))
     for i, sign, factors in rotations:
         order = list(range(i, k + 1)) + list(range(i))
@@ -617,6 +617,97 @@ def test_power_concatenation_rotation_sign():
     assert mu2(pair(z, tensor_token(empty, empty))) == Element(ZZ, [
         (pair(x, word_token((sy, sw))), 1), (pair(y, word_token((sw, sx))), -1),
         (pair(w, word_token((sx, sy))), 1), (pair(z, empty), 1)])
+
+
+def _concatenation_reference(alpha, hirsch, H, r, tok, signs):
+    """mu-tilde_r(tok) from its definition, through public pieces only: the
+    interleave sign is the koszul_sign of reordering u_2 ... u_r w_1 ... w_r
+    into w_1 u_2 w_2 ... u_r w_r, each rotation's sign the koszul_sign of its
+    cyclic order, alpha is algebra_realization(t), and the products are
+    multiply_all over Elements.  Adds the interleave sign of each nonzero
+    product to signs."""
+    ring = H.ring
+    c, wbar = tok.data
+    ws = [el(w, ring=ring) for w in wbar.data]
+    if c.degree == 0:
+        return Element(ring, [(pair(c, v), cv) for v, cv in H.multiply_all(ws).items()])
+    interleave = [r - 1] + [q for i in range(r - 1) for q in (i, r + i)]
+    pairs = []
+    for tens, kappa in hirsch.comult_iterated(word_token((desuspend(c),)), r).items():
+        letters, us = tens.data[0].data, tens.data[1:]
+        middle = ws[:1]
+        for u, w in zip(us, ws[1:]):
+            middle += [alpha(u), w]
+        degrees = [u.degree for u in us] + [w.degree for w in wbar.data]
+        interleave_sign = koszul_sign(degrees, interleave)
+        images = [alpha(word_token((l,))) for l in letters]
+        k = len(letters)
+        for j in range(k):
+            order = list(range(j, k + 1)) + list(range(j))
+            sign = koszul_sign([l.degree for l in letters] + [sum(degrees)], order)
+            product = H.multiply_all(images[j + 1:] + middle + images[:j])
+            if not product.is_zero():
+                signs.add(interleave_sign)
+            pairs += [(pair(suspend(letters[j]), v), kappa * interleave_sign * sign * cv)
+                      for v, cv in product.items()]
+    return Element(ring, pairs)
+
+
+def _cohoch_case(build, ring, top):
+    C, hirsch = build(ring, max_degree=top + 2)
+    hoch = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=top)
+    return universal_twisting(C, hirsch.cobar), hirsch, hirsch, hoch
+
+
+def _s3_case(top):
+    H = group_ring_hopf(BUILTIN_GROUPS["s3"])
+    bh = BarHopfStructure(H, 5)
+    hoch = hochschild_of_algebra(H.algebra, bar=bh.barH, max_degree=top)
+    return couniversal_twisting(H.algebra, bh.barH), bh.hirsch(), H, hoch
+
+
+# case -> (build(top) giving t, hirsch, H and H(t); the top total degree of
+# the tokens compared, for each r; the top degree of their C-factor, or None
+# for no bound).  rp_hirsch models Sigma
+# RP^infinity over F2 only: over Z, delta t(y_2) = psi(z_2) is not symmetric
+# (z_1 (x) z_1 twists to its negative), so C-degree 2 is the last one read.
+CONCATENATION_CASES = {
+    "nonreal-aw-Z": (lambda top: _cohoch_case(nonreal_aw_hirsch, ZZ, top), {2: 10, 3: 10}, None),
+    "rp-F2": (lambda top: _cohoch_case(rp_hirsch, F2, top), {2: 7, 3: 6}, None),
+    "rp-Z": (lambda top: _cohoch_case(rp_hirsch, ZZ, top), {2: 7, 3: 6}, 2),
+    "s3-Z": (_s3_case, {2: 2, 3: 1}, None),
+}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("case", sorted(CONCATENATION_CASES))
+def test_power_concatenation_matches_its_definition(case, r):
+    build, tops, c_top = CONCATENATION_CASES[case]
+    top = tops[r]
+    t, hirsch, H, hoch = build(top)
+    ring = t.ring
+    tr, _ = power_domain(t, H, r, max_degree=top)
+    domain = hochschild_general(tr, max_degree=top).complex.basis
+    mu = power_concatenation(t, hirsch, H, r)
+    lam = power_map(t, hirsch, H, r)
+    alpha = algebra_realization(t)
+    signs = set()
+    for n in range(top + 1):
+        for tok in domain.basis(n):
+            if c_top is None or tok.data[0].degree <= c_top:
+                assert mu(tok) == _concatenation_reference(alpha, hirsch, H, r, tok, signs), tok
+        for tok in hoch.complex.basis.basis(n):
+            c, w = tok.data
+            if c_top is None or c.degree <= c_top:
+                lifted = Element(ring, [(pair(c, u), cu)
+                                        for u, cu in H.comult_iterated(w, r).items()])
+                assert lam(tok) == mu(lifted), tok
+    if case == "nonreal-aw-Z":
+        assert -1 in signs  # through degree 10 the interleave sign is reached
+    if c_top is not None:
+        y = next(tok for tok in domain.basis(c_top + 1) if tok.data[0].degree == c_top + 1)
+        with pytest.raises(CompatibilityError):
+            mu(y)
 
 
 def _rp_power_oracle(l, ks, r):
