@@ -18,6 +18,13 @@ function returning unreduced (token, coefficient) pairs, such as an
 algebra's product) and tensor_product (the tensor fold into tensor or word
 tokens).  Functions that only feed a sum return pairs, not an Element, so
 a product of two elements merges into one Element, not one per term pair.
+
+Every identity check (d^2 = 0, chain maps, the twisting condition, the
+(co)algebra laws, the SDR identities, the simplicial identities) returns
+its first witness, the token or tuple on which the identity fails, or None
+when it holds.  A check walks its basis lazily in degree order, through
+GradedBasis.through, so it stops at its first witness and builds no degree
+beyond it.
 """
 
 
@@ -355,7 +362,8 @@ class LinearMap:
     """Degree-shifting map given by images of basis tokens.
 
     fn maps a token to an Element; linear extension over elements is
-    implicit.  Composition and tensoring carry the Koszul discipline.
+    implicit.  tensor_maps carries the Koszul sign of passing a map over
+    the factors before it.
     Maps are pure, so each map caches fn's image of every token it is
     applied to, keyed by the (interned) token, for as long as the map lives;
     an element is mapped through the cached images of its tokens.  Cached
@@ -479,6 +487,12 @@ class GradedBasis:
             )
         return self._cache[n]
 
+    def through(self, top, bottom=0):
+        """The tokens of degrees bottom..top in degree order, built lazily:
+        each degree is built when the walk reaches it."""
+        for n in range(bottom, top + 1):
+            yield from self.basis(n)
+
     def dimension(self, n):
         return len(self.basis(n))
 
@@ -512,26 +526,16 @@ class ChainComplex:
 
     def check_d_squared(self, through_degree):
         """First token with d(d(token)) != 0, or None."""
-        for n in range(through_degree + 1):
-            for tok in self.basis.basis(n):
-                if not self.d(self.d(tok)).is_zero():
-                    return tok
-        return None
+        d = self.d
+        return next((t for t in self.basis.through(through_degree) if not d(d(t)).is_zero()), None)
 
 
 def verify_chain_map(f, src, dst, through_degree):
-    """Check d o f = (-1)^shift f o d on all basis tokens <= through_degree.
-
-    Returns (True, None) or (False, first offending token).
-    """
+    """First basis token of src of degree <= through_degree on which
+    d o f != (-1)^shift f o d, or None."""
     sign = parity_sign(f.shift)
-    for n in range(through_degree + 1):
-        for tok in src.basis.basis(n):
-            lhs = dst.d(f(tok))
-            rhs = f(src.d(tok)).scale(sign)
-            if lhs != rhs:
-                return False, tok
-    return True, None
+    return next((t for t in src.basis.through(through_degree)
+                 if dst.d(f(t)) != f(src.d(t)).scale(sign)), None)
 
 
 def dualize(x, through_degree=None):

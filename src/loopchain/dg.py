@@ -95,33 +95,28 @@ class DGAlgebra(_OnComplex):
         return Element.from_token(self.ring, tok, c)
 
     def check_associativity(self, through_degree):
-        """First violating triple, or None."""
-        toks = []
-        for n in range(through_degree + 1):
-            toks.extend(self.aug_ideal_basis(n))
-        for a in toks:
-            for b in toks:
-                for c in toks:
-                    if a.degree + b.degree + c.degree > through_degree:
-                        continue
-                    lhs = self.multiply(self.mult(a, b), self.element(c))
-                    rhs = self.multiply(self.element(a), self.mult(b, c))
-                    if lhs != rhs:
-                        return (a, b, c)
-        return None
+        """First triple (a, b, c) of augmentation-ideal tokens with
+        |a| + |b| + |c| <= through_degree and (ab)c != a(bc), or None."""
+        def ideal(top):
+            return (t for t in self.complex.basis.through(top) if t is not self.unit)
+
+        top, mult, multiply, element = through_degree, self.mult, self.multiply, self.element
+        return next(((a, b, c) for a in ideal(top) for b in ideal(top - a.degree)
+                     for c in ideal(top - a.degree - b.degree)
+                     if multiply(mult(a, b), element(c)) != multiply(element(a), mult(b, c))), None)
 
     def check_mult_is_chain_map(self, through_degree):
-        """d(ab) = (da)b + (-1)^|a| a(db) on basis pairs."""
-        for n in range(through_degree + 1):
-            for m in range(through_degree + 1 - n):
-                for a in self.complex.basis.basis(n):
-                    for b in self.complex.basis.basis(m):
-                        lhs = self.d(self.mult(a, b))
-                        rhs = self.multiply(self.d(a), self.element(b)) + \
-                            self.multiply(self.element(a), self.d(b)).scale(parity_sign(n))
-                        if lhs != rhs:
-                            return (a, b)
-        return None
+        """First pair (a, b) of basis tokens with |a| + |b| <= through_degree
+        and d(ab) != (da)b + (-1)^|a| a(db), or None."""
+        d, multiply, element = self.d, self.multiply, self.element
+        return next(((a, b) for a, b in _pairs(self.complex.basis, through_degree)
+                     if d(self.mult(a, b)) != multiply(d(a), element(b)) +
+                     multiply(element(a), d(b)).scale(parity_sign(a.degree))), None)
+
+
+def _pairs(basis, top):
+    """The pairs (a, b) of basis tokens with |a| + |b| <= top, a in degree order."""
+    return ((a, b) for a in basis.through(top) for b in basis.through(top - a.degree))
 
 
 class DGCoalgebra(_OnComplex):
@@ -165,28 +160,27 @@ class DGCoalgebra(_OnComplex):
     def is_connected(self):
         return self.complex.basis.basis(0) == [self.counit_token]
 
+    def _checked_tokens(self, through_degree):
+        """The tokens the coalgebra checks below read: the basis through
+        through_degree, in degree order."""
+        return self.complex.basis.through(through_degree)
+
     def check_coassociativity(self, through_degree):
-        for n in range(through_degree + 1):
-            for tok in self.complex.basis.basis(n):
-                if self.comult_iterated(tok, 3) != _split_last(self.ring, tok, self._comult):
-                    return tok
-        return None
+        """First checked token with (Delta (x) Id) Delta != (Id (x) Delta) Delta, or None."""
+        return next((t for t in self._checked_tokens(through_degree)
+                     if self.comult_iterated(t, 3) != _split_last(self.ring, t, self._comult)), None)
 
     def check_comult_is_chain_map(self, through_degree):
+        """First checked token with d Delta != Delta d, or None."""
         dT = add_maps(tensor_map(self.d, identity_map(self.ring)),
                       tensor_map(identity_map(self.ring), self.d))
-        for n in range(through_degree + 1):
-            for tok in self.complex.basis.basis(n):
-                if dT(self._comult(tok)) != self.d(tok).apply(self._comult):
-                    return tok
-        return None
+        return next((t for t in self._checked_tokens(through_degree)
+                     if dT(self._comult(t)) != self.d(t).apply(self._comult)), None)
 
-    def is_cocommutative(self, through_degree):
-        for n in range(through_degree + 1):
-            for tok in self.complex.basis.basis(n):
-                if twist_tensor(self.ring, self._comult(tok)) != self._comult(tok):
-                    return False
-        return True
+    def check_cocommutativity(self, through_degree):
+        """First checked token with tau Delta != Delta, or None."""
+        return next((t for t in self._checked_tokens(through_degree)
+                     if twist_tensor(self.ring, self._comult(t)) != self._comult(t)), None)
 
 
 def _split_first_iterated(ring, tok, split, k):
@@ -237,17 +231,13 @@ class HopfAlgebra(DGAlgebra, DGCoalgebra):
         return self._comult(tok)
 
     def check_comult_is_algebra_map(self, through_degree):
-        """delta(ab) = delta(a)delta(b) in the Koszul-signed tensor square."""
+        """First pair (a, b) of basis tokens with |a| + |b| <= through_degree
+        and delta(ab) != delta(a)delta(b) in the Koszul-signed tensor square,
+        or None."""
         sq = tensor_algebra(self, self, max_degree=through_degree)
-        for n in range(through_degree + 1):
-            for m in range(through_degree + 1 - n):
-                for a in self.complex.basis.basis(n):
-                    for b in self.complex.basis.basis(m):
-                        lhs = self.mult(a, b).apply(self._comult)
-                        rhs = sq.multiply(self._comult(a), self._comult(b))
-                        if lhs != rhs:
-                            return (a, b)
-        return None
+        comult = self._comult
+        return next(((a, b) for a, b in _pairs(self.complex.basis, through_degree)
+                     if self.mult(a, b).apply(comult) != sq.multiply(comult(a), comult(b))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +268,10 @@ class TwistingCochain:
 
 
 def check_twisting(t, through_degree):
-    """Verify the twisting condition on source tokens <= through_degree.
-
-    Returns (True, None) or (False, first counterexample token).
-    """
-    for n in range(through_degree + 1):
-        for tok in t.source.complex.basis.basis(n):
-            if not t.brown_defect(tok).is_zero():
-                return False, tok
-    return True, None
+    """First source token of degree <= through_degree on which the twisting
+    condition fails, or None."""
+    return next((c for c in t.source.complex.basis.through(through_degree)
+                 if not t.brown_defect(c).is_zero()), None)
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +715,10 @@ class HirschCoalgebra(HopfAlgebra):
     the cached image of its prefix l_1|...|l_{k-1} times the cached image
     of the one-letter word l_k, so each letter's generator image is built
     once.  psi, comult and comult_iterated all read this one cache.
+
+    The coalgebra checks (coassociativity, chain map, cocommutativity) read
+    the generators s^{-1}c alone, c in C_1..C_{n+1} for a check through
+    degree n, and name the one-letter word on which psi fails.
     """
 
     def __init__(self, C, cobar, generator_images, name=""):
@@ -763,32 +752,12 @@ class HirschCoalgebra(HopfAlgebra):
         """The chain Hopf algebra (Cobar C, psi): this structure itself."""
         return self
 
-    def is_balanced(self, through_degree):
-        """tau psi = psi on generators through the given degree."""
-        for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
-            for c in self.C.complex.basis.basis(n):
-                img = self._comult(word_token((desuspend(c),)))
-                if twist_tensor(self.ring, img) != img:
-                    return False
-        return True
-
-    def check_chain_algebra_map(self, through_degree):
-        """psi d = d psi on generators (algebra-map extension handles words)."""
-        dsq = self.square.complex.d
-        for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
-            for c in self.C.complex.basis.basis(n):
-                w = word_token((desuspend(c),))
-                if dsq(self._comult(w)) != self._comult(self.d(w)):
-                    return c
-        return None
-
-    def check_coassociative(self, through_degree):
-        for n in range(1, min(through_degree + 2, self.C.max_degree + 1)):
-            for c in self.C.complex.basis.basis(n):
-                w = word_token((desuspend(c),))
-                if self.comult_iterated(w, 3) != _split_last(self.ring, w, self._comult):
-                    return c
-        return None
+    def _checked_tokens(self, through_degree):
+        """The one-letter words s^{-1}c for c in C_1..C_min(through_degree + 1,
+        C.max_degree): psi is an algebra map, so an identity between algebra
+        maps built from psi holds on Cobar C if it holds on these generators."""
+        top = min(through_degree + 1, self.C.max_degree)
+        return (word_token((desuspend(c),)) for c in self.C.complex.basis.through(top, 1))
 
 
 def hirsch_primitive(C, cobar=None, overrides=None, name=""):

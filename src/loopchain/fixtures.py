@@ -7,7 +7,7 @@ group rings of C_2 and S_3 in an augmentation-aligned basis.
 """
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, generator, parity_sign,
+    ChainComplex, Element, GradedBasis, LinearMap, Table, generator, parity_sign,
     tensor_token, word_token, desuspend, zero_map, RINGS, ZZ, F2,
 )
 from .dg import (
@@ -158,24 +158,21 @@ def monomial_algebra(ring, gens, max_degree, name, truncations=None):
     cx = ChainComplex(basis, zero_map(ring, -1), name)
     unit = _monomial_token(gens, [0] * len(gens))
 
-    table = {}  # finitely many basis pairs: each product is built once
+    def pair_product(pair):
+        es, et = pair[0].data[1:], pair[1].data[1:]
+        combined = [a + b for a, b in zip(es, et)]
+        if any(e >= truncations[i] or (gens[i][1] % 2 and e > 1) for i, e in enumerate(combined)):
+            return ()
+        # Koszul sign of sorting: each symbol of t passes the symbols of s
+        # with a larger generator index
+        exponent = sum(es[i] * gens[i][1] * et[j] * gens[j][1]
+                       for i in range(len(gens)) for j in range(i))
+        return ((_monomial_token(gens, combined), parity_sign(exponent)),)
+
+    table = Table(pair_product)  # finitely many basis pairs: each product is built once
 
     def product(s, t):
-        out = table.get((s, t))
-        if out is None:
-            es, et = s.data[1:], t.data[1:]
-            combined = [a + b for a, b in zip(es, et)]
-            if any(e >= truncations[i] or (gens[i][1] % 2 and e > 1)
-                   for i, e in enumerate(combined)):
-                out = ()
-            else:
-                # Koszul sign of sorting: each symbol of t passes the symbols
-                # of s with a larger generator index
-                exponent = sum(es[i] * gens[i][1] * et[j] * gens[j][1]
-                               for i in range(len(gens)) for j in range(i))
-                out = ((_monomial_token(gens, combined), parity_sign(exponent)),)
-            table[s, t] = out
-        return out
+        return table[s, t]
 
     return DGAlgebra(cx, unit, product, name=name)
 
@@ -217,10 +214,9 @@ def primitive_hopf(algebra):
 
 
 def _monomial_token_from(algebra, exps):
-    for n in range(algebra.max_degree + 1):
-        for t in algebra.complex.basis.basis(n):
-            if t.data[1:] == tuple(exps):
-                return t
+    for t in algebra.complex.basis.through(algebra.max_degree):
+        if t.data[1:] == tuple(exps):
+            return t
     raise ValueError("monomial not found")
 
 
@@ -240,12 +236,9 @@ def free_hopf_one(degree, ring=ZZ, max_degree=None, name="x"):
     """Free algebra on one primitive generator (polynomial when even)."""
     if max_degree is None:
         max_degree = 8 * degree
-    toks = {}
 
     def tok(k):
-        if k not in toks:
-            toks[k] = generator(("pow", name, k), k * degree)
-        return toks[k]
+        return generator(("pow", name, k), k * degree)
 
     def basis_fn(n):
         if n % degree == 0 and n // degree >= 0:

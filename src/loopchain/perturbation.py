@@ -58,28 +58,20 @@ class SDRData:
 
 
 def check_sdr(sdr, through_degree):
-    """Verify the five SDR identities tokenwise; returns list of failures."""
-    failures = []
-    X, Y = sdr.X, sdr.Y
-    ring = Y.ring
-    for n in range(through_degree + 1):
-        for tok in X.complex.basis.basis(n):
-            if sdr.f(sdr.nabla(tok)) != Element.from_token(ring, tok):
-                failures.append(("f nabla = Id", tok))
-        for tok in Y.complex.basis.basis(n):
-            e = Element.from_token(ring, tok)
-            lhs = Y.d(sdr.h(tok)) + sdr.h(Y.d(tok))
-            rhs = sdr.nabla(sdr.f(tok)) - e
-            if lhs != rhs:
-                failures.append(("dh + hd = nabla f - Id", tok))
-            if not sdr.f(sdr.h(tok)).is_zero():
-                failures.append(("f h = 0", tok))
-            if not sdr.h(sdr.h(tok)).is_zero():
-                failures.append(("h h = 0", tok))
-        for tok in X.complex.basis.basis(n):
-            if not sdr.h(sdr.nabla(tok)).is_zero():
-                failures.append(("h nabla = 0", tok))
-    return failures
+    """The first (identity, token) on which one of the five SDR identities
+    fails, or None: the identities in the order listed, each on the tokens
+    of degree <= through_degree in degree order."""
+    X, Y, f, nabla, h = sdr.X, sdr.Y, sdr.f, sdr.nabla, sdr.h
+    one = lambda tok: Element.from_token(Y.ring, tok)
+    identities = [
+        ("f nabla = Id", X, lambda tok: f(nabla(tok)) != one(tok)),
+        ("dh + hd = nabla f - Id", Y, lambda tok: Y.d(h(tok)) + h(Y.d(tok)) != nabla(f(tok)) - one(tok)),
+        ("f h = 0", Y, lambda tok: not f(h(tok)).is_zero()),
+        ("h h = 0", Y, lambda tok: not h(h(tok)).is_zero()),
+        ("h nabla = 0", X, lambda tok: not h(nabla(tok)).is_zero()),
+    ]
+    return next(((name, tok) for name, Z, fails in identities
+                 for tok in Z.complex.basis.through(through_degree) if fails(tok)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ so with hirsch_primitive the power maps of hochschild.power_map on the
 coHochschild complex of its normalized chains model those of LK.
 """
 
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, product
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, generator, parity_sign, tensor_token, ZZ,
+    ChainComplex, Element, GradedBasis, LinearMap, Table, generator, parity_sign, tensor_token, ZZ,
 )
 from .dg import DGCoalgebra
 from .groups import BUILTIN_GROUPS
@@ -56,6 +56,11 @@ class SimplicialSet:
 
     # -- operator algebra on encodings --
 
+    @cached_property
+    def _face_cores(self):
+        """face_core(core, dim, i) keyed (core, dim, i), each built once per space."""
+        return Table(lambda key: self.face_core(*key))
+
     def face(self, n, i, enc):
         core, phi = enc
         psi = phi[:i] + phi[i + 1:]
@@ -63,11 +68,7 @@ class SimplicialSet:
         if dropped in psi:
             return (core, psi)
         # the face reaches into the core: face_core, memoised on this space
-        key = (core, len(set(phi)) - 1, dropped)
-        faces = self.__dict__.setdefault("_face_cores", {})
-        if key not in faces:
-            faces[key] = self.face_core(*key)
-        core2, phiF = faces[key]
+        core2, phiF = self._face_cores[core, len(set(phi)) - 1, dropped]
         collapsed = tuple(v if v < dropped else v - 1 for v in psi)
         return (core2, tuple(phiF[v] for v in collapsed))
 
@@ -317,36 +318,31 @@ def normalized_chains(K, ring=ZZ, max_degree=10):
 
 
 def check_simplicial_set(K, max_degree):
-    """Exhaustive simplicial identities on all simplices; returns failures."""
-    failures = []
-    for n in range(2, max_degree + 1):
-        for enc in K.simplices(n):
-            for j in range(n + 1):
-                for i in range(j):
-                    lhs = K.face(n - 1, i, K.face(n, j, enc))
-                    rhs = K.face(n - 1, j - 1, K.face(n, i, enc))
-                    if lhs != rhs:
-                        failures.append(("dd", n, i, j, enc))
-    for n in range(0, max_degree):
-        for enc in K.simplices(n):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    img = K.face(n + 1, i, K.degen(n, j, enc))
-                    if i < j:
-                        want = K.degen(n - 1, j - 1, K.face(n, i, enc))
-                    elif i in (j, j + 1):
-                        want = enc
-                    else:
-                        want = K.degen(n - 1, j, K.face(n, i - 1, enc))
-                    if img != want:
-                        failures.append(("ds", n, i, j, enc))
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    lhs = K.degen(n + 1, j + 1, K.degen(n, i, enc))
-                    rhs = K.degen(n + 1, i, K.degen(n, j, enc))
-                    if lhs != rhs:
-                        failures.append(("ss", n, i, j, enc))
-    return failures
+    """The first failure of the simplicial identities on all simplices of
+    degree <= max_degree, as (identity, n, i, j, simplex), or None: "dd" is
+    d_i d_j = d_{j-1} d_i (i < j), "ds" the face of a degeneracy and "ss" is
+    s_{j+1} s_i = s_i s_j (i <= j), each on n-simplices."""
+    face, degen = K.face, K.degen
+
+    def ds(n, i, j, enc):
+        if i < j:
+            want = degen(n - 1, j - 1, face(n, i, enc))
+        elif i > j + 1:
+            want = degen(n - 1, j, face(n, i - 1, enc))
+        else:
+            want = enc
+        return face(n + 1, i, degen(n, j, enc)) == want
+
+    identities = [
+        ("dd", range(2, max_degree + 1), lambda n, j: range(j),
+         lambda n, i, j, enc: face(n - 1, i, face(n, j, enc)) == face(n - 1, j - 1, face(n, i, enc))),
+        ("ds", range(max_degree), lambda n, j: range(n + 2), ds),
+        ("ss", range(max_degree), lambda n, j: range(j + 1),
+         lambda n, i, j, enc: degen(n + 1, j + 1, degen(n, i, enc)) == degen(n + 1, i, degen(n, j, enc))),
+    ]
+    return next(((name, n, i, j, enc) for name, degrees, indices, holds in identities
+                 for n in degrees for enc in K.simplices(n) for j in range(n + 1)
+                 for i in indices(n, j) if not holds(n, i, j, enc)), None)
 
 
 def get_space(name):

@@ -11,7 +11,7 @@ side.  Entries are Python ints (arbitrary precision); problem sizes here
 are desk scale.
 """
 
-from .chains import ZZ, DegreeOverflowError
+from .chains import ZZ, DegreeOverflowError, Table
 
 
 def _identity(n):
@@ -334,16 +334,10 @@ def _boundary_rows(complex_, k):
 
 
 def boundary_reader(complex_):
-    """k -> _boundary_rows(complex_, k), reading each d_k once.  Every
-    caller of the reader gets the same rows, so none may change them."""
-    read = {}
-
-    def rows(k):
-        if k not in read:
-            read[k] = _boundary_rows(complex_, k)
-        return read[k]
-
-    return rows
+    """A Table rows with rows[k] = _boundary_rows(complex_, k): each d_k is
+    read once.  Every reader of the table gets the same rows, so none may
+    change them."""
+    return Table(lambda k: _boundary_rows(complex_, k))
 
 
 def _no_degree_above(n):
@@ -364,20 +358,15 @@ def homology(complex_, degrees):
     ring = complex_.ring
     if ring.p is not None and ring.p < 2:
         raise ValueError("composite or invalid modulus")
-    reductions = {}
-
-    def reduced(k):
-        if k not in reductions:
-            reductions[k] = _rank_and_torsion(_boundary_rows(complex_, k), ring.p)
-        return reductions[k]
+    reduced = Table(lambda k: _rank_and_torsion(_boundary_rows(complex_, k), ring.p))
 
     out = []
     for n in degrees:
         if n + 1 > complex_.max_degree:
             raise _no_degree_above(n)
         dim_n = complex_.basis.dimension(n)
-        rank_n = reduced(n)[0]
-        rank_n1, torsion = reduced(n + 1)
+        rank_n = reduced[n][0]
+        rank_n1, torsion = reduced[n + 1]
         out.append(HomologySummary(n, dim_n - rank_n - rank_n1, list(torsion), ring))
     return out
 
@@ -485,8 +474,8 @@ class HomologyBasis:
         if rows is None:
             rows = boundary_reader(complex_)
         p = self._p = complex_.ring.p
-        self._rows = rows(n)
-        self._pivots, boundaries = _modp_column_space(rows(n + 1), p)
+        self._rows = rows[n]
+        self._pivots, boundaries = _modp_column_space(rows[n + 1], p)
         combos, left = _modp_kernel(self._rows, p, {col for col, _, _ in self._pivots})
         gens = _remainder_generators(sorted(combos), boundaries, left)
         dim_n = complex_.basis.dimension(n)

@@ -285,18 +285,16 @@ def test_word_bases_keep_their_order(make):
 
 def test_universal_twisting_cochains_check():
     for C in (sphere_coalgebra(2), sphere_coalgebra(3), nonreal_aw_coalgebra()):
-        ok, _ = check_twisting(universal_twisting(C), 8)
-        assert ok
+        assert check_twisting(universal_twisting(C), 8) is None
 
 
 def test_couniversal_twisting_cochains_check():
     for A in (exterior_two(), small_commutative(),
               group_ring_hopf(BUILTIN_GROUPS["c2"]).algebra):
-        ok, _ = check_twisting(couniversal_twisting(A), 8)
-        assert ok
+        assert check_twisting(couniversal_twisting(A), 8) is None
     # Bar(Z[S3]) has 5^n basis words in degree n; stay exhaustive but shallow
-    ok, _ = check_twisting(couniversal_twisting(group_ring_hopf(BUILTIN_GROUPS["s3"]).algebra), 3)
-    assert ok
+    assert check_twisting(couniversal_twisting(group_ring_hopf(BUILTIN_GROUPS["s3"]).algebra),
+                          3) is None
 
 
 def test_zero_twisting_on_trivial_coalgebra():
@@ -306,8 +304,7 @@ def test_zero_twisting_on_trivial_coalgebra():
     t = universal_twisting(C, O)
     zero = type(t)(C, O, LinearMap(ZZ, -1, lambda tok: Element(ZZ)), "0")
     # zero map is a twisting cochain when d = 0 and the reduced diagonal is 0
-    ok, _ = check_twisting(zero, 8)
-    assert ok
+    assert check_twisting(zero, 8) is None
 
 
 def test_alpha_of_universal_is_identity():
@@ -336,8 +333,7 @@ def test_alpha_beta_are_chain_maps():
     t = universal_twisting(C, O)
     B = bar_construction(O, max_degree=9)
     beta = coalgebra_realization(t)
-    ok, tok = verify_chain_map(beta, C.complex, B.complex, 8)
-    assert ok, tok
+    assert verify_chain_map(beta, C.complex, B.complex, 8) is None
 
 
 def test_twist_morphism_compatibility():
@@ -387,14 +383,12 @@ def test_unit_and_counit_are_chain_maps():
     O = cobar_construction(C)
     B = bar_construction(O, max_degree=9)
     eta = bar_cobar_unit(C, O)
-    ok, tok = verify_chain_map(eta, C.complex, B.complex, 8)
-    assert ok, tok
+    assert verify_chain_map(eta, C.complex, B.complex, 8) is None
     A = exterior_two()
     BA = bar_construction(A, max_degree=9)
     OBA = cobar_construction(BA)
     eps = cobar_bar_counit(A, BA)
-    ok, tok = verify_chain_map(eps, OBA.complex, A.complex, 8)
-    assert ok, tok
+    assert verify_chain_map(eps, OBA.complex, A.complex, 8) is None
 
 
 # --- cartesian products and the Milgram splitting ---------------------------
@@ -414,8 +408,7 @@ def test_cartesian_product_values():
     assert list(img.items()) == [(tensor_token(w(desuspend(y2)), w()), 1)]
     # both positive degrees: zero
     assert tt.map(tensor_token(y2, y3)).is_zero()
-    ok, _ = check_twisting(tt, 8)
-    assert ok
+    assert check_twisting(tt, 8) is None
 
 
 def test_milgram_splitting():
@@ -430,8 +423,7 @@ def test_milgram_splitting():
     img = q(w(g))
     assert img == el(ZZ, tensor_token(w(desuspend(y2)), w()))
     assert q(w(desuspend(tensor_token(y2, y3)))).is_zero()
-    ok, tok = verify_chain_map(q, OCC.complex, target.complex, 7)
-    assert ok, tok
+    assert verify_chain_map(q, OCC.complex, target.complex, 7) is None
 
 
 # --- convolution powers ------------------------------------------------------
@@ -470,7 +462,7 @@ def test_convolution_power_odd_primitive():
 def test_convolution_of_powers_adds_on_cocommutative():
     for name in ("free-even", "free-odd", "group-c2"):
         H = hopf_fixtures()[name]
-        assert H.is_cocommutative(6)
+        assert H.check_cocommutativity(6) is None
         lam_r = convolution_power(H, 2)
         lam_s = convolution_power(H, 3)
         lam_rs = convolution_power(H, 5)
@@ -561,7 +553,7 @@ def test_hopf_algebra_has_one_coalgebra():
     g = H.algebra.aug_ideal_basis(0)[0]
     assert H.comult(g) is C.comult(g)
     assert C.comult_iterated(g, 2) is H.comult(g)
-    assert H.is_cocommutative(0)
+    assert H.check_cocommutativity(0) is None
 
 
 # --- Hirsch structures -------------------------------------------------------
@@ -570,16 +562,16 @@ def test_hopf_algebra_has_one_coalgebra():
 def test_primitive_hirsch_is_chain_algebra_map():
     C = sphere_coalgebra(3, max_degree=12)
     h = hirsch_primitive(C)
-    assert h.check_chain_algebra_map(8) is None
-    assert h.is_balanced(8)
-    assert h.check_coassociative(8) is None
+    assert h.check_comult_is_chain_map(8) is None
+    assert h.check_cocommutativity(8) is None
+    assert h.check_coassociativity(8) is None
 
 
 def test_nonreal_aw_hirsch_structure():
     C, h = nonreal_aw_hirsch()
-    assert h.is_balanced(8)
-    assert h.check_chain_algebra_map(8) is None
-    assert h.check_coassociative(8) is None
+    assert h.check_cocommutativity(8) is None
+    assert h.check_comult_is_chain_map(8) is None
+    assert h.check_coassociativity(8) is None
 
 
 def test_nonreal_aw_comultiplication_is_chain_map():

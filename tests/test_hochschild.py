@@ -257,8 +257,8 @@ def test_twisted_extension(make):
     ring = H.ring
     include = LinearMap(ring, 0, lambda tok: H.include_fiber(el(tok, ring=ring)), "i")
     project = LinearMap(ring, 0, lambda tok: H.project_base(el(tok, ring=ring)), "p")
-    assert verify_chain_map(include, H.M.complex, H.complex, 4) == (True, None)
-    assert verify_chain_map(project, H.complex, H.N.complex, 4) == (True, None)
+    assert verify_chain_map(include, H.M.complex, H.complex, 4) is None
+    assert verify_chain_map(project, H.complex, H.N.complex, 4) is None
     # project o include = eta epsilon: the unit goes to the counit token, the rest to 0
     augmentation = H.t.target.augmentation
     for n in range(5):
@@ -280,11 +280,11 @@ def test_induced_identity():
 
 def test_induced_rejects_incompatible():
     C, O, t, H, y, x = _sphere_setup(3)
-    双 = LinearMap(ZZ, 0, lambda tok: el(tok, 2))
+    double = LinearMap(ZZ, 0, lambda tok: el(tok, 2))
     with pytest.raises(CompatibilityError):
-        induced_map(双, identity_map(ZZ), t, t, check_degree=6)
+        induced_map(double, identity_map(ZZ), t, t, check_degree=6)
     # without check_degree: C_0 holds, and the first read of C_3 raises at y
-    lazy = induced_map(双, identity_map(ZZ), t, t)
+    lazy = induced_map(double, identity_map(ZZ), t, t)
     assert lazy(pair(C.counit_token, xk(x, 2))) == el(pair(C.counit_token, xk(x, 2)), 2)
     with pytest.raises(CompatibilityError) as raised:
         lazy(pair(y, xk(x, 1)))
@@ -296,8 +296,7 @@ def test_cohoch_to_hoch_is_a_chain_map():
     B = bar_construction(O, max_degree=11)
     HA = hochschild_of_algebra(O, bar=B, max_degree=10)
     phi = cohoch_to_hoch(t)
-    ok, tok = verify_chain_map(phi, H.complex, HA.complex, 8)
-    assert ok, tok
+    assert verify_chain_map(phi, H.complex, HA.complex, 8) is None
 
 
 # --- extended functoriality ---------------------------------------------------
@@ -350,8 +349,7 @@ def test_cohoch_retraction_is_a_chain_map(n):
     B = bar_construction(O, max_degree=11)
     HO = hochschild_of_algebra(O, bar=B, max_degree=9)
     rho = cohoch_retraction(C, cobar=O)
-    ok, tok = verify_chain_map(rho, HO.complex, H.complex, 8)
-    assert ok, tok
+    assert verify_chain_map(rho, HO.complex, H.complex, 8) is None
 
 
 def test_sh_map_dual_strict_case_agrees():
@@ -394,8 +392,7 @@ def test_hoch_section_is_a_chain_map():
     HA = hochschild_of_algebra(A, bar=B, max_degree=9)
     OB = cobar_construction(B)
     HB = cohochschild_complex(B, cobar=OB, max_degree=8)
-    ok, tok = verify_chain_map(sigma, HA.complex, HB.complex, 7)
-    assert ok, tok
+    assert verify_chain_map(sigma, HA.complex, HB.complex, 7) is None
 
 
 # --- monoidal structure -------------------------------------------------------
@@ -570,8 +567,7 @@ def test_power_concatenation_is_a_chain_map_on_nonreal_aw():
     Hdom = hochschild_general(tr, max_degree=9)
     Hcod = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=9)
     mu2 = power_concatenation(t, hirsch, Hopf, 2, check_degree=6)
-    ok, tok = verify_chain_map(mu2, Hdom.complex, Hcod.complex, 8)
-    assert ok, tok
+    assert verify_chain_map(mu2, Hdom.complex, Hcod.complex, 8) is None
 
 
 def test_power_map_is_a_chain_map_on_nonreal_aw():
@@ -579,8 +575,7 @@ def test_power_map_is_a_chain_map_on_nonreal_aw():
     t = universal_twisting(C, hirsch.cobar)
     lam2 = power_map(t, hirsch, hirsch.loop_hopf(), 2, check_degree=6)
     H = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=9)
-    ok, tok = verify_chain_map(lam2, H.complex, H.complex, 8)
-    assert ok, tok
+    assert verify_chain_map(lam2, H.complex, H.complex, 8) is None
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -591,8 +586,7 @@ def test_power_map_koszul_sign_on_nonreal_aw(r):
     t = universal_twisting(C, hirsch.cobar)
     lam = power_map(t, hirsch, hirsch.loop_hopf(), r)
     H = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=11)
-    ok, tok = verify_chain_map(lam, H.complex, H.complex, 10)
-    assert ok, tok
+    assert verify_chain_map(lam, H.complex, H.complex, 10) is None
 
 
 def test_power_concatenation_rotation_sign():
@@ -766,8 +760,7 @@ def test_rp_power_map_is_a_chain_map():
     t = universal_twisting(C, hirsch.cobar)
     lam2 = power_map(t, hirsch, hirsch.loop_hopf(), 2, check_degree=4)
     H = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=6)
-    ok, tok = verify_chain_map(lam2, H.complex, H.complex, 6)
-    assert ok, tok
+    assert verify_chain_map(lam2, H.complex, H.complex, 6) is None
 
 
 def test_power_map_restrictions():

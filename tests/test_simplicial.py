@@ -25,7 +25,7 @@ def summary(K, degrees, ring=ZZ):
 @pytest.mark.parametrize("name", ["delta:2", "sphere:2", "circle", "nerve-z2", "sigma-rpinfty",
                                   "cyclic-c2", "cyclic-s3"])
 def test_builtin_spaces_satisfy_simplicial_identities(name):
-    assert check_simplicial_set(get_space(name), 4) == []
+    assert check_simplicial_set(get_space(name), 4) is None
 
 
 def test_standard_simplex_is_contractible():
@@ -55,7 +55,7 @@ def test_suspended_rp_infinity_over_f2():
 
 def test_zero_sphere_has_two_points():
     assert summary(Sphere(0), range(2)) == [(2, []), (0, [])]
-    assert check_simplicial_set(Sphere(0), 3) == []
+    assert check_simplicial_set(Sphere(0), 3) is None
 
 
 def test_double_suspension_of_zero_sphere_is_two_sphere():
@@ -126,7 +126,7 @@ def test_cyclic_nerve_power_maps_match_hochschild(name):
     found = {}
     for r in (2, 3):
         lam = K.power_map(r)
-        assert verify_chain_map(lam, chains.complex, chains.complex, 3) == (True, None)
+        assert verify_chain_map(lam, chains.complex, chains.complex, 3) is None
         cyclic = power_map_on_homology(chains, lam, range(top + 1))
         hochschild = power_map_on_homology(hoch, hoch_maps[r], range(top + 1))
         for f in (list, minus_identity):
@@ -187,7 +187,7 @@ def test_cyclic_nerve_power_maps_match_hochschild_mod_p(name, ring):
         [h.betti for h in homology(hoch.complex, degrees)] == CYCLIC_DIMENSIONS[name, ring.p]
     for r in (2, 3):
         lam = K.power_map(r, ring)
-        assert verify_chain_map(lam, chains.complex, chains.complex, 3) == (True, None)
+        assert verify_chain_map(lam, chains.complex, chains.complex, 3) is None
         cyclic = power_map_on_homology(chains, lam, degrees)
         hochschild = power_map_on_homology(hoch, hoch_maps[r], degrees)
         for f in (list, minus_identity):
@@ -222,7 +222,7 @@ def free_hopf_power_maps(degree, top):
 @pytest.mark.parametrize("name", ["sphere:0", "sphere:1", "sphere:2", "nerve-z2"])
 def test_double_suspension_is_one_reduced(name):
     K = double_suspension(get_space(name))
-    assert check_simplicial_set(K, 4) == []
+    assert check_simplicial_set(K, 4) is None
     assert K.nondegenerate(0) == ["a0"]
     assert normalized_chains(K).complex.basis.basis(1) == []
 
