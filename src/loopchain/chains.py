@@ -27,6 +27,8 @@ GradedBasis.through, so it stops at its first witness and builds no degree
 beyond it.
 """
 
+from itertools import chain
+
 
 class Ring:
     """The integers, or a prime field F_p."""
@@ -489,9 +491,8 @@ class GradedBasis:
 
     def through(self, top, bottom=0):
         """The tokens of degrees bottom..top in degree order, built lazily:
-        each degree is built when the walk reaches it."""
-        for n in range(bottom, top + 1):
-            yield from self.basis(n)
+        each degree is built when the walk reaches it (no Python frame per token)."""
+        return chain.from_iterable(map(self.basis, range(bottom, top + 1)))
 
     def dimension(self, n):
         return len(self.basis(n))

@@ -706,9 +706,9 @@ def convolution_power(H, r):
 class HirschCoalgebra(HopfAlgebra):
     """Connected coalgebra C with a coassociative loop comultiplication:
     an algebra map psi: Cobar C -> Cobar C (x) Cobar C, given on generators.
-    It is the chain Hopf algebra (Cobar C, psi) on the complex, unit and
-    product of the given cobar construction, so it is its own Cobar C
-    (cobar) and its own loop Hopf algebra (loop_hopf).
+    It builds Cobar C itself and is the chain Hopf algebra (Cobar C, psi) on
+    its complex, unit and product, so it is its own Cobar C (cobar) and its
+    own loop Hopf algebra (loop_hopf).
 
     psi is the Hopf algebra's one comultiplication LinearMap, cached per
     cobar word.  Because psi is an algebra map, the image of l_1|...|l_k is
@@ -721,10 +721,10 @@ class HirschCoalgebra(HopfAlgebra):
     degree n, and name the one-letter word on which psi fails.
     """
 
-    def __init__(self, C, cobar, generator_images, name=""):
+    def __init__(self, C, generator_images, name=""):
         self.C = C
         self._gen = generator_images  # letter token -> Element in the square
-        super().__init__(cobar, LinearMap(C.ring, 0, self._psi_image, "psi"),
+        super().__init__(cobar_construction(C), LinearMap(C.ring, 0, self._psi_image, "psi"),
                          name=name or "Hirsch(%s)" % C.name)
         self.square = tensor_algebra(self, self)
 
@@ -760,14 +760,14 @@ class HirschCoalgebra(HopfAlgebra):
         return (word_token((desuspend(c),)) for c in self.C.complex.basis.through(top, 1))
 
 
-def hirsch_primitive(C, cobar=None, overrides=None, name=""):
+def hirsch_primitive(C, overrides=None, name=""):
     """Hirsch structure with primitive generators, with optional overrides.
 
     Covers double-suspension chains (trivial reduced comultiplication) and
-    explicitly given loop comultiplications like hand-built fixtures.
+    explicitly given loop comultiplications like hand-built fixtures.  Like
+    every HirschCoalgebra it builds its own Cobar C.
     """
     ring = C.ring
-    omega = cobar if cobar is not None else cobar_construction(C)
     overrides = overrides or {}
     empty = word_token(())
 
@@ -777,4 +777,4 @@ def hirsch_primitive(C, cobar=None, overrides=None, name=""):
         w = word_token((letter,))
         return Element(ring, [(tensor_token(w, empty), 1), (tensor_token(empty, w), 1)])
 
-    return HirschCoalgebra(C, omega, gen, name=name)
+    return HirschCoalgebra(C, gen, name=name)

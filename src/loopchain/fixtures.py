@@ -1,24 +1,30 @@
 """Shipped algebraic fixtures and the declarative fixture-file parser.
 
+One checked builder makes every fixture given by tables, the shipped
+coalgebras and every fixture document, and checks each structure it makes.
 The Hopf fixtures exercise the commutative/cocommutative flags
-independently: free algebra on one primitive (even and odd generator),
-exterior algebra on two generators, truncated polynomial algebras, and
-group rings of C_2 and S_3 in an augmentation-aligned basis.
+independently: free algebra on one primitive (even and odd generator; a
+one-generator monomial algebra), exterior algebra on two generators,
+truncated polynomial algebras, and group rings of C_2 and S_3 in an
+augmentation-aligned basis.
 """
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, Table, generator, parity_sign,
+    ChainComplex, Element, GradedBasis, Table, generator, map_from_table, parity_sign,
     tensor_token, word_token, desuspend, zero_map, RINGS, ZZ, F2,
 )
 from .dg import (
-    DGAlgebra, DGCoalgebra, HopfAlgebra, hirsch_primitive,
-    tensor_algebra, cobar_construction,
+    DGAlgebra, DGCoalgebra, HopfAlgebra, hirsch_primitive, tensor_algebra,
 )
 from .groups import BUILTIN_GROUPS
 
 
 # ---------------------------------------------------------------------------
-# Coalgebra fixtures
+# The checked builder
+
+
+class FixtureError(ValueError):
+    pass
 
 
 def _primitive_comult(ring, one):
@@ -30,18 +36,88 @@ def _primitive_comult(ring, one):
     return comult
 
 
+def _check_term_degrees(what, table, degree):
+    """Raise FixtureError at the first entry of table with a term whose
+    degree is not degree(key)."""
+    for key, value in table.items():
+        bad = next((t for t in value.terms if t.degree != degree(key)), None)
+        if bad is not None:
+            raise FixtureError("%s entry %r has the term %r of degree %d, not %d"
+                               % (what, key, bad, bad.degree, degree(key)))
+
+
+def _checked_fixture(ring, unit, generators, max_degree, name, differential=None,
+                     products=None, coproducts=None):
+    """The complex on the unit and the generator tokens, d read off the table
+    differential, and on it the DGAlgebra of products, the DGCoalgebra of
+    coproducts or the HopfAlgebra of both (None leaves a structure out).
+    Unlisted tokens have d = 0 and a primitive Delta; unlisted products of
+    generators are 0.  Raises FixtureError at the first generator outside
+    degrees 0..max_degree, table term of the wrong degree or failed identity,
+    checked through max_degree in the order d^2, associativity, product chain
+    map, algebra map, coassociativity, Delta chain map."""
+    per_degree = {0: [unit]}
+    for g in generators:
+        if not 0 <= g.degree <= max_degree:
+            raise FixtureError("generator %r has degree %d outside 0..%d"
+                               % (g, g.degree, max_degree))
+        per_degree.setdefault(g.degree, []).append(g)
+    differential = differential or {}
+    _check_term_degrees("differential", differential, lambda tok: tok.degree - 1)
+    basis = GradedBasis(ring, per_degree, max_degree, name)
+    cx = ChainComplex(basis, map_from_table(ring, -1, differential, "d"), name)
+    checks = [(cx.check_d_squared, "differential does not square to zero")]
+
+    structure = None
+    if products is not None:
+        _check_term_degrees("multiplication", products, lambda ab: ab[0].degree + ab[1].degree)
+        table = {pair: tuple(value.items()) for pair, value in products.items()}
+
+        def product(s, t):
+            if s is unit:
+                return ((t, 1),)
+            if t is unit:
+                return ((s, 1),)
+            return table.get((s, t), ())
+
+        structure = DGAlgebra(cx, unit, product, name=name)
+        checks += [(structure.check_associativity, "multiplication table fails associativity"),
+                   (structure.check_mult_is_chain_map, "multiplication is not a chain map")]
+    if coproducts is not None:
+        _check_term_degrees("comultiplication", coproducts, lambda tok: tok.degree)
+        primitive = _primitive_comult(ring, unit)
+
+        def comult(tok):
+            return coproducts[tok] if tok in coproducts else primitive(tok)
+
+        if structure is None:
+            structure = DGCoalgebra(cx, unit, comult, name=name)
+        else:
+            structure = HopfAlgebra(structure, comult, name=name)
+            checks.append((structure.check_comult_is_algebra_map,
+                           "comultiplication is not an algebra map"))
+        checks += [(structure.check_coassociativity, "comultiplication table fails coassociativity"),
+                   (structure.check_comult_is_chain_map, "comultiplication is not a chain map")]
+
+    for check, message in checks:
+        bad = check(max_degree)
+        if bad is not None:
+            raise FixtureError("%s at %r" % (message, bad))
+    return structure
+
+
+# ---------------------------------------------------------------------------
+# Coalgebra fixtures
+
+
 def sphere_coalgebra(n, ring=ZZ, max_degree=None):
     """Chains model of an n-sphere: unit and one primitive generator."""
     if n < 1:
         raise ValueError("sphere_coalgebra needs n >= 1, got %r" % (n,))
     if max_degree is None:
         max_degree = 2 * n + 10
-    one = generator("1", 0)
-    y = generator("y", n)
-    basis = GradedBasis(ring, {0: [one], n: [y]}, max_degree, "C(S%d)" % n)
-    cx = ChainComplex(basis, zero_map(ring, -1), "C(S%d)" % n)
-
-    return DGCoalgebra(cx, one, _primitive_comult(ring, one), name="C(S%d)" % n)
+    return _checked_fixture(ring, generator("1", 0), [generator("y", n)], max_degree,
+                            "C(S%d)" % n, coproducts={})
 
 
 def nonreal_aw_coalgebra(ring=ZZ, max_degree=16):
@@ -52,32 +128,19 @@ def nonreal_aw_coalgebra(ring=ZZ, max_degree=16):
     y = generator("y", 4)
     yp = generator("y'", 4)
     z = generator("z", 7)
-    basis = GradedBasis(ring, {0: [u], 3: [x], 4: [y, yp], 7: [z]}, max_degree, "Cnaw")
-    dtable = {y: Element.from_token(ring, x, 2), yp: Element.from_token(ring, x, 3)}
-
-    def dfn(tok):
-        return dtable.get(tok, Element(ring))
-
-    cx = ChainComplex(basis, LinearMap(ring, -1, dfn, "d"), "Cnaw")
-
-    def comult(tok):
-        if tok is u:
-            return Element(ring, [(tensor_token(u, u), 1)])
-        pairs = [(tensor_token(u, tok), 1), (tensor_token(tok, u), 1)]
-        if tok is z:
-            pairs += [(tensor_token(x, y), 3), (tensor_token(x, yp), -2)]
-        return Element(ring, pairs)
-
-    return DGCoalgebra(cx, u, comult, name="Cnaw")
+    delta_z = Element(ring, [(tensor_token(u, z), 1), (tensor_token(z, u), 1),
+                             (tensor_token(x, y), 3), (tensor_token(x, yp), -2)])
+    return _checked_fixture(ring, u, [x, y, yp, z], max_degree, "Cnaw",
+                            differential={y: Element.from_token(ring, x, 2),
+                                          yp: Element.from_token(ring, x, 3)},
+                            coproducts={z: delta_z})
 
 
 def nonreal_aw_hirsch(ring=ZZ, max_degree=16):
     """The balanced Hirsch structure on the five-generator coalgebra:
     primitive on all cobar generators except the top one."""
     C = nonreal_aw_coalgebra(ring, max_degree)
-    omega = cobar_construction(C)
-    toks = {t.data: t for t in [C.complex.basis.basis(3)[0]] + C.complex.basis.basis(4) + C.complex.basis.basis(7)}
-    x, y, yp, z = toks["x"], toks["y"], toks["y'"], toks["z"]
+    y, yp, z = generator("y", 4), generator("y'", 4), generator("z", 7)
     empty = word_token(())
 
     def w(tok):
@@ -85,7 +148,7 @@ def nonreal_aw_hirsch(ring=ZZ, max_degree=16):
 
     img = Element(ring, [(tensor_token(w(z), empty), 1), (tensor_token(w(yp), w(y)), 1),
                          (tensor_token(w(y), w(yp)), -1), (tensor_token(empty, w(z)), 1)])
-    return C, hirsch_primitive(C, omega, overrides={desuspend(z): img}, name="Hirsch(Cnaw)")
+    return C, hirsch_primitive(C, overrides={desuspend(z): img}, name="Hirsch(Cnaw)")
 
 
 def rp_suspension_coalgebra(ring=F2, max_degree=8):
@@ -94,18 +157,9 @@ def rp_suspension_coalgebra(ring=F2, max_degree=8):
 
     It models Sigma RP^infinity over F2 only.  Over Z the zero differential
     is wrong: H_2(Sigma RP^infinity; Z) = Z/2, not Z."""
-    def basis_fn(n):
-        if n == 0:
-            return [generator("1", 0)]
-        if n >= 2:
-            return [generator(("y", n - 1), n)]
-        return []
-
-    one = generator("1", 0)
-    basis = GradedBasis(ring, basis_fn, max_degree, "C(E RP)")
-    cx = ChainComplex(basis, zero_map(ring, -1), "C(E RP)")
-
-    return DGCoalgebra(cx, one, _primitive_comult(ring, one), name="C(E RP)")
+    return _checked_fixture(ring, generator("1", 0),
+                            [generator(("y", n - 1), n) for n in range(2, max_degree + 1)],
+                            max_degree, "C(E RP)", coproducts={})
 
 
 def rp_hirsch(ring=F2, max_degree=8):
@@ -124,7 +178,7 @@ def rp_hirsch(ring=F2, max_degree=8):
 
 
 # ---------------------------------------------------------------------------
-# Monomial algebras (graded-commutative with truncated generators)
+# Monomial algebras (truncated generators)
 
 
 def _monomial_token(gens, exponents):
@@ -133,8 +187,12 @@ def _monomial_token(gens, exponents):
 
 
 def monomial_algebra(ring, gens, max_degree, name, truncations=None):
-    """Graded-commutative algebra on generators (name, degree) with
-    exponent truncations (odd generators square to zero)."""
+    """Algebra on generators (name, degree) with exponent truncations; the
+    product adds exponents, with the Koszul sign of sorting the symbols.
+
+    The truncations decide every vanishing power.  The default, 2 for an odd
+    generator, gives a graded-commutative algebra; an odd generator with a
+    truncation above 2 gives T(x_odd), which is not graded-commutative."""
     if truncations is None:
         truncations = [2 if g[1] % 2 else max_degree + 1 for g in gens]
 
@@ -161,7 +219,7 @@ def monomial_algebra(ring, gens, max_degree, name, truncations=None):
     def pair_product(pair):
         es, et = pair[0].data[1:], pair[1].data[1:]
         combined = [a + b for a, b in zip(es, et)]
-        if any(e >= truncations[i] or (gens[i][1] % 2 and e > 1) for i, e in enumerate(combined)):
+        if any(e >= truncations[i] for i, e in enumerate(combined)):
             return ()
         # Koszul sign of sorting: each symbol of t passes the symbols of s
         # with a larger generator index
@@ -180,9 +238,9 @@ def monomial_algebra(ring, gens, max_degree, name, truncations=None):
 def primitive_hopf(algebra):
     """Hopf structure with all algebra generators primitive.
 
-    Valid for graded-commutative monomial algebras and for the free
-    algebra on one generator; the comultiplication is the algebra-map
-    extension of delta(g) = g(x)1 + 1(x)g.
+    Valid for monomial algebras that are graded-commutative or have one
+    generator (the free algebra of free_hopf_one); the comultiplication is
+    the algebra-map extension of delta(g) = g(x)1 + 1(x)g.
     """
     ring = algebra.ring
     square = tensor_algebra(algebra, algebra)
@@ -200,12 +258,6 @@ def primitive_hopf(algebra):
                 prim = primitive(_monomial_token_from(algebra, gen_exps))
                 for _ in range(e):
                     out = square.multiply(out, prim)
-        elif tok.kind == "atom" and isinstance(tok.data, tuple) and tok.data[0] == "pow":
-            name, k = tok.data[1], tok.data[2]
-            prim = primitive(generator(("pow", name, 1), tok.degree // k if k else 0))
-            out = Element.from_token(ring, tensor_token(algebra.unit, algebra.unit))
-            for _ in range(k):
-                out = square.multiply(out, prim)
         else:
             raise ValueError("no primitive comultiplication for %r" % (tok,))
         return out
@@ -233,27 +285,14 @@ def small_commutative(ring=ZZ, max_degree=10):
 
 
 def free_hopf_one(degree, ring=ZZ, max_degree=None, name="x"):
-    """Free algebra on one primitive generator (polynomial when even)."""
+    """Free algebra T(x) on one primitive generator x of the given degree,
+    polynomial when the degree is even: the one-generator monomial algebra
+    with every power through max_degree, whose tokens are ("mono", k)."""
     if max_degree is None:
         max_degree = 8 * degree
-
-    def tok(k):
-        return generator(("pow", name, k), k * degree)
-
-    def basis_fn(n):
-        if n % degree == 0 and n // degree >= 0:
-            return [tok(n // degree)]
-        return []
-
-    label = "T(%s_%d)" % (name, degree)
-    basis = GradedBasis(ring, basis_fn, max_degree, label)
-    cx = ChainComplex(basis, zero_map(ring, -1), label)
-
-    def product(s, t):
-        return ((tok(s.data[2] + t.data[2]), 1),)
-
-    A = DGAlgebra(cx, tok(0), product, name=label)
-    return primitive_hopf(A)
+    return primitive_hopf(monomial_algebra(ring, [(name, degree)], max_degree,
+                                           "T(%s_%d)" % (name, degree),
+                                           truncations=[max_degree // degree + 1]))
 
 
 def group_ring_hopf(group, ring=ZZ, max_degree=8):
@@ -261,6 +300,9 @@ def group_ring_hopf(group, ring=ZZ, max_degree=8):
 
     [g][h] = [gh] - [g] - [h] (with [e] = 0); delta[g] = [g](x)[g] +
     [g](x)1 + 1(x)[g]; zero differential, everything in degree 0.
+
+    It stays off the checked builder: the checks would fill the Delta cache,
+    which BarHopfStructure's group_table reads around to keep it empty.
     """
     unit = generator(("grp", group.name, "1"), 0)
 
@@ -308,89 +350,42 @@ def hopf_fixtures(ring=ZZ):
 # Declarative fixture files
 
 
-class FixtureError(ValueError):
-    pass
-
-
 def dg_fixture_from_dict(doc):
     """Build a DGAlgebra / DGCoalgebra / HopfAlgebra from a declarative
-    document; rejects tables failing the (co)algebra axioms."""
+    document: names become tokens and the checked builder does the rest.
+    An unknown ring or kind, a duplicate or undeclared name, a
+    multiplication key not of the form "a|b", and every failure of the
+    builder raise FixtureError."""
     ring = RINGS.get(doc.get("ring", "Z"))
     if ring is None:
         raise FixtureError("unknown ring %r" % doc.get("ring"))
-    max_degree = int(doc.get("max_degree", 10))
     kind = doc.get("kind", "algebra")
-    names = {}
-    per_degree = {}
+    if kind not in ("algebra", "coalgebra", "hopf"):
+        raise FixtureError("unknown fixture kind %r" % kind)
     unit_name = doc.get("unit", "1")
-    unit = generator(unit_name, 0)
-    names[unit_name] = unit
-    per_degree.setdefault(0, []).append(unit)
+    names = {unit_name: generator(unit_name, 0)}
     for g in doc.get("generators", []):
-        t = generator(g["name"], int(g["degree"]))
         if g["name"] in names:
             raise FixtureError("duplicate generator %r" % g["name"])
-        names[g["name"]] = t
-        per_degree.setdefault(t.degree, []).append(t)
+        names[g["name"]] = generator(g["name"], int(g["degree"]))
 
-    def parse_element(entries):
-        return Element(ring, [(tensor_token(*[names[n] for n in name]) if isinstance(name, list)
-                               else names[name], coeff) for coeff, name in entries])
+    def token(name):
+        if name not in names:
+            raise FixtureError("undeclared generator %r" % (name,))
+        return names[name]
 
-    dtable = {names[k]: parse_element(v) for k, v in doc.get("differential", {}).items()}
+    def pair(key):
+        if key.count("|") != 1:
+            raise FixtureError("multiplication key %r is not of the form a|b" % (key,))
+        return tuple(token(name) for name in key.split("|"))
 
-    def dfn(tok):
-        return dtable.get(tok, Element(ring))
+    def table(section, key):
+        return {key(k): Element(ring, [(tensor_token(*map(token, name)) if isinstance(name, list)
+                                        else token(name), coeff) for coeff, name in entries])
+                for k, entries in doc.get(section, {}).items()}
 
-    basis = GradedBasis(ring, per_degree, max_degree, doc.get("name", "fixture"))
-    cx = ChainComplex(basis, LinearMap(ring, -1, dfn, "d"), doc.get("name", "fixture"))
-    bad = cx.check_d_squared(max_degree)
-    if bad is not None:
-        raise FixtureError("differential does not square to zero at %r" % (bad,))
-
-    if kind in ("hopf", "coalgebra"):
-        ctable = {names[k]: parse_element(v) for k, v in doc.get("comultiplication", {}).items()}
-        primitive = _primitive_comult(ring, unit)
-
-        def comult(tok):
-            return ctable[tok] if tok in ctable else primitive(tok)
-
-    if kind in ("algebra", "hopf"):
-        mtable = {}
-        for key, entries in doc.get("multiplication", {}).items():
-            a, b = key.split("|")
-            mtable[(names[a], names[b])] = tuple(parse_element(entries).items())
-
-        def product(s, t):
-            if s is unit:
-                return ((t, 1),)
-            if t is unit:
-                return ((s, 1),)
-            return mtable.get((s, t), ())
-
-        A = DGAlgebra(cx, unit, product, name=doc.get("name", "fixture"))
-        bad = A.check_associativity(max_degree)
-        if bad is not None:
-            raise FixtureError("multiplication table fails associativity at %r" % (bad,))
-        bad = A.check_mult_is_chain_map(max_degree)
-        if bad is not None:
-            raise FixtureError("multiplication is not a chain map at %r" % (bad,))
-        if kind == "algebra":
-            return A
-        H = HopfAlgebra(A, comult, name=doc.get("name", "fixture"))
-        bad = H.check_comult_is_algebra_map(max_degree)
-        if bad is not None:
-            raise FixtureError("comultiplication is not an algebra map at %r" % (bad,))
-        return H
-
-    if kind == "coalgebra":
-        C = DGCoalgebra(cx, unit, comult, name=doc.get("name", "fixture"))
-        bad = C.check_coassociativity(max_degree)
-        if bad is not None:
-            raise FixtureError("comultiplication table fails coassociativity at %r" % (bad,))
-        bad = C.check_comult_is_chain_map(max_degree)
-        if bad is not None:
-            raise FixtureError("comultiplication is not a chain map at %r" % (bad,))
-        return C
-
-    raise FixtureError("unknown fixture kind %r" % kind)
+    return _checked_fixture(
+        ring, names[unit_name], list(names.values())[1:], int(doc.get("max_degree", 10)),
+        doc.get("name", "fixture"), table("differential", token),
+        products=table("multiplication", pair) if kind != "coalgebra" else None,
+        coproducts=table("comultiplication", token) if kind != "algebra" else None)

@@ -44,12 +44,14 @@ def _hypothesis(C, lowest, failure, check_degree):
 
     def check(n):
         nonlocal checked
-        while checked < n:
-            for c in C.complex.basis.basis(checked + 1):
-                message = failure(c)
-                if message is not None:
-                    raise CompatibilityError(message, c)
-            checked += 1
+        if n <= checked:
+            return
+        for c in C.complex.basis.through(n, checked + 1):
+            message = failure(c)
+            if message is not None:
+                checked = c.degree - 1  # a degree counts once all its tokens pass
+                raise CompatibilityError(message, c)
+        checked = n
 
     if check_degree is not None:
         check(check_degree)

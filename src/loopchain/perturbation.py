@@ -440,7 +440,7 @@ class BarHopfStructure(HirschCoalgebra):
                 return Element(ring, [(u, c * cu) for w, c in bar_delta.items()
                                       for u, cu in F(w).items()]).apply(q.fn)
 
-        super().__init__(self.barH, cobar_construction(self.barH), gen,
+        super().__init__(self.barH, gen,
                          name="Hirsch(Bar %s)" % H.name)
 
     def hirsch(self):

@@ -13,7 +13,7 @@ from loopchain.chains import (
 )
 from loopchain.dg import (
     DGAlgebra, DGCoalgebra, HopfAlgebra, TwistingCochain, check_twisting,
-    cobar_construction, hirsch_primitive, universal_twisting,
+    hirsch_primitive, universal_twisting,
 )
 from loopchain.fixtures import (
     FixtureError, dg_fixture_from_dict, exterior_two, free_hopf_one, nonreal_aw_coalgebra,
@@ -57,7 +57,7 @@ def twisting():
 
 def _polynomial():
     H = free_hopf_one(2)
-    return H, generator(("pow", "x", 1), 2), generator(("pow", "x", 2), 4)
+    return H, generator(("mono", 1), 2), generator(("mono", 2), 4)
 
 
 def associativity():
@@ -147,7 +147,7 @@ def _hirsch(images):
     overrides = {desuspend(toks[name]): Element(ZZ, [(tensor_token(words[a], words[b]), c)
                                                      for c, a, b in terms])
                  for name, terms in images.items()}
-    return hirsch_primitive(C, cobar_construction(C), overrides), words
+    return hirsch_primitive(C, overrides), words
 
 
 # The generator scope: s^{-1}c has degree |c| - 1, so a check through degree n
@@ -208,10 +208,73 @@ def fixture_not_an_algebra_map():
     return _fixture_error(doc), "comultiplication is not an algebra map at (x, x)"
 
 
+def fixture_hopf_not_coassociative():
+    # the algebra-map check passes: (2 a (x) 1 + 1 (x) a)^2 = 2 a (x) a - 2 a (x) a = 0
+    doc = {"name": "bad", "ring": "Z", "max_degree": 4, "kind": "hopf",
+           "generators": [{"name": "a", "degree": 1}],
+           "comultiplication": {"a": [[2, ["a", "1"]], [1, ["1", "a"]]]}}
+    return _fixture_error(doc), "comultiplication table fails coassociativity at a"
+
+
+def fixture_hopf_not_a_chain_map():
+    # dc = b and c is primitive, but Delta b has the extra term a (x) a, so
+    # Delta dc != d Delta c; a is odd, so Delta(a a) = 0 = Delta(a) Delta(a)
+    doc = {"name": "bad", "ring": "Z", "max_degree": 7, "kind": "hopf",
+           "generators": [{"name": "a", "degree": 3}, {"name": "b", "degree": 6},
+                          {"name": "c", "degree": 7}],
+           "differential": {"c": [[1, "b"]]},
+           "comultiplication": {"b": [[1, ["b", "1"]], [1, ["1", "b"]], [1, ["a", "a"]]]}}
+    return _fixture_error(doc), "comultiplication is not a chain map at c"
+
+
+def _xy(kind, **tables):
+    # x in degree 2, y in degree 5
+    return dict({"name": "bad", "ring": "Z", "max_degree": 6, "kind": kind,
+                 "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 5}]},
+                **tables)
+
+
+def fixture_differential_degree():
+    doc = _xy("algebra", differential={"y": [[1, "x"]]})
+    return _fixture_error(doc), "differential entry y has the term x of degree 2, not 4"
+
+
+def fixture_product_degree():
+    doc = _xy("algebra", generators=[{"name": "x", "degree": 2}, {"name": "y", "degree": 3}],
+              multiplication={"x|x": [[1, "y"]]})
+    return _fixture_error(doc), "multiplication entry (x, x) has the term y of degree 3, not 4"
+
+
+def fixture_comultiplication_degree():
+    doc = _xy("coalgebra", comultiplication={"y": [[1, ["y", "1"]], [1, ["1", "y"]],
+                                                   [1, ["x", "x"]]]})
+    return _fixture_error(doc), \
+        "comultiplication entry y has the term (x (x) x) of degree 4, not 5"
+
+
+def fixture_generator_degree():
+    return tuple(_fixture_error(dict(_xy("algebra"), max_degree=4, generators=[g]))
+                 for g in ({"name": "x", "degree": 6}, {"name": "x", "degree": -1})), \
+        ("generator x has degree 6 outside 0..4", "generator x has degree -1 outside 0..4")
+
+
+def fixture_undeclared_name():
+    return _fixture_error(_xy("algebra", differential={"y": [[1, "q"]]})), \
+        "undeclared generator 'q'"
+
+
+def fixture_multiplication_key():
+    return _fixture_error(_xy("algebra", multiplication={"xx": []})), \
+        "multiplication key 'xx' is not of the form a|b"
+
+
 CASES = [d_squared, chain_map, twisting, associativity, mult_is_chain_map, coassociativity,
          comult_is_chain_map, comult_is_algebra_map, cocommutativity, sdr, simplicial_set,
          hirsch_cocommutativity, hirsch_chain_map, hirsch_coassociativity, fixture_hopf,
-         fixture_not_a_chain_map, fixture_not_coassociative, fixture_not_an_algebra_map]
+         fixture_not_a_chain_map, fixture_not_coassociative, fixture_not_an_algebra_map,
+         fixture_hopf_not_coassociative, fixture_hopf_not_a_chain_map,
+         fixture_differential_degree, fixture_product_degree, fixture_comultiplication_degree,
+         fixture_generator_degree, fixture_undeclared_name, fixture_multiplication_key]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case.__name__ for case in CASES])

@@ -441,7 +441,7 @@ def test_comultiplication_strict_cocommutative():
         return C.comult(tok)
 
     omega = cobar_map(LinearMap(ZZ, 0, delta_fn, "Delta"))
-    hirsch = hirsch_primitive(C, cobar=O)
+    hirsch = hirsch_primitive(C)
     Hopf = hirsch.loop_hopf()
     dhat = hochschild_comultiplication(t, omega, Hopf, check_degree=6)
     ring = ZZ
@@ -458,7 +458,7 @@ def test_comultiplication_strict_cocommutative():
 def test_comultiplication_is_a_chain_map():
     C, O, t, H, y, x = _sphere_setup(3, max_degree=12)
     omega = cobar_map(LinearMap(ZZ, 0, lambda tok: C.comult(tok), "Delta"))
-    hirsch = hirsch_primitive(C, cobar=O)
+    hirsch = hirsch_primitive(C)
     dhat = hochschild_comultiplication(t, omega, hirsch.loop_hopf())
     from loopchain.chains import add_maps, tensor_map
     dT = add_maps(tensor_map(H.complex.d, identity_map(ZZ)),
@@ -477,7 +477,7 @@ def test_comultiplication_hypothesis_failure_is_reported():
             ZZ, [(u, 2 * c) for u, c in C.comult(tok).items()])
 
     omega = cobar_map(LinearMap(ZZ, 0, twice, "2 Delta"))
-    Hopf = hirsch_primitive(C, cobar=O).loop_hopf()
+    Hopf = hirsch_primitive(C).loop_hopf()
     with pytest.raises(CompatibilityError) as raised:
         hochschild_comultiplication(t, omega, Hopf, check_degree=6)
     assert raised.value.token == y
@@ -526,7 +526,7 @@ def test_multiplication_is_a_chain_map():
 
 def test_power_concatenation_reduces_to_iterated_product_when_primitive():
     C, O, t, H, y, x = _sphere_setup(3, max_degree=12)
-    hirsch = hirsch_primitive(C, cobar=O)
+    hirsch = hirsch_primitive(C)
     Hopf = hirsch.loop_hopf()
     mu2 = power_concatenation(t, hirsch, Hopf, 2, check_degree=5)
     for k in range(0, 3):
@@ -549,7 +549,7 @@ def test_power_map_r1_is_identity():
 
 def test_power_map_sphere_eigenvalues():
     C, O, t, H, y, x = _sphere_setup(3, max_degree=14)
-    hirsch = hirsch_primitive(C, cobar=O)
+    hirsch = hirsch_primitive(C)
     Hopf = hirsch.loop_hopf()
     for r in (2, 3):
         lam = power_map(t, hirsch, Hopf, r, check_degree=5)
@@ -605,7 +605,7 @@ def test_power_concatenation_rotation_sign():
                        (tensor_token(empty, word_token((sz,))), 1),
                        (tensor_token(word_token((sx, sy)), word_token((sw,))), 1),
                        (tensor_token(word_token((sw,)), word_token((sx, sy))), 1)])
-    hirsch = hirsch_primitive(C, O, overrides={sz: img})
+    hirsch = hirsch_primitive(C, overrides={sz: img})
     t = universal_twisting(C, O)
     mu2 = power_concatenation(t, hirsch, hirsch.loop_hopf(), 2, check_degree=5)
     assert mu2(pair(z, tensor_token(empty, empty))) == Element(ZZ, [
@@ -800,7 +800,7 @@ def _broken_nonreal_aw():
         (tensor_token(word_token((desuspend(z),)), word_token(())), 1),
         (tensor_token(word_token(()), word_token((desuspend(z),))), 1),
         (tensor_token(word_token((desuspend(yp),)), word_token((desuspend(y),))), 1)])
-    bad = hirsch_primitive(C, O, overrides={desuspend(z): img})
+    bad = hirsch_primitive(C, overrides={desuspend(z): img})
     return C, z, bad, universal_twisting(C, O)
 
 
@@ -910,7 +910,7 @@ def test_psi_builds_each_word_once():
         built.append(letter)
         return rp._gen(letter)
 
-    hirsch = HirschCoalgebra(C, rp.cobar, gen)
+    hirsch = HirschCoalgebra(C, gen)
     t = universal_twisting(C, hirsch.cobar)
     H = cohochschild_complex(C, cobar=hirsch.cobar, max_degree=6)
     passes = []
@@ -963,7 +963,7 @@ def test_power_check_caches_no_alpha_tensor_images():
 def test_power_naturality_under_coalgebra_scaling():
     # H(f, Cobar f) intertwines the power maps for a Hirsch morphism f
     C, O, t, H, y, x = _sphere_setup(3, max_degree=12)
-    hirsch = hirsch_primitive(C, cobar=O)
+    hirsch = hirsch_primitive(C)
     Hopf = hirsch.loop_hopf()
     lam2 = power_map(t, hirsch, Hopf, 2, check_degree=4)
 
@@ -982,7 +982,7 @@ def test_power_naturality_under_coalgebra_scaling():
 
 def test_power_map_on_homology_sphere3():
     C, O, t, H, y, x = _sphere_setup(3, max_degree=14)
-    hirsch = hirsch_primitive(C, cobar=O)
+    hirsch = hirsch_primitive(C)
     lam2 = power_map(t, hirsch, hirsch.loop_hopf(), 2, check_degree=4)
     rows = power_map_on_homology(H, lam2, range(0, 9))
     by_degree = {r["degree"]: r for r in rows}
@@ -1002,7 +1002,7 @@ def test_power_map_on_homology_sphere3():
 def test_power_map_on_homology_sphere2_matches_convolution_oracle():
     from loopchain.dg import convolution_power
     C, O, t, H, y, x = _sphere_setup(2, max_degree=12)
-    hirsch = hirsch_primitive(C, cobar=O)
+    hirsch = hirsch_primitive(C)
     Hopf = hirsch.loop_hopf()
     for r in (2, 3):
         lam = power_map(t, hirsch, Hopf, r, check_degree=4)
@@ -1073,7 +1073,7 @@ def _cohoch_of_hirsch(C, hirsch, top):
 
 def _cohoch_of_sphere(n, top):
     C = sphere_coalgebra(n, max_degree=top + 2)
-    return _cohoch_of_hirsch(C, hirsch_primitive(C, cobar=cobar_construction(C)), top)
+    return _cohoch_of_hirsch(C, hirsch_primitive(C), top)
 
 
 def _cohoch_of_rp(top):

@@ -364,8 +364,8 @@ def _primitive_part_check(bh, a):
 def test_bar_hopf_generators_are_primitive_on_primitives():
     # psi(s^{-1}(s a)) is primitive exactly when a is; checked on the
     # algebra generators (counit claims pin the general case)
-    for H, gen_data in ((free_hopf_one(1, max_degree=8), ("pow", "x", 1)),
-                        (free_hopf_one(2, max_degree=10), ("pow", "x", 1))):
+    for H, gen_data in ((free_hopf_one(1, max_degree=8), ("mono", 1)),
+                        (free_hopf_one(2, max_degree=10), ("mono", 1))):
         bh = BarHopfStructure(H, max_degree=9)
         a = next(t for n in range(1, 4) for t in H.algebra.aug_ideal_basis(n)
                  if t.data == gen_data)
