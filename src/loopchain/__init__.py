@@ -14,7 +14,7 @@ from .chains import (
     Ring, ZZ, F2, F3, F5, RINGS,
     Token, generator, suspend, desuspend, tensor_token, word_token,
     Element, LinearMap, GradedBasis, ChainComplex,
-    koszul_sign, tensor_map, tensor_maps, verify_chain_map, dualize,
+    koszul_sign, tensor_map, tensor_maps, verify_chain_map,
     identity_map, zero_map, add_maps,
     DegreeOverflowError, InfiniteTypeError,
 )
@@ -24,7 +24,7 @@ __all__ = [
     "Ring", "ZZ", "F2", "F3", "F5", "RINGS",
     "Token", "generator", "suspend", "desuspend", "tensor_token", "word_token",
     "Element", "LinearMap", "GradedBasis", "ChainComplex",
-    "koszul_sign", "tensor_map", "tensor_maps", "verify_chain_map", "dualize",
+    "koszul_sign", "tensor_map", "tensor_maps", "verify_chain_map",
     "identity_map", "zero_map", "add_maps",
     "DegreeOverflowError", "InfiniteTypeError",
     "smith_normal_form", "homology", "HomologyBasis", "HomologySummary",

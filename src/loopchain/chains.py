@@ -66,9 +66,9 @@ RINGS = {"Z": ZZ, "F2": F2, "F3": F3, "F5": F5}
 class Token:
     """Immutable structured basis symbol with a fixed degree.
 
-    kind is one of 'atom', 'susp', 'desusp', 'tensor', 'word', 'dual'.
-    Tokens are interned: the six constructors below (generator, suspend,
-    desuspend, tensor_token, word_token, dual_token) build at most one Token
+    kind is one of 'atom', 'susp', 'desusp', 'tensor', 'word'.
+    Tokens are interned: the five constructors below (generator, suspend,
+    desuspend, tensor_token, word_token) build at most one Token
     for each (kind, data, degree) and return it on every later request, so
     equal tokens are the same object.  Tokens therefore compare and hash by
     identity.  Build tokens only through those constructors.
@@ -147,15 +147,6 @@ def word_token(letters):
         return _intern(("word", letters), sum([l.degree for l in letters]))
 
 
-def dual_token(tok):
-    if tok.kind == "dual":
-        return tok.data
-    try:
-        return _TOKENS["dual", tok]
-    except KeyError:
-        return _intern(("dual", tok), tok.degree)
-
-
 def token_repr(tok):
     k = tok.kind
     if k == "atom":
@@ -168,12 +159,10 @@ def token_repr(tok):
         return "(" + " (x) ".join(token_repr(t) for t in tok.data) + ")"
     if k == "word":
         return "[" + "|".join(token_repr(t) for t in tok.data) + "]" if tok.data else "[]"
-    if k == "dual":
-        return "%s*" % token_repr(tok.data)
     raise ValueError(k)
 
 
-_KIND_RANK = {"atom": 0, "susp": 1, "desusp": 2, "tensor": 3, "word": 4, "dual": 5}
+_KIND_RANK = {"atom": 0, "susp": 1, "desusp": 2, "tensor": 3, "word": 4}
 
 
 def sort_key(tok):
@@ -189,7 +178,7 @@ def sort_key(tok):
     k = tok.kind
     if k == "atom":
         key = (tok.degree, 0, repr(tok.data))
-    elif k in ("susp", "desusp", "dual"):
+    elif k in ("susp", "desusp"):
         key = (tok.degree, _KIND_RANK[k], sort_key(tok.data))
     else:
         key = (tok.degree, _KIND_RANK[k], len(tok.data), tuple([sort_key(t) for t in tok.data]))
@@ -202,7 +191,9 @@ def sort_key(tok):
 
 # Every sign in this library is (-1)^e for an exponent e; koszul_sign and
 # operator_application_sign compute e from the symbol reordering a formula
-# performs, and parity_sign turns an exponent into the sign.
+# performs, and parity_sign turns an exponent into the sign.  No
+# construction calls koszul_sign: each writes its reordering exponent in
+# closed form, and the tests check those forms against koszul_sign.
 
 
 def parity_sign(exponent):
@@ -301,9 +292,6 @@ class Element:
 
     def items(self):
         return self.terms.items()
-
-    def coefficient(self, tok):
-        return self.terms.get(tok, 0)
 
     def apply(self, fn):
         """Linear extension: the sum of c * fn(t) over the terms c*t, where
@@ -510,7 +498,7 @@ class InfiniteTypeError(Exception):
 
 
 class ChainComplex:
-    """A graded basis with a differential (shift -1; +1 for duals)."""
+    """A graded basis with a differential (shift -1)."""
 
     def __init__(self, basis, differential, name=""):
         self.basis = basis
@@ -538,32 +526,3 @@ def verify_chain_map(f, src, dst, through_degree):
     return next((t for t in src.basis.through(through_degree)
                  if dst.d(f(t)) != f(src.d(t)).scale(sign)), None)
 
-
-def dualize(x, through_degree=None):
-    """Degreewise dual with transposed differential (shift +1).
-
-    Dual of a dual complex recovers the original tokens (dual_token is an
-    involution); requires finite type through the requested degree.
-    """
-    n_max = x.max_degree if through_degree is None else through_degree
-    ring = x.ring
-
-    def dual_basis(n):
-        return [dual_token(t) for t in x.basis.basis(n)]
-
-    basis = GradedBasis(ring, dual_basis, n_max, name="dual(%s)" % x.name)
-
-    def dfn(tok):
-        inner = tok.data if tok.kind == "dual" else dual_token(tok)
-        n = tok.degree
-        src_deg = n - x.d.shift
-        if src_deg > n_max or src_deg < 0:
-            return Element(ring)
-        # Koszul transpose; the +1 twist on shift +1 inputs encodes the
-        # signed evaluation identification, making dualize an involution.
-        sign = parity_sign(n if x.d.shift == -1 else n + 1)
-        column = [(y, x.d(y).coefficient(inner)) for y in x.basis.basis(src_deg)]
-        return Element(ring, [(dual_token(y), sign * c) for y, c in column if c])
-
-    shift = -x.d.shift
-    return ChainComplex(basis, LinearMap(ring, shift, dfn, "d*"), name="dual(%s)" % x.name)

@@ -3,16 +3,17 @@
 Includes the bar and cobar constructions, the canonical twisting cochains
 and their induced maps, bar/cobar adjunction maps, cartesian products of
 twisting cochains, tensor products of (co)algebras, convolution powers,
-and Hirsch coalgebras.  A chain Hopf algebra is one object, both its
-DGAlgebra and its DGCoalgebra, so a product, a unit and a comultiplication
-each have one owner.  A Hirsch coalgebra C is the chain Hopf algebra
+and Hirsch coalgebras.  A chain Hopf algebra is built from its parts, its
+complex, unit, product and Delta, as one object that is both its DGAlgebra
+and its DGCoalgebra, so a product, a unit and a comultiplication each have
+one owner.  A Hirsch coalgebra C is the chain Hopf algebra
 (Cobar C, psi) of its loop comultiplication psi, and so its own Cobar C,
 with each letter's image under psi built once.
 """
 
 from .chains import (
     ChainComplex, DegreeOverflowError, Element, GradedBasis, InfiniteTypeError, LinearMap, Table,
-    add_maps, identity_map, koszul_sign, parity_sign, suspend, desuspend,
+    add_maps, identity_map, parity_sign, suspend, desuspend,
     tensor_map, tensor_maps, tensor_product, tensor_token, word_token,
 )
 
@@ -170,10 +171,22 @@ class DGCoalgebra(_OnComplex):
         return next((t for t in self._checked_tokens(through_degree)
                      if self.comult_iterated(t, 3) != _split_last(self.ring, t, self._comult)), None)
 
+    def check_counitality(self, through_degree):
+        """First checked token x with (eps (x) Id) Delta x != x or
+        (Id (x) eps) Delta x != x, or None."""
+        ring, counit = self.ring, self.counit
+
+        def counital(x):
+            pairs = [(t.data, c) for t, c in self._comult(x).items()]
+            one = Element.from_token(ring, x)
+            return Element(ring, [(v, c * counit(u)) for (u, v), c in pairs]) == one and \
+                Element(ring, [(u, c * counit(v)) for (u, v), c in pairs]) == one
+
+        return next((x for x in self._checked_tokens(through_degree) if not counital(x)), None)
+
     def check_comult_is_chain_map(self, through_degree):
         """First checked token with d Delta != Delta d, or None."""
-        dT = add_maps(tensor_map(self.d, identity_map(self.ring)),
-                      tensor_map(identity_map(self.ring), self.d))
+        dT = _tensor_complex((self, self), None).d
         return next((t for t in self._checked_tokens(through_degree)
                      if dT(self._comult(t)) != self.d(t).apply(self._comult)), None)
 
@@ -210,15 +223,15 @@ def twist_tensor(ring, x):
 
 
 class HopfAlgebra(DGAlgebra, DGCoalgebra):
-    """Chain Hopf algebra: one object that is both the DGAlgebra of the given
-    algebra's complex, unit and product and the DGCoalgebra of comult on that
-    complex, counital at the unit.  Its counit is its augmentation."""
+    """Chain Hopf algebra built from its complex, unit, product and Delta
+    (comult): one object that is both the DGAlgebra of the product and the
+    DGCoalgebra of comult on that complex, counital at the unit.  Its counit
+    is its augmentation."""
 
-    def __init__(self, algebra, comult, name=""):
-        name = name or algebra.name
-        DGAlgebra.__init__(self, algebra.complex, algebra.unit, algebra.product, name)
-        DGCoalgebra.__init__(self, algebra.complex, algebra.unit, comult,
-                             counit=self.augmentation, name=name)
+    def __init__(self, complex_, unit, product, comult, name=""):
+        DGAlgebra.__init__(self, complex_, unit, product, name)
+        DGCoalgebra.__init__(self, complex_, unit, comult, counit=self.augmentation,
+                             name=self.name)
 
     @property
     def algebra(self):
@@ -289,16 +302,40 @@ def _word_basis(letter_basis, words, n):
             for w in words(n - d)]
 
 
+def _word_differential(ring, letters, merged=None):
+    """The differential of a bar or cobar construction on words l_1|...|l_k:
+    the sum over the letters l_j of the passage sign times the word with l_j
+    replaced by each letter tuple w of letters[l_j] and, given merged, with
+    l_j|l_(j+1) replaced by each letter tuple w of merged[l_j, l_(j+1)], each
+    with the coefficient of w.  The passage sign (-1)^(degree before the
+    letter) starts at 1 and flips after each odd letter."""
+    def differential(tok):
+        word = tok.data
+        pairs = []
+        passage = 1
+        for j, letter in enumerate(word):
+            head, tail = word[:j], word[j + 1:]
+            pairs += [(word_token(head + w + tail), passage * c) for w, c in letters[letter]]
+            if merged is not None and tail:
+                pairs += [(word_token(head + w + tail[1:]), passage * c)
+                          for w, c in merged[letter, tail[0]]]
+            if letter.degree % 2:
+                passage = -passage
+        return Element(ring, pairs)
+
+    return differential
+
+
 def bar_construction(A, max_degree=None):
     """Tensor coalgebra on the suspended augmentation ideal with the
     two-term bar differential; comultiplication splits words.
 
-    d_Bar reads two Tables, each filled once per key: internal[s(a)] holds
-    the letters s(u) of da with the sign -1 of d passing s, read through
-    A.d's cache; merged[s(a), s(b)] holds the letters s(u) of ab, read through
-    A.product, with the merge sign (-1)^|s(a)|.  Terms on the unit are
-    dropped.  On a word the passage sign (-1)^(degree before the letter)
-    starts at 1 and flips after each odd letter.  d_Bar does not read Delta."""
+    d_Bar is the _word_differential of two Tables, each filled once per key:
+    internal[s(a)] holds the letters s(u) of da with the sign -1 of d passing
+    s, read through A.d's cache; merged[s(a), s(b)] holds the letters s(u) of
+    ab, read through A.product, with the merge sign (-1)^|s(a)|.  Both hold
+    one-letter tuples; terms on the unit are dropped.  d_Bar does not read
+    Delta."""
     ring = A.ring
     if max_degree is None:
         max_degree = A.max_degree + 1
@@ -309,27 +346,12 @@ def bar_construction(A, max_degree=None):
 
     basis = GradedBasis(ring, lambda n: _word_basis(letter_basis, basis.basis, n), max_degree,
                         name="Bar(%s)" % A.name)
-    internal = Table(lambda letter: [(suspend(u), -c) for u, c in A.d(desuspend(letter)).items()
-                                     if u is not A.unit])
-    merged = Table(lambda pair: [(suspend(u), parity_sign(pair[0].degree) * c) for u, c
+    internal = Table(lambda letter: [((suspend(u),), -c) for u, c
+                                     in A.d(desuspend(letter)).items() if u is not A.unit])
+    merged = Table(lambda pair: [((suspend(u),), parity_sign(pair[0].degree) * c) for u, c
                                  in A.product(desuspend(pair[0]), desuspend(pair[1]))
                                  if u is not A.unit])
-
-    def differential(tok):
-        letters = tok.data
-        pairs = []
-        passage = 1
-        for j, letter in enumerate(letters):
-            head, tail = letters[:j], letters[j + 1:]
-            pairs += [(word_token(head + (s,) + tail), passage * c) for s, c in internal[letter]]
-            if tail:
-                pairs += [(word_token(head + (s,) + tail[1:]), passage * c)
-                          for s, c in merged[letter, tail[0]]]
-            if letter.degree % 2:
-                passage = -passage
-        return Element(ring, pairs)
-
-    d = LinearMap(ring, -1, differential, "d_Bar")
+    d = LinearMap(ring, -1, _word_differential(ring, internal, merged), "d_Bar")
     cx = ChainComplex(basis, d, name="Bar(%s)" % A.name)
     empty = word_token(())
 
@@ -366,12 +388,11 @@ def cobar_construction(C, max_degree=None):
     """Tensor algebra on the desuspended coaugmentation coideal with the
     cobar differential; multiplication concatenates.
 
-    d_Cobar reads one Table, filled once per letter: images[s^{-1}c] holds
-    the letter tuples and coefficients of d on the one-letter word,
-    -s^{-1}(dc) + sum (-1)^|c_i| s^{-1}c_i | s^{-1}c^i, reading dc through
-    C.d and the reduced comultiplication through C's cached Delta.  On a word
-    the passage sign (-1)^(degree before the letter) starts at 1 and flips
-    after each odd letter."""
+    d_Cobar is the _word_differential of one Table, filled once per letter:
+    images[s^{-1}c] holds the letter tuples and coefficients of d on the
+    one-letter word, -s^{-1}(dc) + sum (-1)^|c_i| s^{-1}c_i | s^{-1}c^i,
+    reading dc through C.d and the reduced comultiplication through C's
+    cached Delta."""
     ring = C.ring
     if not C.is_connected():
         raise ValueError("cobar needs a connected coalgebra, got %s" % C.name)
@@ -402,20 +423,7 @@ def cobar_construction(C, max_degree=None):
             [((desuspend(t.data[0]), desuspend(t.data[1])), parity_sign(t.data[0].degree) * c)
              for t, c in C.reduced_comult(y).items()]
 
-    images = Table(letter_terms)
-
-    def differential(tok):
-        letters = tok.data
-        pairs = []
-        passage = 1
-        for j, letter in enumerate(letters):
-            head, tail = letters[:j], letters[j + 1:]
-            pairs += [(word_token(head + w + tail), passage * c) for w, c in images[letter]]
-            if letter.degree % 2:
-                passage = -passage
-        return Element(ring, pairs)
-
-    d = LinearMap(ring, -1, differential, "d_Cobar")
+    d = LinearMap(ring, -1, _word_differential(ring, Table(letter_terms)), "d_Cobar")
     cx = ChainComplex(basis, d, name="Cobar(%s)" % C.name)
     empty = word_token(())
 
@@ -599,27 +607,35 @@ def tensor_algebra(*algebras, max_degree=None):
     return DGAlgebra(cx, unit, product, cx.name)
 
 
-def tensor_coalgebra(*coalgebras, max_degree=None):
-    """Componentwise coalgebra on flat tensor tokens with Koszul signs."""
+def _tensor_comult(coalgebras):
+    """The componentwise comultiplication on flat tensor tokens of the given
+    coalgebras, with the Koszul sign of the unshuffle."""
     ring = coalgebras[0].ring
-    n_factors = len(coalgebras)
-    cx = _tensor_complex(coalgebras, max_degree)
-    counit_tok = tensor_token(*[c.counit_token for c in coalgebras])
-    # the unshuffle (x1,y1,...,xn,yn) -> (x1..xn, y1..yn)
-    order = list(range(0, 2 * n_factors, 2)) + list(range(1, 2 * n_factors, 2))
 
     def unshuffle(pairs):
         return tensor_token(tensor_token(*[t.data[0] for t in pairs]),
                             tensor_token(*[t.data[1] for t in pairs]))
 
     def unshuffle_sign(tok):
+        # unshuffle x_1 y_1..x_n y_n to x_1..x_n y_1..y_n: each y_i passes x_j for j > i
         left, right = tok.data
-        return koszul_sign([u.degree for xy in zip(left.data, right.data) for u in xy], order)
+        later, exponent = left.degree, 0
+        for x, y in zip(left.data, right.data):
+            later -= x.degree
+            exponent += y.degree * later
+        return parity_sign(exponent)
 
     def comult(tok):
         expanded = tensor_product(ring, [c.comult(part) for c, part in zip(coalgebras, tok.data)],
                                   join=unshuffle)
         return Element(ring, [(t, c * unshuffle_sign(t)) for t, c in expanded.items()])
+
+    return comult
+
+
+def tensor_coalgebra(*coalgebras, max_degree=None):
+    """Componentwise coalgebra on flat tensor tokens with Koszul signs."""
+    cx = _tensor_complex(coalgebras, max_degree)
 
     def counit(tok):
         v = 1
@@ -627,14 +643,15 @@ def tensor_coalgebra(*coalgebras, max_degree=None):
             v *= c.counit(part)
         return v
 
-    return DGCoalgebra(cx, counit_tok, comult, counit, cx.name)
+    return DGCoalgebra(cx, tensor_token(*[c.counit_token for c in coalgebras]),
+                       _tensor_comult(coalgebras), counit, cx.name)
 
 
 def hopf_tensor_power(H, r, max_degree=None):
-    """H^{(x)r} with componentwise Hopf structure."""
+    """H^{(x)r} with componentwise Hopf structure, on the complex of its
+    tensor algebra."""
     algebra = tensor_algebra(*([H] * r), max_degree=max_degree)
-    coalgebra = tensor_coalgebra(*([H] * r), max_degree=max_degree)
-    return HopfAlgebra(algebra, coalgebra._comult)
+    return HopfAlgebra(algebra.complex, algebra.unit, algebra.product, _tensor_comult([H] * r))
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +741,9 @@ class HirschCoalgebra(HopfAlgebra):
     def __init__(self, C, generator_images, name=""):
         self.C = C
         self._gen = generator_images  # letter token -> Element in the square
-        super().__init__(cobar_construction(C), LinearMap(C.ring, 0, self._psi_image, "psi"),
+        omega = cobar_construction(C)
+        super().__init__(omega.complex, omega.unit, omega.product,
+                         LinearMap(C.ring, 0, self._psi_image, "psi"),
                          name=name or "Hirsch(%s)" % C.name)
         self.square = tensor_algebra(self, self)
 

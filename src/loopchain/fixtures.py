@@ -53,9 +53,10 @@ def _checked_fixture(ring, unit, generators, max_degree, name, differential=None
     coproducts or the HopfAlgebra of both (None leaves a structure out).
     Unlisted tokens have d = 0 and a primitive Delta; unlisted products of
     generators are 0.  Raises FixtureError at the first generator outside
-    degrees 0..max_degree, table term of the wrong degree or failed identity,
-    checked through max_degree in the order d^2, associativity, product chain
-    map, algebra map, coassociativity, Delta chain map."""
+    degrees 0..max_degree, table term of the wrong degree, product entry on
+    the unit or failed identity, checked through max_degree in the order d^2,
+    associativity, product chain map, algebra map, coassociativity,
+    counitality, Delta chain map."""
     per_degree = {0: [unit]}
     for g in generators:
         if not 0 <= g.degree <= max_degree:
@@ -68,9 +69,11 @@ def _checked_fixture(ring, unit, generators, max_degree, name, differential=None
     cx = ChainComplex(basis, map_from_table(ring, -1, differential, "d"), name)
     checks = [(cx.check_d_squared, "differential does not square to zero")]
 
-    structure = None
     if products is not None:
         _check_term_degrees("multiplication", products, lambda ab: ab[0].degree + ab[1].degree)
+        on_unit = next((pair for pair in products if unit in pair), None)
+        if on_unit is not None:
+            raise FixtureError("multiplication entry %r has the unit as a factor" % (on_unit,))
         table = {pair: tuple(value.items()) for pair, value in products.items()}
 
         def product(s, t):
@@ -80,9 +83,6 @@ def _checked_fixture(ring, unit, generators, max_degree, name, differential=None
                 return ((s, 1),)
             return table.get((s, t), ())
 
-        structure = DGAlgebra(cx, unit, product, name=name)
-        checks += [(structure.check_associativity, "multiplication table fails associativity"),
-                   (structure.check_mult_is_chain_map, "multiplication is not a chain map")]
     if coproducts is not None:
         _check_term_degrees("comultiplication", coproducts, lambda tok: tok.degree)
         primitive = _primitive_comult(ring, unit)
@@ -90,13 +90,21 @@ def _checked_fixture(ring, unit, generators, max_degree, name, differential=None
         def comult(tok):
             return coproducts[tok] if tok in coproducts else primitive(tok)
 
-        if structure is None:
-            structure = DGCoalgebra(cx, unit, comult, name=name)
-        else:
-            structure = HopfAlgebra(structure, comult, name=name)
+    if coproducts is None:
+        structure = DGAlgebra(cx, unit, product, name=name)
+    elif products is None:
+        structure = DGCoalgebra(cx, unit, comult, name=name)
+    else:
+        structure = HopfAlgebra(cx, unit, product, comult, name=name)
+    if products is not None:
+        checks += [(structure.check_associativity, "multiplication table fails associativity"),
+                   (structure.check_mult_is_chain_map, "multiplication is not a chain map")]
+    if coproducts is not None:
+        if products is not None:
             checks.append((structure.check_comult_is_algebra_map,
                            "comultiplication is not an algebra map"))
         checks += [(structure.check_coassociativity, "comultiplication table fails coassociativity"),
+                   (structure.check_counitality, "comultiplication is not counital"),
                    (structure.check_comult_is_chain_map, "comultiplication is not a chain map")]
 
     for check, message in checks:
@@ -262,7 +270,7 @@ def primitive_hopf(algebra):
             raise ValueError("no primitive comultiplication for %r" % (tok,))
         return out
 
-    return HopfAlgebra(algebra, comult, name=algebra.name)
+    return HopfAlgebra(algebra.complex, algebra.unit, algebra.product, comult, name=algebra.name)
 
 
 def _monomial_token_from(algebra, exps):
@@ -323,15 +331,13 @@ def group_ring_hopf(group, ring=ZZ, max_degree=8):
         return [(tok(x), c) for x, c in ((group.mul(g, h), 1), (g, -1), (h, -1))
                 if x != group.unit]
 
-    A = DGAlgebra(cx, unit, product, name="R[%s]" % group.name)
-
     def comult(t):
         if t is unit:
             return Element(ring, [(tensor_token(unit, unit), 1)])
         return Element(ring, [(tensor_token(t, t), 1), (tensor_token(t, unit), 1),
                               (tensor_token(unit, t), 1)])
 
-    return HopfAlgebra(A, comult, name="R[%s]" % group.name)
+    return HopfAlgebra(cx, unit, product, comult)
 
 
 def hopf_fixtures(ring=ZZ):

@@ -322,27 +322,18 @@ def hoch_section(A, bar=None):
 
 
 def monoidal_iso(t, tprime):
-    """H(t * t') = H(t) (x) H(t'): the Koszul middle swap, both ways."""
+    """H(t * t') = H(t) (x) H(t'), both ways, by the Koszul middle-four swap
+    (x (x) y) (x) (z (x) w) |-> (-1)^(|y||z|) (x (x) z) (x) (y (x) w).  The
+    swap is an involution, so it is its own inverse: the two maps returned,
+    named monoidal and monoidal_inv, are the one swap."""
     ring = t.ring
 
-    def fwd(tok):
-        cc, aa = tok.data
-        c, cp = cc.data
-        a, ap = aa.data
-        sign = parity_sign(cp.degree * a.degree)
-        return Element.from_token(
-            ring, tensor_token(tensor_token(c, a), tensor_token(cp, ap)), sign)
+    def swap(tok):
+        (x, y), (z, w) = tok.data[0].data, tok.data[1].data
+        return Element.from_token(ring, tensor_token(tensor_token(x, z), tensor_token(y, w)),
+                                  parity_sign(y.degree * z.degree))
 
-    def bwd(tok):
-        ca, cpap = tok.data
-        c, a = ca.data
-        cp, ap = cpap.data
-        sign = parity_sign(cp.degree * a.degree)
-        return Element.from_token(
-            ring, tensor_token(tensor_token(c, cp), tensor_token(a, ap)), sign)
-
-    return (LinearMap(ring, 0, fwd, "monoidal"),
-            LinearMap(ring, 0, bwd, "monoidal_inv"))
+    return LinearMap(ring, 0, swap, "monoidal"), LinearMap(ring, 0, swap, "monoidal_inv")
 
 
 def hochschild_comultiplication(t, omega, H, check_degree=None):

@@ -33,7 +33,7 @@ from .chains import (
     tensor_map, tensor_token, word_token,
 )
 from .dg import (
-    DGAlgebra, HirschCoalgebra, HopfAlgebra, TwistingCochain,
+    HirschCoalgebra, HopfAlgebra, TwistingCochain,
     bar_construction, bar_map, bar_word, cobar_construction, cobar_bar_counit,
     cobar_tensor_splitting, tensor_algebra, tensor_coalgebra,
 )
@@ -319,9 +319,8 @@ def bar_shuffle_hopf(A, max_degree=None):
     def product(u, v):
         return nu(nabla(tensor_token(u, v))).items()
 
-    algebra = DGAlgebra(barA.complex, word_token(()), product,
-                        name="Bar(%s)-shuffle" % A.name)
-    hopf = HopfAlgebra(algebra, barA._comult)
+    hopf = HopfAlgebra(barA.complex, word_token(()), product, barA._comult,
+                       name="Bar(%s)-shuffle" % A.name)
     return hopf, barA, nu
 
 

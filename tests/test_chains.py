@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from loopchain.chains import (
     ZZ, F2, Element, GradedBasis, ChainComplex, LinearMap, DegreeOverflowError,
-    generator, suspend, desuspend, tensor_token, word_token, dual_token, sort_key,
+    generator, suspend, desuspend, tensor_token, word_token, sort_key,
     koszul_sign, tensor_map, tensor_maps, identity_map, zero_map,
-    verify_chain_map, dualize, map_from_table,
+    verify_chain_map, map_from_table,
 )
 
 
@@ -130,45 +130,6 @@ def test_truncation_is_hard_error():
         basis.basis(4)
 
 
-# --- dualize ---------------------------------------------------------------
-
-def _mult2_complex():
-    # 0 -> Z --2--> Z -> 0 in degrees 1, 0
-    a, b = tok("a", 0), tok("b", 1)
-    d = map_from_table(ZZ, -1, {b: el(a, 2)})
-    basis = GradedBasis(ZZ, {0: [a], 1: [b]}, 2)
-    return ChainComplex(basis, d)
-
-
-def test_dual_of_dual_is_original():
-    X, _ = _three_generator_complex()
-    XD = dualize(dualize(X))
-    for n in range(3):
-        assert XD.basis.basis(n) == X.basis.basis(n)
-        for t in X.basis.basis(n):
-            assert XD.d(t) == X.d(t)
-
-
-def test_dual_cohomology_universal_coefficients():
-    from loopchain.snf import smith_normal_form
-    X = _mult2_complex()
-    D = dualize(X)
-    assert D.d.shift == 1
-    # H^0 = 0, H^1 = Z/2
-    m0 = [[D.d(t).coefficient(u) for t in D.basis.basis(0)] for u in D.basis.basis(1)]
-    assert m0 == [[2]] or m0 == [[-2]]
-    # cocycles in degree 1 = all of Z, coboundaries = 2Z
-    assert D.d(D.basis.basis(1)[0]).is_zero()
-
-
-def test_dual_of_zero_differential():
-    a = tok("a", 0)
-    basis = GradedBasis(ZZ, {0: [a]}, 1)
-    X = ChainComplex(basis, zero_map(ZZ, -1))
-    D = dualize(X)
-    assert D.d(D.basis.basis(0)[0]).is_zero()
-
-
 # --- interning ----------------------------------------------------------------
 
 def test_constructors_return_one_object_per_token():
@@ -182,10 +143,9 @@ def test_constructors_return_one_object_per_token():
     assert tensor_token(a, b) is not tensor_token(b, a)
     assert word_token([a, b]) is word_token((a, b))
     assert word_token(()) is word_token([])
-    assert dual_token(a) is dual_token(a) and dual_token(dual_token(a)) is a
-    nested = tensor_token(word_token((suspend(a),)), dual_token(b))
-    assert nested is tensor_token(word_token([suspend(generator("a", 1))]), dual_token(b))
-    assert {nested: 1}[tensor_token(word_token((suspend(a),)), dual_token(b))] == 1
+    nested = tensor_token(word_token((suspend(a),)), desuspend(b))
+    assert nested is tensor_token(word_token([suspend(generator("a", 1))]), desuspend(b))
+    assert {nested: 1}[tensor_token(word_token((suspend(a),)), desuspend(b))] == 1
 
 
 # The coHochschild basis of rp_hirsch in degree 4, as printed before tokens

@@ -93,6 +93,15 @@ def coassociativity():
     return broken.check_coassociativity(6), y
 
 
+def counitality():
+    # Delta y = y (x) 1: (eps (x) Id) Delta y = 0
+    C = sphere_coalgebra(3)
+    one, y = C.counit_token, generator("y", 3)
+    broken = DGCoalgebra(C.complex, one, lambda t: el(tensor_token(y, one)) if t is y
+                         else C.comult(t))
+    return broken.check_counitality(6), y
+
+
 def comult_is_chain_map():
     # an extra x (x) y in Delta z has boundary -2 x (x) x, while dz = 0
     C = nonreal_aw_coalgebra()
@@ -105,7 +114,8 @@ def comult_is_chain_map():
 def comult_is_algebra_map():
     # an extra x (x) x in delta(x^2) breaks delta(x x) = delta(x) delta(x)
     H, x, x2 = _polynomial()
-    broken = HopfAlgebra(H, lambda t: H.comult(t) + el(tensor_token(x, x)) if t is x2
+    broken = HopfAlgebra(H.complex, H.unit, H.product,
+                         lambda t: H.comult(t) + el(tensor_token(x, x)) if t is x2
                          else H.comult(t))
     return broken.check_comult_is_algebra_map(6), (x, x)
 
@@ -201,6 +211,14 @@ def fixture_not_coassociative():
     return _fixture_error(doc), "comultiplication table fails coassociativity at y"
 
 
+def fixture_not_counital():
+    # Delta y = y (x) 1 is coassociative and a chain map
+    doc = {"name": "bad", "ring": "Z", "max_degree": 4, "kind": "coalgebra",
+           "generators": [{"name": "y", "degree": 2}],
+           "comultiplication": {"y": [[1, ["y", "1"]]]}}
+    return _fixture_error(doc), "comultiplication is not counital at y"
+
+
 def fixture_not_an_algebra_map():
     # x even and primitive with x x = 0: delta(x) delta(x) = 2 x (x) x
     doc = {"name": "bad", "ring": "Z", "max_degree": 4, "kind": "hopf",
@@ -268,13 +286,19 @@ def fixture_multiplication_key():
         "multiplication key 'xx' is not of the form a|b"
 
 
+def fixture_product_on_unit():
+    return _fixture_error(_xy("algebra", multiplication={"1|x": [[2, "x"]]})), \
+        "multiplication entry (1, x) has the unit as a factor"
+
+
 CASES = [d_squared, chain_map, twisting, associativity, mult_is_chain_map, coassociativity,
-         comult_is_chain_map, comult_is_algebra_map, cocommutativity, sdr, simplicial_set,
-         hirsch_cocommutativity, hirsch_chain_map, hirsch_coassociativity, fixture_hopf,
-         fixture_not_a_chain_map, fixture_not_coassociative, fixture_not_an_algebra_map,
-         fixture_hopf_not_coassociative, fixture_hopf_not_a_chain_map,
-         fixture_differential_degree, fixture_product_degree, fixture_comultiplication_degree,
-         fixture_generator_degree, fixture_undeclared_name, fixture_multiplication_key]
+         counitality, comult_is_chain_map, comult_is_algebra_map, cocommutativity, sdr,
+         simplicial_set, hirsch_cocommutativity, hirsch_chain_map, hirsch_coassociativity,
+         fixture_hopf, fixture_not_a_chain_map, fixture_not_coassociative, fixture_not_counital,
+         fixture_not_an_algebra_map, fixture_hopf_not_coassociative,
+         fixture_hopf_not_a_chain_map, fixture_differential_degree, fixture_product_degree,
+         fixture_comultiplication_degree, fixture_generator_degree, fixture_undeclared_name,
+         fixture_multiplication_key, fixture_product_on_unit]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case.__name__ for case in CASES])

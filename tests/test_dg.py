@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -532,6 +533,30 @@ def test_tensor_algebra_sign_is_the_interleave_koszul_sign(n_factors):
             signs.add(sign)
             expected = tensor_product(ZZ, [A.mult(a, b) for a, b in zip(s.data, t.data)], sign)
             assert T.mult(s, t) == expected, (s, t)
+    assert signs == {1, -1}
+
+
+@pytest.mark.parametrize("n_factors", [2, 3])
+def test_tensor_coalgebra_sign_is_the_unshuffle_koszul_sign(n_factors):
+    # Cnaw has odd x, z and even y, y'; the generator of C(S3) is odd
+    factors = [nonreal_aw_coalgebra(), sphere_coalgebra(3), nonreal_aw_coalgebra()][:n_factors]
+    T = tensor_coalgebra(*factors, max_degree=9)
+    # x_1 y_1 .. x_n y_n -> x_1 .. x_n y_1 .. y_n
+    order = [2 * i for i in range(n_factors)] + [2 * i + 1 for i in range(n_factors)]
+    signs = set()
+    for tok in T.complex.basis.through(9):
+        expected = Element(ZZ)
+        for terms in itertools.product(*[C.comult(part).items()
+                                         for C, part in zip(factors, tok.data)]):
+            xs = [pair.data[0] for pair, _ in terms]
+            ys = [pair.data[1] for pair, _ in terms]
+            sign = koszul_sign([u.degree for xy in zip(xs, ys) for u in xy], order)
+            signs.add(sign)
+            coeff = sign
+            for _, c in terms:
+                coeff *= c
+            expected = expected + el(ZZ, tensor_token(tensor_token(*xs), tensor_token(*ys)), coeff)
+        assert T.comult(tok) == expected, tok
     assert signs == {1, -1}
 
 
