@@ -353,14 +353,13 @@ def bar_construction(A, max_degree=None):
                                  if u is not A.unit])
     d = LinearMap(ring, -1, _word_differential(ring, internal, merged), "d_Bar")
     cx = ChainComplex(basis, d, name="Bar(%s)" % A.name)
-    empty = word_token(())
 
     def comult(tok):
         letters = tok.data
         return Element(ring, [(tensor_token(word_token(letters[:k]), word_token(letters[k:])), 1)
                               for k in range(len(letters) + 1)])
 
-    return DGCoalgebra(cx, empty, comult, name="Bar(%s)" % A.name)
+    return DGCoalgebra(cx, word_token(()), comult, name="Bar(%s)" % A.name)
 
 
 def bar_word(ring, elements, unit):
@@ -425,12 +424,11 @@ def cobar_construction(C, max_degree=None):
 
     d = LinearMap(ring, -1, _word_differential(ring, Table(letter_terms)), "d_Cobar")
     cx = ChainComplex(basis, d, name="Cobar(%s)" % C.name)
-    empty = word_token(())
 
     def product(u, v):
         return ((word_token(u.data + v.data), 1),)
 
-    return DGAlgebra(cx, empty, product, name="Cobar(%s)" % C.name)
+    return DGAlgebra(cx, word_token(()), product, name="Cobar(%s)" % C.name)
 
 
 def cobar_map(f):
@@ -694,26 +692,24 @@ def cobar_tensor_splitting(C, Cprime):
 
 def convolution(H, f, g):
     """f * g = mu (f (x) g) delta on a Hopf algebra."""
-    ring = H.ring
     fg = tensor_map(f, g)
 
     def fn(tok):
         return H.mult_on_pairs(fg(H.comult(tok)))
 
-    return LinearMap(ring, f.shift + g.shift, fn, "%s*%s" % (f.name, g.name))
+    return LinearMap(H.ring, f.shift + g.shift, fn, "%s*%s" % (f.name, g.name))
 
 
 def convolution_power(H, r):
     """lambda_r = mu^(r) delta^(r); only positive powers are defined."""
     if r < 1:
         raise ValueError("convolution power requires r >= 1")
-    ring = H.ring
 
     def fn(tok):
         return H.comult_iterated(tok, r).apply(
             lambda t: H.multiply_terms([((u, 1),) for u in t.data]))
 
-    return LinearMap(ring, 0, fn, "lambda_%d" % r)
+    return LinearMap(H.ring, 0, fn, "lambda_%d" % r)
 
 
 # ---------------------------------------------------------------------------
@@ -728,10 +724,11 @@ class HirschCoalgebra(HopfAlgebra):
     own loop Hopf algebra (loop_hopf).
 
     psi is the Hopf algebra's one comultiplication LinearMap, cached per
-    cobar word.  Because psi is an algebra map, the image of l_1|...|l_k is
-    the cached image of its prefix l_1|...|l_{k-1} times the cached image
-    of the one-letter word l_k, so each letter's generator image is built
-    once.  psi, comult and comult_iterated all read this one cache.
+    cobar word; it is _gen on a letter.  As psi is an algebra map and Cobar C
+    is free, psi(l_1|...|l_k) is the cached psi(l_1|...|l_{k-1}) times the
+    cached psi(l_k) in the closed form (a (x) b)(a' (x) b') =
+    (-1)^{|b||a'|} aa' (x) bb', each concatenation aa' read from one Table
+    keyed by the word pair.  psi, comult and comult_iterated read one cache.
 
     The coalgebra checks (coassociativity, chain map, cocommutativity) read
     the generators s^{-1}c alone, c in C_1..C_{n+1} for a check through
@@ -741,11 +738,11 @@ class HirschCoalgebra(HopfAlgebra):
     def __init__(self, C, generator_images, name=""):
         self.C = C
         self._gen = generator_images  # letter token -> Element in the square
+        self._concat = Table(lambda pair: word_token(pair[0].data + pair[1].data))
         omega = cobar_construction(C)
         super().__init__(omega.complex, omega.unit, omega.product,
                          LinearMap(C.ring, 0, self._psi_image, "psi"),
                          name=name or "Hirsch(%s)" % C.name)
-        self.square = tensor_algebra(self, self)
 
     @property
     def cobar(self):
@@ -757,15 +754,18 @@ class HirschCoalgebra(HopfAlgebra):
         return self._comult(tok)
 
     def _psi_image(self, tok):
-        """psi(l_1|...|l_k) = psi(l_1|...|l_{k-1}) . psi(l_k), both read from
-        the cache."""
-        letters = tok.data
-        if not letters:
-            return Element.from_token(self.ring, self.square.unit)
-        if len(letters) == 1:
-            return self._gen(letters[0])
-        return self.square.multiply(self._comult(word_token(letters[:-1])),
-                                    self._comult(word_token(letters[-1:])))
+        """psi(l_1|...|l_k) = psi(l_1|...|l_{k-1}) . psi(l_k) in closed form:
+        the term pair a (x) b, a' (x) b' gives (-1)^{|b||a'|} aa' (x) bb', aa'
+        and bb' read from the Table.  psi(l) = _gen(l); psi() = 1 (x) 1."""
+        letters, concat = tok.data, self._concat
+        if len(letters) < 2:
+            return self._gen(letters[0]) if letters else \
+                Element.from_token(self.ring, tensor_token(tok, tok))
+        prefix, last = ([(t.data, c) for t, c in self._comult(word_token(w)).terms.items()]
+                        for w in (letters[:-1], letters[-1:]))
+        return Element(self.ring, [(tensor_token(concat[a, a2], concat[b, b2]),
+                                    parity_sign(b.degree * a2.degree) * c * c2)
+                                   for (a, b), c in prefix for (a2, b2), c2 in last])
 
     def loop_hopf(self):
         """The chain Hopf algebra (Cobar C, psi): this structure itself."""

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from loopchain.chains import ZZ, F2, F3, Element
+from loopchain.dg import tensor_algebra
 from loopchain.fixtures import (
     dg_fixture_from_dict, exterior_two, free_hopf_one, group_ring_hopf, rp_hirsch,
     small_commutative,
@@ -23,7 +24,8 @@ def _rp_cobar(ring):
 
 
 def _rp_square(ring):
-    return rp_hirsch(ring, max_degree=5)[1].square
+    hirsch = rp_hirsch(ring, max_degree=5)[1]
+    return tensor_algebra(hirsch, hirsch)
 
 
 def _fixture(ring):

@@ -865,12 +865,13 @@ def test_power_maps_reject_nonpositive_r(r):
 # --- the cached loop comultiplication psi --------------------------------------
 
 
-def _psi_fold(hirsch, word):
+def _psi_fold(hirsch, square, word):
     """psi(l_1|...|l_k) as the product of the generator images, folded
-    letter by letter from the unit with nothing cached."""
-    out = Element.from_token(hirsch.ring, tensor_token(word_token(()), word_token(())))
+    letter by letter from the unit with nothing cached, in the generic
+    tensor algebra square = Cobar C (x) Cobar C."""
+    out = Element.from_token(hirsch.ring, square.unit)
     for letter in word.data:
-        out = hirsch.square.multiply(out, hirsch._gen(letter))
+        out = square.multiply(out, hirsch._gen(letter))
     return out
 
 
@@ -888,18 +889,55 @@ def _bar_s3_words(bh, top):
     return out
 
 
+def _words_through(hirsch, top):
+    return [w for n in range(top + 1) for w in hirsch.cobar.complex.basis.basis(n)]
+
+
 def test_cached_psi_equals_the_letter_fold():
-    rp = rp_hirsch(max_degree=10)[1]
-    aw = hirsch_primitive(nonreal_aw_coalgebra())
+    # rp over Z and nonreal_aw_hirsch (a non-primitive top class over Z) show
+    # the sign (-1)^{|b||a'|} of the closed-form product, which F2 hides
     bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS["s3"]), 5)
-    s3 = bh.hirsch()
-    for hirsch, words in [(rp, [w for n in range(9) for w in rp.cobar.complex.basis.basis(n)]),
-                          (aw, [w for n in range(9) for w in aw.cobar.complex.basis.basis(n)]),
-                          (s3, _bar_s3_words(bh, 3))]:
+    cases = [(hirsch, _words_through(hirsch, 8)) for hirsch in (
+        rp_hirsch(max_degree=10)[1], rp_hirsch(ZZ, max_degree=10)[1],
+        hirsch_primitive(nonreal_aw_coalgebra()), nonreal_aw_hirsch()[1])]
+    for hirsch, words in cases + [(bh.hirsch(), _bar_s3_words(bh, 3))]:
         assert len(words) > 30
+        square = tensor_algebra(hirsch, hirsch)
         for w in words:
-            assert hirsch.psi(w) == _psi_fold(hirsch, w), w
+            assert hirsch.psi(w) == _psi_fold(hirsch, square, w), w
         assert hirsch.psi(words[-1]) is hirsch.comult(words[-1])
+
+
+def test_psi_multiplies_no_tensor_algebra_and_concatenates_each_pair_once(monkeypatch):
+    from loopchain import dg
+    from loopchain.dg import DGAlgebra
+    rp = rp_hirsch(ZZ, max_degree=10)[1]
+    bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS["s3"]), 5)
+    calls, filled = [], []
+    multiply = DGAlgebra.multiply
+
+    def counted_tensor_algebra(*algebras, max_degree=None):
+        square = tensor_algebra(*algebras, max_degree=max_degree)
+        product = square.product
+        square.product = lambda s, t: calls.append("product") or product(s, t)
+        return square
+
+    monkeypatch.setattr(DGAlgebra, "multiply",
+                        lambda self, x, y: calls.append("multiply") or multiply(self, x, y))
+    monkeypatch.setattr(dg, "tensor_algebra", counted_tensor_algebra)
+    for hirsch, words in [(rp, _words_through(rp, 8)), (bh, _bar_s3_words(bh, 3))]:
+        fill = hirsch._concat.fill
+        hirsch._concat.fill = lambda pair: filled.append(pair) or fill(pair)
+        for w in words:
+            hirsch.psi(w)
+        asked = {pair for w in words if len(w.data) > 1
+                 for s, _ in hirsch.psi(word_token(w.data[:-1])).items()
+                 for t, _ in hirsch.psi(word_token(w.data[-1:])).items()
+                 for pair in zip(s.data, t.data)}
+        assert calls == [], hirsch.name
+        assert len(filled) == len(set(filled)) == len(hirsch._concat), hirsch.name
+        assert set(hirsch._concat) == asked, hirsch.name
+        filled.clear()
 
 
 def test_psi_builds_each_word_once():

@@ -458,7 +458,7 @@ def test_comultiplication_images_are_cached_once():
 def test_bar_hopf_psi_is_an_algebra_map_on_products():
     H = group_ring_hopf(BUILTIN_GROUPS["c2"])
     bh = BarHopfStructure(H, max_degree=8)
-    sq = bh.square
+    sq = tensor_algebra(bh, bh)
     gens = []
     for n in range(1, 4):
         for tok in bh.barH.complex.basis.basis(n):
