@@ -260,17 +260,32 @@ class HopfAlgebra(DGAlgebra, DGCoalgebra):
 class TwistingCochain:
     """Degree -1 map from a connected coalgebra to an augmented algebra
     satisfying d t + t d = m (t (x) t) Delta, vanishing on the coaugmentation.
+
+    cuts(y) returns (left, right), the cuts (u, v, c) of Delta(y) = sum c u (x) v
+    on which t(v), and on which t(u), may be nonzero, each in the order of
+    Delta(y).  By default both are every cut, with Delta(y) read once through
+    the source's Delta fn, so its cache stays empty; t has degree -1, so it
+    vanishes on C_0 and a y of degree 0 has no cuts.  A t that knows where
+    it vanishes passes a closed form as cuts.
     """
 
-    def __init__(self, source, target, tmap, name=""):
+    def __init__(self, source, target, tmap, name="", cuts=None):
         self.source = source
         self.target = target
         self.map = tmap
         self.name = name
+        if cuts is not None:
+            self.cuts = cuts
 
     @property
     def ring(self):
         return self.source.ring
+
+    def cuts(self, y):
+        if not y.degree:
+            return [], []
+        every = [(*pair.data, c) for pair, c in self.source._comult.fn(y).items()]
+        return every, every
 
     def brown_defect(self, tok):
         """d t(c) + t(d c) - m (t (x) t) Delta(c)."""
@@ -462,7 +477,15 @@ def universal_twisting(C, cobar=None):
 
 
 def couniversal_twisting(A, bar=None):
-    """t: Bar A -> A, s a |-> a, longer words |-> 0."""
+    """t: Bar A -> A, s a |-> a, longer words |-> 0.
+
+    t is nonzero on one-letter words only, and Delta deconcatenates, so its
+    cuts are closed: of the n + 1 cuts of an n-letter word y, left is the one
+    that splits off the last letter and right the one that splits off the
+    first, each with coefficient 1 (the first and last faces of Loday's b).
+    A two-letter word's middle cut is in both lists, a one-letter word's
+    are the two counit cuts, and the empty word has none.  Delta is not
+    read."""
     barA = bar if bar is not None else bar_construction(A)
     ring = A.ring
 
@@ -471,7 +494,14 @@ def couniversal_twisting(A, bar=None):
             return Element(ring)
         return Element.from_token(ring, desuspend(tok.data[0]))
 
-    return TwistingCochain(barA, A, LinearMap(ring, -1, fn, "t_couniv"), "t_couniv")
+    def cuts(y):
+        letters = y.data
+        if not letters:
+            return [], []
+        return ([(word_token(letters[:-1]), word_token(letters[-1:]), 1)],
+                [(word_token(letters[:1]), word_token(letters[1:]), 1)])
+
+    return TwistingCochain(barA, A, LinearMap(ring, -1, fn, "t_couniv"), "t_couniv", cuts)
 
 
 def algebra_realization(t):

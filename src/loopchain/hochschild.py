@@ -6,6 +6,9 @@ the coHochschild complex of a coalgebra.  This module provides the
 construction, strict and strong-homotopy functoriality, the monoidal
 isomorphism, the induced (co)multiplications, and the r-th power maps with
 their homology action.
+d_t reads the cuts of Delta that meet t from the twisting cochain: for the
+couniversal t of the classical complex these are the first and last faces
+of Loday's b, in closed form, and for every other t all of Delta.
 sh_map, sh_map_dual and power_concatenation are one formula, the extended
 naturality of the paper: keep one piece of c and multiply the t-images of
 the others cyclically around the coefficient.  _rotations is that formula,
@@ -116,12 +119,17 @@ def hochschild_general(t, max_degree=None, name=""):
     per C-token y, the terms of dy, (-1)^|y| and the two twisted term lists,
     the terms a of (Id (x) t)Delta(y) and of (t (x) Id)Delta(y) where t is
     nonzero, with their signs except the factor (-1)^(|a||x|) of the last
-    term.  Delta(y) is read once, through C's Delta fn, so H(t) leaves C's
-    Delta cache empty.  tc[c] holds the terms of t(c) for each C-token c on a
-    side of a cut ({} where t vanishes), and dA[x] those of dx.  dy, t and dx
-    are read through their cached LinearMaps, and the tables hold the terms
-    of the Elements these return, not copies.  Each token y (x) x then only
-    multiplies by x and applies that factor.
+    term.  The cuts (u, v, c) of Delta(y) come from t.cuts(y): the left cuts,
+    whose v may be in t's support, give the first list, and the right cuts,
+    whose u may be, the second.  By default these are every cut, read once
+    through C's Delta fn; the couniversal t of the classical Hochschild
+    complex gives the two cuts at the ends of a bar word in closed form
+    (dg.couniversal_twisting) and Delta is not read.  Either way H(t) leaves
+    C's Delta cache empty.  tc[c] holds the terms of t(c) for each C-token c
+    on a side of a cut ({} where t vanishes), and dA[x] those of dx.  dy, t
+    and dx are read through their cached LinearMaps, and the tables hold the
+    terms of the Elements these return, not copies.  Each token y (x) x then
+    only multiplies by x and applies that factor.
     """
     ring = t.ring
     C, A = t.source, t.target
@@ -143,13 +151,14 @@ def hochschild_general(t, max_degree=None, name=""):
 
     def twisted_entry(y):
         """(dy, (-1)^|y|, left, right) with left and right lists (y_j, a,
-        coefficient) for t(c^j) and (y^i, a, coefficient) for t(c_i) over
-        Delta(y), in the order of Delta(y); shared, never mutated."""
-        left, right = [], []
-        for pair, c in C._comult.fn(y).items():
-            u, v = pair.data
-            left += [(u, a, -parity_sign(u.degree) * c * ca) for a, ca in tc[v].items()]
-            right += [(v, a, parity_sign(a.degree * v.degree) * c * ca) for a, ca in tc[u].items()]
+        coefficient) for t(c^j) over the left cuts and (y^i, a, coefficient)
+        for t(c_i) over the right cuts, in the order of Delta(y); shared,
+        never mutated."""
+        left_cuts, right_cuts = t.cuts(y)
+        left = [(u, a, -parity_sign(u.degree) * c * ca)
+                for u, v, c in left_cuts for a, ca in tc[v].items()]
+        right = [(v, a, parity_sign(a.degree * v.degree) * c * ca)
+                 for u, v, c in right_cuts for a, ca in tc[u].items()]
         return C.complex.d(y).terms, parity_sign(y.degree), left, right
 
     twisted = Table(twisted_entry)

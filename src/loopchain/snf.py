@@ -168,13 +168,15 @@ def _reduce(rows, p, pivots=None, combos=None, skip=()):
 
     Repeatedly takes a shortest row holding a unit, pivots on its unit in
     the shortest column, clears that column with row operations and drops
-    the pivot's row and column, each drop one invariant factor 1.  On the
-    rows of d_k (one per degree-k token) each pivot is a Gaussian
-    elimination of the chain complex: it pairs the token of its row with
-    the token of its column, and both drop out.  Over F_p every entry is a
-    unit and no row is left; over Z the rows left hold no unit.  Rows whose
-    index is in skip take no part.  rows is not changed: a row is copied
-    the first time a row operation changes it.
+    the pivot's row and column, each drop one invariant factor 1.  The
+    shortest length is kept as a lower bound of the queue's keys, lowered
+    when a row is requeued shorter and raised to the next key present, so
+    no pivot scans the keys.  On the rows of d_k (one per degree-k token)
+    each pivot is a Gaussian elimination of the chain complex: it pairs the
+    token of its row with the token of its column, and both drop out.
+    Over F_p every entry is a unit and no row is left; over Z the rows left
+    hold no unit.  Rows whose index is in skip take no part.  rows is not
+    changed: a row is copied the first time a row operation changes it.
 
     pivots receives (column, row, inverse of row[column]) per pivot, in
     pivot order; each pivot row is zero at every earlier pivot column, so
@@ -187,7 +189,7 @@ def _reduce(rows, p, pivots=None, combos=None, skip=()):
     """
     live = {}   # row id -> {column: coefficient}
     where = {}  # column -> {row id: None} for the live rows holding it
-    queue = {}  # row length -> ids of rows that had that length
+    queue = {}  # row length -> ids of rows that had that length, a bucket queue
     for i, row in enumerate(rows):
         if i in skip:
             continue
@@ -201,8 +203,10 @@ def _reduce(rows, p, pivots=None, combos=None, skip=()):
                     where[j] = {}
                 where[j][i] = None
     rank = 0
+    size = min(queue, default=0)  # a lower bound of the queue's keys
     while queue:
-        size = min(queue)
+        while size not in queue:
+            size += 1
         i = queue[size].pop()
         if not queue[size]:
             del queue[size]
@@ -250,7 +254,10 @@ def _reduce(rows, p, pivots=None, combos=None, skip=()):
                     elif r in combo:
                         del combo[r]
             if other:
-                queue.setdefault(len(other), []).append(k)
+                length = len(other)
+                queue.setdefault(length, []).append(k)
+                if length < size:
+                    size = length
             else:
                 del live[k]
         for j in row:

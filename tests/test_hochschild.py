@@ -188,6 +188,11 @@ D_T_FIXTURES = {
                                                            max_degree=top), 8),
     # BarHopfStructure(Z[S3], 4).barH: degree 5, its top, would cost 2.7 s here
     "hoch-s3": (_s3_hoch, 4),
+    # every power of x is nonzero, so every cut of Delta meets a nonzero product
+    "hoch-free-one-z": (lambda top: hochschild_of_algebra(free_hopf_one(1, max_degree=top + 2),
+                                                          max_degree=top), 7),
+    "hoch-small-commutative-f3": (lambda top: hochschild_of_algebra(
+        small_commutative(F3, max_degree=top + 2), max_degree=top), 7),
     "cohoch-rp-f2": (_rp_cohoch, 7),
     "cohoch-nonreal-aw-hirsch": (_nonreal_aw_hirsch_cohoch, 7),
     "cohoch-nonreal-aw": (lambda top: cohochschild_complex(nonreal_aw_coalgebra(max_degree=top + 1),
@@ -213,24 +218,34 @@ def test_d_t_matches_four_term_formula(name):
 
 
 def test_d_t_reads_each_structure_once_per_token():
-    # d_t and d_Bar read t, A's d and Bar's Delta into tables: each fn runs at
-    # most once per token, and Bar's Delta cache stays empty
+    # d_t reads t, the d of the coefficients and the cuts of Delta into
+    # tables: each fn runs at most once per token, and d_t adds nothing to
+    # C's Delta cache.  The couniversal t of Hoch(E(a, b)) names its cuts in
+    # closed form, so Bar's Delta is not read at all and its cache stays
+    # empty; the universal t of a coHochschild complex reads Delta once per
+    # token.
     A = exterior_two(ZZ, max_degree=10)
-    H = hochschild_of_algebra(A, max_degree=9)
-    reads = {}
+    hoch = hochschild_of_algebra(A, max_degree=9)
+    C = sphere_coalgebra(2, max_degree=10)
+    cohoch = cohochschild_complex(C, max_degree=9)
+    for H, read, betti in [(hoch, {"t", "dA"}, list(range(1, 9))),
+                           (cohoch, {"t", "dA", "Delta"}, [1] * 8)]:
+        reads = {}
+        cached = dict(H.N._comult._cache)  # what the fixture's own checks read
 
-    def counted(name, fn):
-        def wrapped(tok):
-            reads[name, tok] = reads.get((name, tok), 0) + 1
-            return fn(tok)
-        return wrapped
+        def counted(name, fn):
+            def wrapped(tok):
+                reads[name, tok] = reads.get((name, tok), 0) + 1
+                return fn(tok)
+            return wrapped
 
-    for name, linear_map in [("t", H.t.map), ("dA", A.complex.d), ("Delta", H.N._comult)]:
-        linear_map.fn = counted(name, linear_map.fn)
-    assert [s.betti for s in homology(H.complex, range(8))] == list(range(1, 9))
-    assert {name for name, _ in reads} == {"t", "dA", "Delta"}
-    assert max(reads.values()) == 1
-    assert H.N._comult._cache == {}
+        for name, linear_map in [("t", H.t.map), ("dA", H.M.complex.d), ("Delta", H.N._comult)]:
+            linear_map.fn = counted(name, linear_map.fn)
+        assert [s.betti for s in homology(H.complex, range(8))] == betti
+        assert {name for name, _ in reads} == read
+        assert max(reads.values()) == 1
+        assert H.N._comult._cache == cached
+    assert hoch.N._comult._cache == {}
 
 
 def test_sphere_even_homology_torsion():

@@ -288,6 +288,46 @@ def test_reduce_leaves_its_rows_unchanged():
     assert homology(_complex({1: [[1, 1, 3], [2, 4, 2]]}, 2), range(1))[0].torsion == [2]
 
 
+def _min_scan_pivots(rows):
+    """The pivots (column, row) of unit elimination over Z with every choice
+    made by a scan: the shortest live row holding a unit, on its unit held by
+    the fewest live rows.  Ties are not broken as _reduce breaks them."""
+    live = {i: dict(row) for i, row in enumerate(rows) if row}
+    pivots = []
+    while True:
+        held = [(len(row), i) for i, row in live.items() if 1 in row.values() or -1 in row.values()]
+        if not held:
+            return pivots
+        row = live.pop(min(held)[1])
+        col = min((j for j, v in row.items() if v in (1, -1)),
+                  key=lambda j: sum(j in other for other in live.values()))
+        pivots.append((col, row))
+        for k, other in list(live.items()):
+            if col in other:
+                f = other[col] * row[col]
+                for j, v in row.items():
+                    x = other.get(j, 0) - f * v
+                    if x:
+                        other[j] = x
+                    else:
+                        del other[j]
+                if not other:
+                    del live[k]
+
+
+def test_reduce_pivots_as_a_scan_of_the_row_lengths():
+    # the first pivot, on row 0 of length 2, shortens row 1 to length 1,
+    # below the lower bound 2 that _reduce keeps of the queue's keys, and
+    # row 1 must be the next pivot; no two candidate rows ever tie
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {2: 1, 3: 1, 4: 1, 5: 1},
+            {3: 2, 4: 1, 6: 1, 7: 1, 8: 1}, {5: 3, 6: 2}]
+    pivots = []
+    rank, left = _reduce(rows, None, pivots=pivots)
+    assert [(col, row) for col, row, _ in pivots] == _min_scan_pivots(rows)
+    assert [row for _, row, _ in pivots[:2]] == [{0: 1, 1: 1}, {2: 1}]
+    assert rank == len(pivots) == 4 and list(left.values()) == [{5: 3, 6: 2}]
+
+
 def test_modp_homology_basis_runs_the_named_layers():
     # the benchmark's snf.modp_s and snf.basis_s find the F_p basis work by
     # the code objects of these functions
