@@ -147,12 +147,6 @@ class DGCoalgebra(_OnComplex):
         return Element(self.ring, [(t, c) for t, c in self._comult(tok).items()
                                    if t.data[0].degree > 0 and t.data[1].degree > 0])
 
-    def reduced_comult_iterated(self, tok, k):
-        """Delta-bar^(k): element with k-fold tensor tokens (left-iterated)."""
-        if tok.degree == 0:
-            return Element(self.ring)
-        return _split_first_iterated(self.ring, tok, self.reduced_comult, k)
-
     def comult_iterated(self, tok, k):
         """Full Delta^(k) as an element of k-fold tensor tokens; Delta^(2) is
         the cached Delta(tok) itself."""
@@ -226,7 +220,11 @@ class HopfAlgebra(DGAlgebra, DGCoalgebra):
     """Chain Hopf algebra built from its complex, unit, product and Delta
     (comult): one object that is both the DGAlgebra of the product and the
     DGCoalgebra of comult on that complex, counital at the unit.  Its counit
-    is its augmentation."""
+    is its augmentation.  A group ring R[G] declares its group as
+    group_table, the dict (a, b) -> c of its basis tokens with
+    (1 + a)(1 + b) = 1 + c; it is None for every other Hopf algebra."""
+
+    group_table = None
 
     def __init__(self, complex_, unit, product, comult, name=""):
         DGAlgebra.__init__(self, complex_, unit, product, name)
@@ -263,10 +261,12 @@ class TwistingCochain:
 
     cuts(y) returns (left, right), the cuts (u, v, c) of Delta(y) = sum c u (x) v
     on which t(v), and on which t(u), may be nonzero, each in the order of
-    Delta(y).  By default both are every cut, with Delta(y) read once through
-    the source's Delta fn, so its cache stays empty; t has degree -1, so it
-    vanishes on C_0 and a y of degree 0 has no cuts.  A t that knows where
-    it vanishes passes a closed form as cuts.
+    Delta(y).  d_t (hochschild_general) reads both lists and beta_t
+    (coalgebra_realization) the left one.  By default both are every cut,
+    with Delta(y) read once through the source's Delta fn, so its cache
+    stays empty; t has degree -1, so it vanishes on C_0 and a y of degree 0
+    has no cuts.  A t that knows where it vanishes passes a closed form as
+    cuts.
     """
 
     def __init__(self, source, target, tmap, name="", cuts=None):
@@ -485,7 +485,7 @@ def couniversal_twisting(A, bar=None):
     first, each with coefficient 1 (the first and last faces of Loday's b).
     A two-letter word's middle cut is in both lists, a one-letter word's
     are the two counit cuts, and the empty word has none.  Delta is not
-    read."""
+    read, by d_t or by beta_t."""
     barA = bar if bar is not None else bar_construction(A)
     ring = A.ring
 
@@ -515,25 +515,30 @@ def algebra_realization(t):
 
 
 def coalgebra_realization(t):
-    """beta_t: C -> Bar A via iterated reduced comultiplications.
+    """beta_t: C -> Bar A, sum_k (s t)^{(x)k} Delta-bar^(k), in closed form.
 
-    beta(c) = sum_k (s t)^{(x)k} applied to Delta-bar^(k)(c); the operator
-    s t has degree 0 so no Koszul signs arise.
+    With Delta-bar^(k) = (Delta-bar^(k-1) (x) 1) Delta-bar, beta_t(y) is the
+    sum of c beta_t(u) | s t(v) over the left cuts (u, v, c) of t.cuts(y),
+    and beta_t(1) is the empty word: the counit cut (1, y) gives the
+    one-letter term s t(y), and t vanishes on the other counit cut.  s t has
+    degree 0, so no Koszul signs arise.  letters[v] holds the letters s t(v),
+    unit terms dropped, and beta_t(u) is read only where they are nonzero.
+    For the couniversal t the one left cut of a word splits off its last
+    letter, so beta_t is the identity and reads no Delta.
     """
     ring = t.ring
-    C = t.source
-    A = t.target
-
-    def word(tens):
-        return bar_word(ring, [t.map(factor) for factor in tens.data], A.unit)
+    unit = t.target.unit
+    letters = Table(lambda v: [(suspend(a), c) for a, c in t.map(v).items() if a is not unit])
 
     def fn(tok):
         if tok.degree == 0:
             return Element.from_token(ring, word_token(()))
-        return Element(ring, [term for k in range(1, tok.degree + 1)
-                              for term in C.reduced_comult_iterated(tok, k).apply(word).items()])
+        left, _ = t.cuts(tok)
+        return Element(ring, [(word_token(w.data + (l,)), c * cl * cw) for u, v, c in left
+                              for l, cl in letters[v] for w, cw in beta(u).items()])
 
-    return LinearMap(ring, 0, fn, "beta_t")
+    beta = LinearMap(ring, 0, fn, "beta_t")
+    return beta
 
 
 def bar_cobar_unit(C, cobar=None):

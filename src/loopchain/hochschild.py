@@ -9,10 +9,12 @@ their homology action.
 d_t reads the cuts of Delta that meet t from the twisting cochain: for the
 couniversal t of the classical complex these are the first and last faces
 of Loday's b, in closed form, and for every other t all of Delta.
-sh_map, sh_map_dual and power_concatenation are one formula, the extended
-naturality of the paper: keep one piece of c and multiply the t-images of
-the others cyclically around the coefficient.  _rotations is that formula,
-given the pieces and the list of their images.
+sh_map and power_concatenation are one formula, the extended naturality of
+the paper: keep one piece of c and multiply the t-images of the others
+cyclically around the coefficient.  _rotations is that formula, given the
+pieces and the list of their images.  sh_map_dual is its transpose, in
+closed form: one sum over Delta^(3)(c), the outer pieces read through
+beta_t, which takes the cuts of Delta from the twisting cochain as d_t does.
 Each map checks its hypothesis on a degree of C when it first reads a token
 of it; a check_degree checks C_lowest..C_check_degree when it is built.
 """
@@ -23,7 +25,7 @@ from .chains import (
 )
 from .dg import (
     TwistingCochain, algebra_realization, bar_cobar_unit, bar_construction,
-    bar_word, cartesian_product, cobar_bar_counit, cobar_construction,
+    cartesian_product, cobar_bar_counit, cobar_construction,
     coalgebra_realization, couniversal_twisting, hopf_tensor_power, twist_tensor,
     universal_twisting,
 )
@@ -267,50 +269,51 @@ def sh_map_dual(f, gamma, t, tprime, check_degree=None):
     """Extended functoriality for (f, gamma) with gamma: Bar A -> Bar A'
     a coalgebra map satisfying gamma beta_t = beta_t' f.
 
-    Computed by the transposed formula: split c by iterated comultiplication,
-    keep one piece through f, and feed the t-images of the others, arranged
-    around a by _rotations, to the DASH family of gamma.  Checks the
-    hypothesis on the C-degrees read, from C_0."""
+    The transposed formula keeps one piece p_i of each term of Delta^(k)(c),
+    k >= 1, through f and sends s t(p_{i+1}) | ... | s t(p_k) | s a |
+    s t(p_1) | ... | s t(p_{i-1}) through Gamma, the desuspended one-letter
+    part of gamma.  Its sign (-1)^(|c| + |p_i| + P (D - P)), with
+    P = |p_1| + ... + |p_{i-1}| and D = |c| + |a| + 1, is that of the
+    suspension over a passing everything before it, of the final
+    desuspension passing the kept piece, and of the rotation.
+
+    Coassociativity and counitality give Delta^(m+1+n) =
+    (Delta^(m) (x) 1 (x) Delta^(n)) Delta^(3), with Delta^(0) = eps, so
+    the kept pieces are the middles p of the terms kappa x (x) p (x) z of
+    Delta^(3)(c), and P = |x|.  t vanishes on the counit pieces, so the
+    words of t-images before p sum to beta_t(x) (the empty word for x = 1)
+    and those after it to beta_t(z).  Hence, as s 1 = 0 in Bar A,
+
+        c (x) a |-> [a = 1] f(c) (x) 1 + sum kappa (-1)^(|c| + |p| + |x| (D - |x|))
+                        f(p) (x) Gamma(beta_t(z) | s a | beta_t(x)).
+
+    Checks the hypothesis on the C-degrees read, from C_0."""
     ring = t.ring
-    A, A2 = t.target, tprime.target
     beta = coalgebra_realization(t)
     beta2 = coalgebra_realization(tprime)
     check = _hypothesis(t.source, 0, lambda c: "gamma beta_t != beta_t' f"
                         if gamma(beta(c)) != beta2(f(c)) else None, check_degree)
 
-    def evaluate_family(elements):
-        """t_Bar' gamma on the bar word of suspensions of the elements."""
-        return Element(ring, [(desuspend(wt.data[0]), cw)
-                              for wt, cw in bar_word(ring, elements, A.unit).apply(gamma).items()
-                              if len(wt.data) == 1])
+    def Gamma(words):
+        """t_Bar' gamma on an element of bar words."""
+        return Element(ring, [(desuspend(w.data[0]), cw) for w, cw in gamma(words).items()
+                              if len(w.data) == 1])
 
     def fn(tok):
         c, a = tok.data
         check(c.degree)
+        if a is t.target.unit:
+            unit2 = tprime.target.unit
+            return Element(ring, [(tensor_token(u, unit2), cu) for u, cu in f(c).items()])
+        sa = suspend(a)
+        total = c.degree + a.degree + 1
         pairs = []
-        if a is A.unit:
-            # the counit-covector term of the transposed formula
-            pairs += [(tensor_token(u, A2.unit), cu)
-                      for u, cu in f(Element.from_token(ring, c)).items()]
-        a_el = Element.from_token(ring, a)
-        # the suspension over the a slot passes everything before it (base),
-        # and the final desuspension passes the kept piece
-        base = parity_sign(c.degree)
-        for k in range(1, c.degree + 2):
-            for tens, cd in t.source.comult_iterated(c, k).items():
-                pieces = tens.data
-                images = [t.map(p) for p in pieces]
-                for i, rot, tail in _rotations(pieces, images, [a_el], a.degree + 1):
-                    if any(e.is_zero() for e in tail):
-                        continue
-                    fc = f(Element.from_token(ring, pieces[i]))
-                    if fc.is_zero():
-                        continue
-                    gk = evaluate_family(tail)
-                    if gk.is_zero():
-                        continue
-                    sign = cd * base * rot * parity_sign(pieces[i].degree)
-                    pairs += tensor_product(ring, [fc, gk], sign).items()
+        for piece, kappa in t.source.comult_iterated(c, 3).items():
+            x, p, z = piece.data
+            words = Element(ring, [(word_token(wz.data + (sa,) + wx.data), cz * cx)
+                                   for wz, cz in beta(z).items() for wx, cx in beta(x).items()])
+            sign = kappa * parity_sign(c.degree + p.degree + x.degree * (total - x.degree))
+            pairs += tensor_product(ring, [f(p), Gamma(words)], sign).items()
         return Element(ring, pairs)
 
     return LinearMap(ring, 0, fn, "Hsh_dual")

@@ -17,11 +17,12 @@ only F's images cached, yields a twisting cochain Bar(A (x) A') ->
 Cobar(Bar A (x) Bar A').
 
 The loop comultiplication psi on Cobar Bar H (BarHopfStructure) takes one
-of two paths.  A group ring Z[G] in the augmentation basis, whose bar
-construction is the normalized chains of the nerve NG, gets Baues' closed
-form (Compositio Math. 43, 1981; Invent. Math. 132, 1998): psi(s^{-1}y) is a
-signed sum over blocks of y of inner letters (x) outer face, the sign the
-Koszul sign of moving each inner letter past the outer entries before it.
+of two paths.  A group ring Z[G] in the augmentation basis, which declares
+its group as its group_table and whose bar construction is the normalized
+chains of the nerve NG, gets Baues' closed form (Compositio Math. 43, 1981;
+Invent. Math. 132, 1998): psi(s^{-1}y) is a signed sum over blocks of y of
+inner letters (x) outer face, the sign the Koszul sign of moving each inner
+letter past the outer entries before it.
 Any other H gets Milgram's q of the merged F-images of Bar(delta)(y); only
 F and psi cache images of bar words.
 """
@@ -328,34 +329,8 @@ def bar_shuffle_hopf(A, max_degree=None):
 # The loop comultiplication on Cobar Bar H
 
 
-def group_table(H):
-    """The group of a group ring H = R[G] in the augmentation basis {1} u
-    {[g] = g - e}, as a dict (a, b) -> c on basis tokens with (1 + a)(1 + b) =
-    1 + c, the unit token standing for e; None when H is not one.  H is one
-    when it lives in degree 0, Delta t = t (x) t + t (x) 1 + 1 (x) t for each
-    token t but the unit (read through Delta's fn, so that H's Delta cache
-    stays empty), and each (1 + a)(1 + b) - 1 is one token or 0."""
-    ring, unit = H.ring, H.unit
-    toks = H.complex.basis.basis(0)
-    if any(H.complex.basis.basis(n) for n in range(1, H.max_degree + 1)) or any(
-            H._comult.fn(t) != Element(ring, [(tensor_token(t, t), 1), (tensor_token(t, unit), 1),
-                                              (tensor_token(unit, t), 1)])
-            for t in toks if t is not unit):
-        return None
-    one = Element.from_token(ring, unit)
-    grouplike = {t: one if t is unit else one + Element.from_token(ring, t) for t in toks}
-    table = {}
-    for a in toks:
-        for b in toks:
-            c = (H.multiply(grouplike[a], grouplike[b]) - one).terms
-            if len(c) > 1 or unit in c or set(c.values()) - {1}:
-                return None
-            table[a, b] = next(iter(c), unit)
-    return table
-
-
 def _nerve_psi(ring, table, unit):
-    """BarHopfStructure's generator map for a group ring with this group_table:
+    """BarHopfStructure's generator map for a group ring whose group_table is table:
     Baues' closed form, read off y = [g_1|...|g_n] with the blocks chosen left
     to right.  partial[p] holds each choice of blocks inside g_1...g_p as its
     inner letters, outer entries, sign exponent sum_m d_m e_m and sum of d_m
@@ -390,8 +365,9 @@ class BarHopfStructure(HirschCoalgebra):
     """Bar H as a Hirsch coalgebra for a Hopf algebra H, with psi on the
     generators s^{-1}y of Cobar Bar H built on one of two paths.
 
-    If H is a group ring (group_table finds its group), [g_1|...|g_n] is the
-    simplex (g_1, ..., g_n) of the nerve NG and psi is Baues' closed form
+    If H is a group ring, declaring its group as H.group_table (as
+    fixtures.group_ring_hopf does), [g_1|...|g_n] is the simplex
+    (g_1, ..., g_n) of the nerve NG and psi is Baues' closed form
 
         psi(s^{-1}y) = s^{-1}y (x) 1 + 1 (x) s^{-1}y + sum eps s^{-1}[g_{i_1+1}|...|g_{j_1}]
                            ... s^{-1}[g_{i_k+1}|...|g_{j_k}] (x) s^{-1}[outer]
@@ -423,9 +399,8 @@ class BarHopfStructure(HirschCoalgebra):
         ring = H.ring
         self.barH = bar_construction(H, max_degree=None if max_degree is None else max_degree + 1)
         self.epsilon = cobar_bar_counit(H, self.barH)
-        table = group_table(H)
-        if table is not None:
-            gen = _nerve_psi(ring, table, H.unit)
+        if H.group_table is not None:
+            gen = _nerve_psi(ring, H.group_table, H.unit)
         else:
             self.sdr = bar_sdr(H, H, max_degree=max_degree)
             self.F = transferred_twisting(self.sdr)

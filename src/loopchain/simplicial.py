@@ -264,6 +264,7 @@ def double_suspension(M):
 
 
 def simplex_token(K, enc):
+    """The basis token of normalized chains for the nondegenerate simplex enc of K."""
     core, phi = enc
     return generator(("sx", K.name, core), len(phi) - 1)
 
@@ -273,7 +274,7 @@ def normalized_chains(K, ring=ZZ, max_degree=10):
     differential and the front/back-face diagonal."""
 
     def basis_fn(n):
-        return [generator(("sx", K.name, core), n) for core in K.nondegenerate(n)]
+        return [simplex_token(K, encode_nondegenerate(core, n)) for core in K.nondegenerate(n)]
 
     basis = GradedBasis(ring, basis_fn, max_degree, "C(%s)" % K.name)
 
@@ -286,13 +287,13 @@ def normalized_chains(K, ring=ZZ, max_degree=10):
         for i in range(n + 1):
             enc = K.face_core(core, n, i)
             if not is_degenerate(enc):
-                pairs.append((generator(("sx", K.name, enc[0]), n - 1), parity_sign(i)))
+                pairs.append((simplex_token(K, enc), parity_sign(i)))
         return Element(ring, pairs)
 
     cx = ChainComplex(basis, LinearMap(ring, -1, differential, "d"),
                       "C(%s)" % K.name)
     vertices = K.nondegenerate(0)
-    counit_tok = generator(("sx", K.name, vertices[0]), 0)
+    counit_tok = simplex_token(K, encode_nondegenerate(vertices[0], 0))
 
     def comult(tok):
         core = tok.data[2]

@@ -326,6 +326,7 @@ def test_beta_of_couniversal_is_identity():
     for n in range(7):
         for tok in B.complex.basis.basis(n):
             assert beta(tok) == el(ZZ, tok)
+    assert not B._comult._cache
 
 
 def test_alpha_beta_are_chain_maps():

@@ -11,7 +11,7 @@ from loopchain.chains import (
 )
 from loopchain.dg import (
     cobar_construction, bar_construction, universal_twisting,
-    couniversal_twisting, cobar_map, bar_map, cartesian_product,
+    couniversal_twisting, cobar_map, bar_map, bar_word, cartesian_product,
     algebra_realization, coalgebra_realization, bar_cobar_unit,
     HirschCoalgebra, HopfAlgebra, TwistingCochain, hirsch_primitive, tensor_algebra,
 )
@@ -408,6 +408,88 @@ def test_hoch_section_is_a_chain_map():
     OB = cobar_construction(B)
     HB = cohochschild_complex(B, cobar=OB, max_degree=8)
     assert verify_chain_map(sigma, HA.complex, HB.complex, 7) is None
+
+
+def _sh_map_dual_reference(f, gamma, t, unit2, tok):
+    """sh_map_dual(f, gamma, t, t')(tok) from its definition, through public
+    pieces only: for each k = 1..|c| + 1, each term of Delta^(k)(c) and
+    each kept piece p_i, f(p_i) (x) the desuspended one-letter part of
+    gamma(s t(p_{i+1}) | ... | s t(p_k) | s a | s t(p_1) | ... | s t(p_{i-1})),
+    signed by (-1)^(|c| + |p_i|) and the koszul_sign of the cyclic order;
+    plus f(c) (x) unit2 for a the unit of A."""
+    ring, A = t.ring, t.target
+    c, a = tok.data
+    pairs = []
+    if a is A.unit:
+        pairs += [(pair(u, unit2), cu) for u, cu in f(c).items()]
+    for k in range(1, c.degree + 2):
+        for tens, kappa in t.source.comult_iterated(c, k).items():
+            pieces = tens.data
+            images = [t.map(p) for p in pieces]
+            degrees = [p.degree for p in pieces] + [a.degree + 1]
+            for i, p in enumerate(pieces):
+                order = list(range(i, k + 1)) + list(range(i))
+                sign = kappa * parity_sign(c.degree + p.degree) * koszul_sign(degrees, order)
+                tail = images[i + 1:] + [el(a, ring=ring)] + images[:i]
+                image = bar_word(ring, tail, A.unit).apply(gamma)
+                pairs += [(pair(u, desuspend(w.data[0])), sign * cu * cw)
+                          for u, cu in f(p).items() for w, cw in image.items() if len(w.data) == 1]
+    return Element(ring, pairs)
+
+
+def _strict_dual_case(top):
+    A = exterior_two()
+    B = bar_construction(A, max_degree=top + 2)
+    t = couniversal_twisting(A, B)
+    g = bar_map(LinearMap(ZZ, 0, lambda tok: el(tok, 1 if tok is A.unit else 2), "g"), A)
+    tokens = hochschild_of_algebra(A, bar=B, max_degree=top).complex.basis.through(top)
+    return sh_map_dual(g, g, t, t), lambda tok: _sh_map_dual_reference(g, g, t, A.unit, tok), tokens
+
+
+def _section_case(top):
+    A = small_commutative(F3)
+    B = bar_construction(A, max_degree=top + 2)
+    t = couniversal_twisting(A, B)
+    OB = cobar_construction(B)
+    eta = bar_cobar_unit(B, OB)
+    tokens = hochschild_of_algebra(A, bar=B, max_degree=top).complex.basis.through(top)
+    return hoch_section(A, bar=B), \
+        lambda tok: _sh_map_dual_reference(identity_map(F3), eta, t, OB.unit, tok), tokens
+
+
+def _multiplication_case(top):
+    A = small_commutative(F2)
+    Hopf, B, nu = bar_shuffle_hopf(A, max_degree=top + 2)
+    t = couniversal_twisting(A, B)
+    mu = LinearMap(F2, 0, lambda tok: Hopf.mult(*tok.data), "mu")
+    _, swap = monoidal_iso(t, t)
+    tt = cartesian_product(t, t)
+    basis = hochschild_of_algebra(A, bar=B, max_degree=top).complex.basis
+    tokens = [pair(u, v) for u in basis.through(top) for v in basis.through(top - u.degree)]
+    return hochschild_multiplication(t, nu, Hopf), lambda tok: swap(tok).apply(
+        lambda s: _sh_map_dual_reference(mu, nu, tt, A.unit, s)), tokens
+
+
+# case -> (build(top) giving the map, its reference and the tokens compared;
+# top).  Only gamma = eta reads a word with letters on both sides of s a, and
+# on E(x)P'(y) the first such word whose two sides differ has degree 6.
+SH_MAP_DUAL_CASES = {
+    "strict-exterior-two-Z": (_strict_dual_case, 5),
+    "section-small-commutative-F3": (_section_case, 6),
+    "multiplication-small-commutative-F2": (_multiplication_case, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SH_MAP_DUAL_CASES))
+def test_sh_map_dual_matches_its_definition(case):
+    build, top = SH_MAP_DUAL_CASES[case]
+    mapping, reference, tokens = build(top)
+    nonzero = 0
+    for tok in tokens:
+        image = mapping(tok)
+        assert image == reference(tok), tok
+        nonzero += not image.is_zero()
+    assert nonzero
 
 
 # --- monoidal structure -------------------------------------------------------

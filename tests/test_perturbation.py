@@ -20,7 +20,7 @@ from loopchain.groups import BUILTIN_GROUPS
 from loopchain.perturbation import (
     SDRData, check_sdr, bar_sdr, bar_eilenberg_zilber, bar_alexander_whitney,
     bar_em_homotopy, transferred_twisting, BarHopfStructure,
-    PerturbationDivergence, _shuffles, bar_shuffle_hopf, group_table,
+    PerturbationDivergence, _shuffles, bar_shuffle_hopf,
 )
 
 
@@ -532,11 +532,11 @@ def test_group_rings_and_only_they_take_the_closed_form(monkeypatch):
             H = group_ring_hopf(G, ring)
             tok = {g: H.unit if g == G.unit else generator(("grp", G.name, g), 0)
                    for g in G.elements}
-            assert group_table(H) == {(tok[g], tok[h]): tok[G.mul(g, h)]
+            assert H.group_table == {(tok[g], tok[h]): tok[G.mul(g, h)]
                                       for g in G.elements for h in G.elements}, (name, ring)
             assert not H._comult._cache
     for H in (free_hopf_one(1), free_hopf_one(2), primitive_hopf(exterior_two())):
-        assert group_table(H) is None, H.name
+        assert H.group_table is None, H.name
         bh = BarHopfStructure(H, 3)
         bh.psi(_generators(bh, 3)[-1])
         assert bh.F.map._cache, H.name
