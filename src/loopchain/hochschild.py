@@ -10,11 +10,12 @@ d_t reads the cuts of Delta that meet t from the twisting cochain: for the
 couniversal t of the classical complex these are the first and last faces
 of Loday's b, in closed form, and for every other t all of Delta.
 sh_map and power_concatenation are one formula, the extended naturality of
-the paper: keep one piece of c and multiply the t-images of the others
-cyclically around the coefficient.  _rotations is that formula, given the
-pieces and the list of their images.  sh_map_dual is its transpose, in
-closed form: one sum over Delta^(3)(c), the outer pieces read through
-beta_t, which takes the cuts of Delta from the twisting cochain as d_t does.
+the paper: keep one letter l of a word x | l | z and multiply the t-images
+of the others cyclically around the coefficient, that is alpha_t(z) .
+coefficient . alpha_t(x), as alpha_t is an algebra map.  sh_map_dual is its
+transpose, in closed form: one sum over Delta^(3)(c), the outer pieces read
+through beta_t, which takes the cuts of Delta from the twisting cochain as
+d_t does.
 Each map checks its hypothesis on a degree of C when it first reads a token
 of it; a check_degree checks C_lowest..C_check_degree when it is built.
 """
@@ -63,24 +64,17 @@ def _hypothesis(C, lowest, failure, check_degree):
     return check
 
 
-def _rotations(pieces, images, middle, middle_degree):
-    """The cyclic rotations of p_1 ... p_k around a middle of degree middle_degree.
-
-    images lists the images of the pieces.  For each kept piece p_j returns
-    (j - 1, sign, factors) with factors images[j:] + middle + images[:j - 1]
-    and sign the Koszul sign of moving p_1 ... p_{j-1} past the rest,
-    (-1)^(P (D - P)) for P = |p_1| + ... + |p_{j-1}| and D the degree of the
-    pieces and the middle.  The images have degree 0 on the native letters,
-    so they add no sign.  A one-piece word gives [(0, 1, middle)]."""
-    if len(pieces) == 1:
-        return [(0, 1, middle)]
-    total = sum(p.degree for p in pieces) + middle_degree
-    out = []
-    before = 0
-    for i, p in enumerate(pieces):
-        out.append((i, parity_sign(before * (total - before)),
-                    images[i + 1:] + middle + images[:i]))
-        before += p.degree
+def _letter_cuts(letters, alpha):
+    """The cuts x | l | z of the word l_1|...|l_k at each letter l = l_j, as
+    (s l, |x|, [alpha(z)], [alpha(x)]) with x = l_1|...|l_{j-1} and
+    z = l_{j+1}|...|l_k.  An empty outer word gives [] in place of
+    [alpha(1)], so a product of the lists never multiplies by the unit."""
+    out, before = [], 0
+    for j, l in enumerate(letters):
+        x, z = letters[:j], letters[j + 1:]
+        out.append((suspend(l), before, [alpha(word_token(z))] if z else [],
+                    [alpha(word_token(x))] if x else []))
+        before += l.degree
     return out
 
 
@@ -224,9 +218,17 @@ def sh_map(phi, g, t, tprime, check_degree=None):
     """Extended functoriality for (phi, g) with phi: Cobar C -> Cobar C'
     an algebra map and g an algebra map satisfying g alpha_t = alpha_t' phi.
 
-    On c (x) a the image is the _rotations sum over the word expansion
-    of phi(s^{-1}c), with the kept letter in C' and the t'-images of the
-    others multiplied around g(a).  Checks the hypothesis on the C-degrees read, from C_1."""
+    For each term kappa l_1|...|l_k of phi(s^{-1}c) the extended naturality
+    keeps one letter l and multiplies the t'-images of the others cyclically
+    around g(a), signed (-1)^(|x| (D - |x|)) for moving x = l_1|...|l_{j-1}
+    past the rest, D = |c| - 1 + |a|.  alpha_t' is an algebra map, so the
+    images after l multiply to alpha_t'(z) and those before it to alpha_t'(x):
+
+        c (x) a |-> sum kappa (-1)^(|x| (D - |x|)) s(l) (x) alpha_t'(z) . g(a) . alpha_t'(x)
+
+    over the letter cuts x | l | z, an empty outer word left out, and
+    counit (x) g(a) for |c| = 0.  Checks the hypothesis on the C-degrees
+    read, from C_1."""
     ring = t.ring
     A2 = tprime.target
     alpha2 = algebra_realization(tprime)
@@ -242,14 +244,13 @@ def sh_map(phi, g, t, tprime, check_degree=None):
         if c.degree == 0:
             return Element(ring, [(tensor_token(tprime.source.counit_token, v), cv)
                                   for v, cv in ga.items()])
+        total = c.degree - 1 + a.degree
         pairs = []
         for wtok, kappa in phi(word_token((desuspend(c),))).items():
-            letters = wtok.data
-            images = [tprime.map(suspend(l)) for l in letters]
-            for i, sign, factors in _rotations(letters, images, [ga], a.degree):
-                kept = suspend(letters[i])
-                pairs += [(tensor_token(kept, v), kappa * sign * cv)
-                          for v, cv in A2.multiply_all(factors).items()]
+            for kept, p, az, ax in _letter_cuts(wtok.data, alpha2):
+                coeff = kappa * parity_sign(p * (total - p))
+                pairs += [(tensor_token(kept, v), coeff * cv)
+                          for v, cv in A2.multiply_all(az + [ga] + ax).items()]
         return Element(ring, pairs)
 
     return LinearMap(ring, 0, fn, "Hsh")
@@ -336,8 +337,8 @@ def hoch_section(A, bar=None):
 def monoidal_iso(t, tprime):
     """H(t * t') = H(t) (x) H(t'), both ways, by the Koszul middle-four swap
     (x (x) y) (x) (z (x) w) |-> (-1)^(|y||z|) (x (x) z) (x) (y (x) w).  The
-    swap is an involution, so it is its own inverse: the two maps returned,
-    named monoidal and monoidal_inv, are the one swap."""
+    swap is an involution, so the one LinearMap returned is the isomorphism
+    and its own inverse."""
     ring = t.ring
 
     def swap(tok):
@@ -345,7 +346,7 @@ def monoidal_iso(t, tprime):
         return Element.from_token(ring, tensor_token(tensor_token(x, z), tensor_token(y, w)),
                                   parity_sign(y.degree * z.degree))
 
-    return LinearMap(ring, 0, swap, "monoidal"), LinearMap(ring, 0, swap, "monoidal_inv")
+    return LinearMap(ring, 0, swap, "monoidal")
 
 
 def hochschild_comultiplication(t, omega, H, check_degree=None):
@@ -356,12 +357,8 @@ def hochschild_comultiplication(t, omega, H, check_degree=None):
     delta alpha_t = alpha_{t*t} omega, which sh_map checks from C_1."""
     ring = t.ring
     hs = sh_map(omega, H._comult, t, cartesian_product(t, t), check_degree=check_degree)
-    fwd, _ = monoidal_iso(t, t)
-
-    def fn(tok):
-        return fwd(hs(tok))
-
-    return LinearMap(ring, 0, fn, "delta-hat")
+    swap = monoidal_iso(t, t)
+    return LinearMap(ring, 0, lambda tok: swap(hs(tok)), "delta-hat")
 
 
 def hochschild_multiplication(t, nu, H, check_degree=None):
@@ -379,12 +376,8 @@ def hochschild_multiplication(t, nu, H, check_degree=None):
 
     mu = LinearMap(ring, 0, mu_fn, "mu")
     hs = sh_map_dual(mu, nu, tt, t, check_degree=check_degree)
-    _, bwd = monoidal_iso(t, t)
-
-    def fn(tok):
-        return hs(bwd(tok))
-
-    return LinearMap(ring, 0, fn, "mu-hat")
+    swap = monoidal_iso(t, t)
+    return LinearMap(ring, 0, lambda tok: hs(swap(tok)), "mu-hat")
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +417,14 @@ def power_domain(t, H, r, max_degree=None):
 
 
 def _concatenation_table(t, hirsch, H, r, check_degree):
-    """The Table behind mu-tilde_r and lambda-tilde_r, keyed (c, wbar); see
-    power_concatenation."""
+    """The Table behind mu-tilde_r and lambda-tilde_r, keyed (c, wbar), one sum
+    over the letter cuts of each u_1 of psi^(r)(s^{-1}c); see power_concatenation."""
     _check_power(r)
     ring = t.ring
     alpha = algebra_realization(t)
     alpha2 = tensor_map(alpha, alpha).fn  # uncached: each term of psi(s^{-1}c) is read once
     check = _hypothesis(t.source, 1, lambda c: check_power_hypotheses(t, hirsch, H, alpha2, c),
                         check_degree)
-    letter = Table(lambda l: t.map(suspend(l)).terms.items())
     word = Table(lambda u: alpha(u).terms.items())
 
     def expansion(c):
@@ -441,9 +433,8 @@ def _concatenation_table(t, hirsch, H, r, check_degree):
         for tens, kappa in hirsch.comult_iterated(word_token((desuspend(c),)), r).items():
             u1, us = tens.data[0], tens.data[1:]
             if u1.data:
-                out.append((u1.data, [letter[l] for l in u1.data], [suspend(l) for l in u1.data],
-                            [word[u] for u in us], [u.degree for u in us],
-                            c.degree - 1 - u1.degree, kappa))
+                out.append((_letter_cuts(u1.data, word.__getitem__), [word[u] for u in us],
+                            [u.degree for u in us], kappa))
         return out
 
     psi = Table(expansion)
@@ -454,8 +445,9 @@ def _concatenation_table(t, hirsch, H, r, check_degree):
         if c.degree == 0:
             return {tensor_token(c, v): cv for v, cv in H.multiply_terms(ws).items()}.items()
         w_degrees = [w.degree for w in wbar.data]
+        total = c.degree - 1 + wbar.degree
         pairs = []
-        for letters, images, kept, alpha_us, u_degrees, rest, kappa in psi[c]:
+        for cuts, alpha_us, u_degrees, kappa in psi[c]:
             # w_1 . alpha(u_2) . w_2 ... alpha(u_r) . w_r, each u_i moved past w_1 ... w_{i-1}
             middle, exponent, before = ws[:1], 0, w_degrees[0]
             for a, du, w, dw in zip(alpha_us, u_degrees, ws[1:], w_degrees[1:]):
@@ -463,9 +455,10 @@ def _concatenation_table(t, hirsch, H, r, check_degree):
                 exponent += du * before
                 before += dw
             coeff = kappa * parity_sign(exponent)
-            for i, sign, factors in _rotations(letters, images, middle, rest + wbar.degree):
-                pairs += [(tensor_token(kept[i], v), coeff * sign * cv)
-                          for v, cv in H.multiply_terms(factors).items()]
+            for kept, p, az, ax in cuts:
+                sign = coeff * parity_sign(p * (total - p))
+                pairs += [(tensor_token(kept, v), sign * cv)
+                          for v, cv in H.multiply_terms(az + middle + ax).items()]
         return Element(ring, pairs).terms.items()
 
     return Table(concatenate)
@@ -474,27 +467,29 @@ def _concatenation_table(t, hirsch, H, r, check_degree):
 def power_concatenation(t, hirsch, H, r, check_degree=None):
     """mu-tilde_r: H(delta^(r) t) -> H(t), the loop-concatenation map.
 
-    On c (x) (w_1 (x) ... (x) w_r), for each term of the iterated loop
-    comultiplication psi^(r)(s^{-1}c) = u_1 (x) ... (x) u_r with u_1 the
-    word l_1|...|l_k, sums the cyclic rotations
+    On c (x) (w_1 (x) ... (x) w_r), for each term kappa u_1 (x) ... (x) u_r
+    of the iterated loop comultiplication psi^(r)(s^{-1}c), the extended
+    naturality keeps one letter of u_1 and multiplies the alpha-images of the
+    others cyclically around w_1 . alpha(u_2) . w_2 ... alpha(u_r) . w_r,
+    alpha = alpha_t.  As in sh_map, over the letter cuts (x, l, z) of u_1,
 
-        s(l_j) (x) alpha(l_{j+1})...alpha(l_k) . w_1 . alpha(u_2) . w_2
-                   ... alpha(u_r) . w_r . alpha(l_1)...alpha(l_{j-1}),
+        c (x) wbar |-> sum kappa (-1)^(e + |x| (D - |x|))
+            s(l) (x) alpha(z) . w_1 . alpha(u_2) ... alpha(u_r) . w_r . alpha(x),
 
-    that is the _rotations of the letters of u_1 around w_1 . alpha(u_2) ...
-    w_r, each signed also by the Koszul sign of interleaving the u's and w's,
-    (-1)^(sum_i |u_i| (|w_1| + ... + |w_{i-1}|)).
+    D = |c| - 1 + |wbar|, an empty outer word left out of the product, and
+    (-1)^e, e = sum_i |u_i| (|w_1| + ... + |w_{i-1}|), the Koszul sign of
+    interleaving the u's and w's.  For |c| = 0 the image is c (x) w_1 ... w_r.
 
     Each structure is read once per token, into a Table: concatenation[c,
     wbar] holds the terms of mu-tilde_r(c (x) wbar).  psi[c] holds, per
-    C-token c, each term of psi^(r)(s^{-1}c) with u_1 nonempty: the letters
-    of u_1, their images and suspensions, the images of u_2, ..., u_r, their
-    degrees and the sum of those, and kappa.  It is filled after
+    C-token c, each term of psi^(r)(s^{-1}c) with u_1 nonempty: the cuts
+    (s l, |x|, [alpha(z)], [alpha(x)]) of u_1, the terms of alpha(u_2), ...,
+    alpha(u_r), their degrees, and kappa; it is filled after
     check_power_hypotheses has run on the C-degrees through |c|, from C_1.
-    letter[l] holds the terms of alpha(l) = t(s l), and word[u] those of
-    alpha(u), read through alpha_t's cache and shared by all c.  The
-    products are folded by H.multiply_terms over term lists, each w_i as
-    ((w_i, 1),).  This map reads concatenation as a LinearMap.
+    word[u] holds the terms of alpha(u), read through alpha_t's cache and
+    shared by all c.  The products are folded by H.multiply_terms over term
+    lists, each w_i as ((w_i, 1),), the middle built once per term of psi.
+    This map reads concatenation as a LinearMap.
     """
     ring = t.ring
     concatenation = _concatenation_table(t, hirsch, H, r, check_degree)

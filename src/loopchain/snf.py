@@ -499,7 +499,8 @@ class HomologyBasis:
         self._readers = _inverted([coordinate for _, coordinate, _ in gens])
 
     def coordinates(self, cycle):
-        """Coordinates of a cycle (vector in the degree-n basis) in homology."""
+        """Coordinates of a cycle (vector in the degree-n basis) in homology; for
+        a non-cycle, ValueError names its first (n-1)-token with nonzero boundary."""
         p = self._p
         boundary = {}
         vec = {}
@@ -512,7 +513,9 @@ class HomologyBasis:
                     boundary[k] = (boundary[k] if k in boundary else 0) + x * v
         for v in boundary.values():
             if v % p if p else v:
-                raise ValueError("vector is not a cycle")
+                k = min(k for k, b in boundary.items() if (b % p if p else b))
+                raise ValueError("degree-%d vector is not a cycle: its boundary is nonzero at %r"
+                                 % (self.n, self.complex.basis.basis(self.n - 1)[k]))
         for lead, row, inverse in self._pivots:
             if lead in vec:
                 c = vec[lead] * inverse

@@ -2,7 +2,6 @@ import itertools
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from loopchain.chains import (
     ZZ, F2, F3, Element, LinearMap, generator, suspend, desuspend,
@@ -12,7 +11,7 @@ from loopchain.chains import (
 from loopchain.dg import (
     cobar_construction, bar_construction, universal_twisting,
     couniversal_twisting, cobar_map, bar_map, bar_word, cartesian_product,
-    algebra_realization, coalgebra_realization, bar_cobar_unit,
+    algebra_realization, coalgebra_realization, bar_cobar_unit, cobar_bar_counit,
     HirschCoalgebra, HopfAlgebra, TwistingCochain, hirsch_primitive, tensor_algebra,
 )
 from loopchain.fixtures import (
@@ -27,7 +26,7 @@ from loopchain.hochschild import (
     cohoch_retraction, hoch_section, monoidal_iso,
     hochschild_comultiplication, hochschild_multiplication,
     power_concatenation, power_map, power_map_on_homology, power_domain,
-    check_power_hypotheses, CompatibilityError, _rotations,
+    check_power_hypotheses, CompatibilityError,
 )
 from loopchain.perturbation import BarHopfStructure, bar_shuffle_hopf
 from loopchain.simplicial import double_suspension, get_space, normalized_chains
@@ -343,18 +342,46 @@ def test_cohoch_retraction_retracts():
             assert rho(lifted) == el(tok), tok
 
 
-@settings(derandomize=True, max_examples=300)
-@given(st.lists(st.integers(min_value=-3, max_value=4), min_size=1, max_size=6),
-       st.integers(min_value=-3, max_value=4))
-def test_rotations_sign_is_the_koszul_sign(degrees, middle_degree):
-    pieces = [generator("p%d" % q, d) for q, d in enumerate(degrees)]
-    k = len(pieces)
-    rotations = _rotations(pieces, pieces, ["m"], middle_degree)
-    assert [i for i, _, _ in rotations] == list(range(k))
-    for i, sign, factors in rotations:
-        order = list(range(i, k + 1)) + list(range(i))
-        assert sign == koszul_sign(degrees + [middle_degree], order)
-        assert factors == pieces[i + 1:] + ["m"] + pieces[:i]
+def _sh_map_reference(phi, g, tprime, tok, signs):
+    """sh_map(phi, g, t, t')(tok) from its definition, through public pieces
+    only: for each term kappa l_1|...|l_k of phi(s^{-1}c) and each kept
+    letter l_j, s(l_j) (x) t'(s l_{j+1}) ... t'(s l_k) . g(a) . t'(s l_1)
+    ... t'(s l_{j-1}), the product by multiply_all over the per-letter
+    images, signed by the koszul_sign of the cyclic order; counit (x) g(a)
+    for |c| = 0.  Adds the rotation sign of each nonzero product to signs."""
+    ring, A2 = tprime.ring, tprime.target
+    c, a = tok.data
+    ga = g(el(a, ring=ring))
+    if c.degree == 0:
+        return Element(ring, [(pair(tprime.source.counit_token, v), cv) for v, cv in ga.items()])
+    pairs = []
+    for wtok, kappa in phi(word_token((desuspend(c),))).items():
+        letters = wtok.data
+        images = [tprime.map(suspend(l)) for l in letters]
+        k = len(letters)
+        for j in range(k):
+            order = list(range(j, k + 1)) + list(range(j))
+            sign = koszul_sign([l.degree for l in letters] + [a.degree], order)
+            product = A2.multiply_all(images[j + 1:] + [ga] + images[:j])
+            if not product.is_zero():
+                signs.add(sign)
+            pairs += [(pair(suspend(letters[j]), v), kappa * sign * cv)
+                      for v, cv in product.items()]
+    return Element(ring, pairs)
+
+
+@pytest.mark.parametrize("n, top", [(2, 8), (3, 10)])
+def test_sh_map_matches_its_definition(n, top):
+    # S^2's cobar letter has odd degree, so only S^2 meets a rotation sign of -1
+    C, O, t, H, y, x = _sphere_setup(n, max_degree=top + 3)
+    B = bar_construction(O, max_degree=top + 2)
+    tokens = hochschild_of_algebra(O, bar=B, max_degree=top).complex.basis.through(top)
+    rho = cohoch_retraction(C, cobar=O)
+    eps = cobar_bar_counit(O, B)
+    signs = set()
+    for tok in tokens:
+        assert rho(tok) == _sh_map_reference(eps, identity_map(ZZ), t, tok, signs), tok
+    assert (-1 in signs) == (n == 2)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -390,7 +417,6 @@ def test_hoch_section_is_a_section():
     B = bar_construction(A, max_degree=9)
     sigma = hoch_section(A, bar=B)
     HA = hochschild_of_algebra(A, bar=B, max_degree=8)
-    from loopchain.dg import cobar_bar_counit
     eps = cobar_bar_counit(A, B)
     for n in range(8):
         for tok in HA.complex.basis.basis(n):
@@ -462,7 +488,7 @@ def _multiplication_case(top):
     Hopf, B, nu = bar_shuffle_hopf(A, max_degree=top + 2)
     t = couniversal_twisting(A, B)
     mu = LinearMap(F2, 0, lambda tok: Hopf.mult(*tok.data), "mu")
-    _, swap = monoidal_iso(t, t)
+    swap = monoidal_iso(t, t)
     tt = cartesian_product(t, t)
     basis = hochschild_of_algebra(A, bar=B, max_degree=top).complex.basis
     tokens = [pair(u, v) for u in basis.through(top) for v in basis.through(top - u.degree)]
@@ -499,15 +525,15 @@ def test_monoidal_signs_and_inverse():
     C, Cp = sphere_coalgebra(2), sphere_coalgebra(3)
     t = universal_twisting(C)
     tp = universal_twisting(Cp)
-    fwd, bwd = monoidal_iso(t, tp)
+    swap = monoidal_iso(t, tp)
     y2 = C.complex.basis.basis(2)[0]
     y3 = Cp.complex.basis.basis(3)[0]
     x2, x3 = desuspend(y2), desuspend(y3)
     tok = tensor_token(tensor_token(y2, y3), tensor_token(xk(x2, 1), xk(x3, 1)))
-    img = fwd(tok)
+    img = swap(tok)
     ((itok, coeff),) = list(img.items())
     assert coeff == -1  # (-1)^(|y3|*|x2-word|) = (-1)^(3*1)
-    assert bwd(img) == el(tok)
+    assert swap(img) == el(tok)  # the swap is its own inverse
 
 
 def test_monoidal_is_a_chain_map():
@@ -518,14 +544,14 @@ def test_monoidal_is_a_chain_map():
     Htt = hochschild_general(tt, max_degree=8)
     Ht = hochschild_general(t, max_degree=8)
     Htp = hochschild_general(tp, max_degree=8)
-    fwd, bwd = monoidal_iso(t, tp)
+    swap = monoidal_iso(t, tp)
     # target: H(t) (x) H(t') with the tensor differential
     from loopchain.chains import add_maps, tensor_map
     dT = add_maps(tensor_map(Ht.complex.d, identity_map(ZZ)),
                   tensor_map(identity_map(ZZ), Htp.complex.d))
     for n in range(7):
         for tok in Htt.complex.basis.basis(n):
-            assert dT(fwd(tok)) == fwd(Htt.complex.d(tok)), tok
+            assert dT(swap(tok)) == swap(Htt.complex.d(tok)), tok
 
 
 # --- comultiplication and multiplication -------------------------------------
@@ -686,24 +712,31 @@ def test_power_map_koszul_sign_on_nonreal_aw(r):
     assert verify_chain_map(lam, H.complex, H.complex, 10) is None
 
 
-def test_power_concatenation_rotation_sign():
-    # primitive x, y (degree 2), w (3), z (5), d = 0, and
-    # psi(s^-1 z) = s^-1 z (x) 1 + 1 (x) s^-1 z + [s^-1 x|s^-1 y] (x) s^-1 w
-    #               + s^-1 w (x) [s^-1 x|s^-1 y]
-    # Keeping y rotates s^-1 x past s^-1 y s^-1 w: (-1)^(1 * 3) = -1
+def _rotation_hirsch(ring=ZZ, max_degree=8):
+    """Primitive x, y (degree 2), w (3), z (5), d = 0, and
+    psi(s^-1 z) = s^-1 z (x) 1 + 1 (x) s^-1 z + [s^-1 x|s^-1 y] (x) s^-1 w
+                  + s^-1 w (x) [s^-1 x|s^-1 y],
+    so that mu-tilde_r keeps s^-1 y of a two-letter u_1 with s^-1 x before it."""
     degrees = {"x": 2, "y": 2, "w": 3, "z": 5}
-    C = dg_fixture_from_dict({"kind": "coalgebra", "max_degree": 8, "generators": [
-        {"name": name, "degree": d} for name, d in degrees.items()]})
-    x, y, w, z = (generator(name, d) for name, d in degrees.items())
-    O = cobar_construction(C)
-    sx, sy, sw, sz = (desuspend(c) for c in (x, y, w, z))
+    C = dg_fixture_from_dict({"kind": "coalgebra", "ring": repr(ring), "max_degree": max_degree,
+                              "generators": [{"name": name, "degree": d}
+                                             for name, d in degrees.items()]})
+    sx, sy, sw, sz = (desuspend(generator(name, d)) for name, d in degrees.items())
     empty = word_token(())
-    img = Element(ZZ, [(tensor_token(word_token((sz,)), empty), 1),
-                       (tensor_token(empty, word_token((sz,))), 1),
-                       (tensor_token(word_token((sx, sy)), word_token((sw,))), 1),
-                       (tensor_token(word_token((sw,)), word_token((sx, sy))), 1)])
-    hirsch = hirsch_primitive(C, overrides={sz: img})
-    t = universal_twisting(C, O)
+    img = Element(ring, [(tensor_token(word_token((sz,)), empty), 1),
+                         (tensor_token(empty, word_token((sz,))), 1),
+                         (tensor_token(word_token((sx, sy)), word_token((sw,))), 1),
+                         (tensor_token(word_token((sw,)), word_token((sx, sy))), 1)])
+    return C, hirsch_primitive(C, overrides={sz: img})
+
+
+def test_power_concatenation_rotation_sign():
+    # Keeping y rotates s^-1 x past s^-1 y s^-1 w: (-1)^(1 * 3) = -1
+    C, hirsch = _rotation_hirsch()
+    x, y, w, z = (generator(name, d) for name, d in [("x", 2), ("y", 2), ("w", 3), ("z", 5)])
+    sx, sy, sw = (desuspend(c) for c in (x, y, w))
+    empty = word_token(())
+    t = universal_twisting(C, hirsch.cobar)
     mu2 = power_concatenation(t, hirsch, hirsch.loop_hopf(), 2, check_degree=5)
     assert mu2(pair(z, tensor_token(empty, empty))) == Element(ZZ, [
         (pair(x, word_token((sy, sw))), 1), (pair(y, word_token((sw, sx))), -1),
@@ -715,8 +748,9 @@ def _concatenation_reference(alpha, hirsch, H, r, tok, signs):
     interleave sign is the koszul_sign of reordering u_2 ... u_r w_1 ... w_r
     into w_1 u_2 w_2 ... u_r w_r, each rotation's sign the koszul_sign of its
     cyclic order, alpha is algebra_realization(t), and the products are
-    multiply_all over Elements.  Adds the interleave sign of each nonzero
-    product to signs."""
+    multiply_all over Elements of the per-letter images.  Adds
+    ("interleave", sign) and ("rotation", sign) of each nonzero product to
+    signs."""
     ring = H.ring
     c, wbar = tok.data
     ws = [el(w, ring=ring) for w in wbar.data]
@@ -738,7 +772,7 @@ def _concatenation_reference(alpha, hirsch, H, r, tok, signs):
             sign = koszul_sign([l.degree for l in letters] + [sum(degrees)], order)
             product = H.multiply_all(images[j + 1:] + middle + images[:j])
             if not product.is_zero():
-                signs.add(interleave_sign)
+                signs.update([("interleave", interleave_sign), ("rotation", sign)])
             pairs += [(pair(suspend(letters[j]), v), kappa * interleave_sign * sign * cv)
                       for v, cv in product.items()]
     return Element(ring, pairs)
@@ -759,11 +793,13 @@ def _s3_case(top):
 
 # case -> (build(top) giving t, hirsch, H and H(t); the top total degree of
 # the tokens compared, for each r; the top degree of their C-factor, or None
-# for no bound).  rp_hirsch models Sigma
-# RP^infinity over F2 only: over Z, delta t(y_2) = psi(z_2) is not symmetric
+# for no bound).  Only rotation-Z keeps a letter of u_1 with an odd x before
+# it and an even D, so only it meets a rotation sign of -1.  rp_hirsch models
+# Sigma RP^infinity over F2 only: over Z, delta t(y_2) = psi(z_2) is not symmetric
 # (z_1 (x) z_1 twists to its negative), so C-degree 2 is the last one read.
 CONCATENATION_CASES = {
     "nonreal-aw-Z": (lambda top: _cohoch_case(nonreal_aw_hirsch, ZZ, top), {2: 10, 3: 10}, None),
+    "rotation-Z": (lambda top: _cohoch_case(_rotation_hirsch, ZZ, top), {2: 6, 3: 5}, None),
     "rp-F2": (lambda top: _cohoch_case(rp_hirsch, F2, top), {2: 7, 3: 6}, None),
     "rp-Z": (lambda top: _cohoch_case(rp_hirsch, ZZ, top), {2: 7, 3: 6}, 2),
     "s3-Z": (_s3_case, {2: 2, 3: 1}, None),
@@ -794,7 +830,9 @@ def test_power_concatenation_matches_its_definition(case, r):
                                         for u, cu in H.comult_iterated(w, r).items()])
                 assert lam(tok) == mu(lifted), tok
     if case == "nonreal-aw-Z":
-        assert -1 in signs  # through degree 10 the interleave sign is reached
+        assert ("interleave", -1) in signs  # through degree 10 the interleave sign is reached
+    if case == "rotation-Z":
+        assert ("rotation", -1) in signs  # at z, keeping s^-1 y of [s^-1 x|s^-1 y]
     if c_top is not None:
         y = next(tok for tok in domain.basis(c_top + 1) if tok.data[0].degree == c_top + 1)
         with pytest.raises(CompatibilityError):

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import pathlib
 import pkgutil
+import re
+import sys
 
 try:
     import tomllib
@@ -25,7 +27,9 @@ def test_declared_scripts_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
-def test_every_module_is_imported_by_a_test():
+def _imported_by_tests():
+    """Every module an import in tests/ names, and module.name for each name
+    a from-import takes."""
     imported = set()
     for path in TESTS.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -34,8 +38,21 @@ def test_every_module_is_imported_by_a_test():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module)
                 imported.update("%s.%s" % (node.module, alias.name) for alias in node.names)
+    return imported
+
+
+def test_every_module_is_imported_by_a_test():
     modules = {"loopchain." + m.name for m in pkgutil.iter_modules(loopchain.__path__)}
-    assert sorted(modules - imported) == []
+    assert sorted(modules - _imported_by_tests()) == []
+
+
+def test_the_test_extra_declares_what_the_tests_import():
+    # pip install loopchain[test] must be enough to run tests/ on every
+    # supported Python, tomli (imported on 3.10 only) included
+    extra = tomllib.loads(PYPROJECT.read_text())["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.]+", req).group() for req in extra}
+    top = {name.partition(".")[0] for name in _imported_by_tests()}
+    assert sorted(top - set(sys.stdlib_module_names) - declared - {"loopchain"}) == []
 
 
 def test_every_definition_is_referenced():

@@ -164,8 +164,9 @@ def test_homology_basis_rejects_a_non_cycle(ring, cycle):
     assert len(hb.generators) == 1
     assert hb.coordinates(hb.representatives[0]) == [1]
     assert hb.coordinates(cycle) != [0]
-    with pytest.raises(ValueError, match="not a cycle"):
+    with pytest.raises(ValueError) as raised:
         hb.coordinates([1, 0])
+    assert str(raised.value) == "degree-1 vector is not a cycle: its boundary is nonzero at e0_0"
 
 
 def test_modp_rank():
