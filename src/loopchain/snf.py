@@ -511,11 +511,10 @@ class HomologyBasis:
                 vec[j] = x
                 for k, v in self._rows[j].items():
                     boundary[k] = (boundary[k] if k in boundary else 0) + x * v
-        for v in boundary.values():
-            if v % p if p else v:
-                k = min(k for k, b in boundary.items() if (b % p if p else b))
-                raise ValueError("degree-%d vector is not a cycle: its boundary is nonzero at %r"
-                                 % (self.n, self.complex.basis.basis(self.n - 1)[k]))
+        bad = [k for k, v in boundary.items() if (v % p if p else v)]
+        if bad:
+            raise ValueError("degree-%d vector is not a cycle: its boundary is nonzero at %r"
+                             % (self.n, self.complex.basis.basis(self.n - 1)[min(bad)]))
         for lead, row, inverse in self._pivots:
             if lead in vec:
                 c = vec[lead] * inverse
