@@ -22,7 +22,7 @@ of it; a check_degree checks C_lowest..C_check_degree when it is built.
 
 from .chains import (
     ChainComplex, Element, GradedBasis, LinearMap, Table, identity_map,
-    parity_sign, suspend, desuspend, tensor_map, tensor_product, tensor_token, word_token,
+    parity_sign, suspend, desuspend, tensor_product, tensor_token, word_token,
 )
 from .dg import (
     TwistingCochain, algebra_realization, bar_cobar_unit, bar_construction,
@@ -240,7 +240,7 @@ def sh_map(phi, g, t, tprime, check_degree=None):
     def fn(tok):
         c, a = tok.data
         check(c.degree)
-        ga = g(Element.from_token(ring, a))
+        ga = g(a)
         if c.degree == 0:
             return Element(ring, [(tensor_token(tprime.source.counit_token, v), cv)
                                   for v, cv in ga.items()])
@@ -389,13 +389,20 @@ def _check_power(r):
         raise ValueError("power maps require r >= 1, got %r" % (r,))
 
 
-def check_power_hypotheses(t, hirsch, H, alpha2, c):
+def check_power_hypotheses(t, hirsch, H, word, c):
     """Hypotheses of the power-map theorem on a token c of C: alpha_t is a
     coalgebra map from (Cobar C, psi) to (H, delta) on s^{-1}c, and
-    delta t(c) is symmetric; alpha2 is alpha_t (x) alpha_t on one tensor
-    token.  Returns the message naming a broken hypothesis, or None."""
+    delta t(c) is symmetric.  word[u] holds the terms of alpha_t(u), of degree
+    0, so a term kappa a (x) b of psi(s^{-1}c) gives kappa word[a] (x) word[b],
+    skipped once word[a], then word[b], is empty.  Returns the message naming
+    a broken hypothesis, or None."""
     dt = t.map(c).apply(H.comult)  # delta alpha_t(s^{-1}c) = delta t(c)
-    if hirsch.psi(word_token((desuspend(c),))).apply(alpha2) != dt:
+    pairs = []
+    for tens, kappa in hirsch.psi(word_token((desuspend(c),))).terms.items():
+        a, b = tens.data
+        if word[a] and word[b]:
+            pairs += [(tensor_token(u, v), kappa * cu * cv) for u, cu in word[a] for v, cv in word[b]]
+    if Element(dt.ring, pairs) != dt:
         return "alpha_t is not a coalgebra map"
     if twist_tensor(t.ring, dt) != dt:
         return "delta t is not symmetric"
@@ -422,18 +429,18 @@ def _concatenation_table(t, hirsch, H, r, check_degree):
     _check_power(r)
     ring = t.ring
     alpha = algebra_realization(t)
-    alpha2 = tensor_map(alpha, alpha).fn  # uncached: each term of psi(s^{-1}c) is read once
-    check = _hypothesis(t.source, 1, lambda c: check_power_hypotheses(t, hirsch, H, alpha2, c),
+    word = Table(lambda u: alpha.fn(u).terms.items())
+    check = _hypothesis(t.source, 1, lambda c: check_power_hypotheses(t, hirsch, H, word, c),
                         check_degree)
-    word = Table(lambda u: alpha(u).terms.items())
 
     def expansion(c):
         check(c.degree)
         out = []
         for tens, kappa in hirsch.comult_iterated(word_token((desuspend(c),)), r).items():
             u1, us = tens.data[0], tens.data[1:]
-            if u1.data:
-                out.append((_letter_cuts(u1.data, word.__getitem__), [word[u] for u in us],
+            alpha_us = [word[u] for u in us]
+            if u1.data and all(alpha_us):  # else the term adds nothing
+                out.append((_letter_cuts(u1.data, word.__getitem__), alpha_us,
                             [u.degree for u in us], kappa))
         return out
 
@@ -482,14 +489,14 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
 
     Each structure is read once per token, into a Table: concatenation[c,
     wbar] holds the terms of mu-tilde_r(c (x) wbar).  psi[c] holds, per
-    C-token c, each term of psi^(r)(s^{-1}c) with u_1 nonempty: the cuts
-    (s l, |x|, [alpha(z)], [alpha(x)]) of u_1, the terms of alpha(u_2), ...,
-    alpha(u_r), their degrees, and kappa; it is filled after
-    check_power_hypotheses has run on the C-degrees through |c|, from C_1.
-    word[u] holds the terms of alpha(u), read through alpha_t's cache and
-    shared by all c.  The products are folded by H.multiply_terms over term
-    lists, each w_i as ((w_i, 1),), the middle built once per term of psi.
-    This map reads concatenation as a LinearMap.
+    C-token c, each term of psi^(r)(s^{-1}c) with u_1 nonempty and alpha(u_2),
+    ..., alpha(u_r) nonzero: the cuts (s l, |x|, [alpha(z)], [alpha(x)]) of
+    u_1, the terms of alpha(u_2), ..., alpha(u_r), their degrees, and kappa;
+    it is filled after check_power_hypotheses has run on the C-degrees
+    through |c|, from C_1.  word[u] holds the terms of alpha(u), computed once
+    and shared by all c and by the check.  The products are folded by
+    H.multiply_terms over term lists, each w_i as ((w_i, 1),), the middle
+    built once per term of psi.  This map reads concatenation as a LinearMap.
     """
     ring = t.ring
     concatenation = _concatenation_table(t, hirsch, H, r, check_degree)

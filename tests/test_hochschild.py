@@ -6,7 +6,7 @@ import pytest
 from loopchain.chains import (
     ZZ, F2, F3, Element, LinearMap, generator, suspend, desuspend,
     tensor_token, word_token, verify_chain_map, identity_map, koszul_sign,
-    operator_application_sign, parity_sign,
+    operator_application_sign, parity_sign, tensor_map,
 )
 from loopchain.dg import (
     cobar_construction, bar_construction, universal_twisting,
@@ -985,6 +985,56 @@ def test_power_map_rejects_a_psi_alpha_t_does_not_preserve():
     assert raised.value.token.degree == 1
 
 
+# An extra term (left word, right word) of psi(s^{-1}[b|a]) on Cobar Bar E(a,b),
+# in the letters a = s^{-1}[a], b = s^{-1}[b] and aa = s^{-1}[a|a], and whether
+# alpha_t (x) alpha_t keeps it: alpha_t kills a|a as a^2 = 0, and aa as t
+# vanishes on [a|a]
+EXTRA_PSI_TERMS = {
+    "killed-left": (("a", "a"), ("b",), False),
+    "killed-right": (("b",), ("a", "a"), False),
+    "killed-off-support": (("aa",), (), False),
+    "kept-left": (("a", "b"), ("b",), True),
+    "kept-right": (("b",), ("a", "b"), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_PSI_TERMS))
+def test_power_check_skips_exactly_the_terms_alpha_t_kills(name):
+    # a wrong extra term of psi is accepted iff alpha_t (x) alpha_t of it is zero,
+    # and a kept one is reported at the token whose psi carries it
+    left, right, kept = EXTRA_PSI_TERMS[name]
+    H = hopf_fixtures()["exterior-two"]
+    bh = BarHopfStructure(H, 4)
+    t = couniversal_twisting(H.algebra, bh.barH)
+    alpha = algebra_realization(t)
+    b_, a_ = bh.barH.complex.basis.basis(2)
+    ba = word_token(b_.data + a_.data)
+    letters = {"a": desuspend(a_), "b": desuspend(b_),
+               "aa": desuspend(word_token(a_.data + a_.data))}
+    extra = tensor_token(word_token(letters[x] for x in left),
+                         word_token(letters[x] for x in right))
+    assert extra.degree == ba.degree - 1
+    assert tensor_map(alpha, alpha)(extra).is_zero() is not kept
+
+    def gen(letter):
+        return bh._gen(letter) + el(extra) if letter is desuspend(ba) else bh._gen(letter)
+
+    bad = HirschCoalgebra(bh.barH, gen)
+    if kept:
+        with pytest.raises(CompatibilityError, match="alpha_t is not a coalgebra map") as raised:
+            power_map(t, bad, H, 2, check_degree=4)
+        assert raised.value.token is ba
+        return
+    power_map(t, bad, H, 2, check_degree=4)
+    # mu-tilde_2 may drop only the terms with alpha_t(u_2) = 0: it keeps a letter
+    # of u_1, so an alpha_t-killed u_1, as aa (x) 1, still adds s(aa) (x) w_1 w_2
+    mu = power_concatenation(t, bad, H, 2)
+    A = list(H.algebra.complex.basis.through(2))
+    for w1, w2 in itertools.product(A, A):
+        tok = pair(ba, tensor_token(w1, w2))
+        assert mu(tok) == _concatenation_reference(alpha, bad, H, 2, tok, set()), tok
+
+
 @pytest.mark.parametrize("r", [0, -1])
 def test_power_maps_reject_nonpositive_r(r):
     C, hirsch = rp_hirsch()
@@ -1115,8 +1165,10 @@ def test_hirsch_coalgebra_is_its_loop_hopf_algebra():
 
 
 def test_power_check_caches_no_alpha_tensor_images():
-    # check_power_hypotheses reads alpha_t (x) alpha_t of each term of psi(s^{-1}c)
-    # once, so it applies it uncached: H's Delta is the only new cache of A (x) A terms
+    # check_power_hypotheses reads alpha_t of each side of a term of psi(s^{-1}c)
+    # from mu-tilde_r's Table of alpha_t's images of cobar words, and tensors the
+    # two in place, never through a cached map: H's Delta is the only new cache
+    # of A (x) A terms
     import gc
     H = group_ring_hopf(BUILTIN_GROUPS["s3"])
     bh = BarHopfStructure(H, 5)
