@@ -241,7 +241,8 @@ class Element:
     terms maps each token to its coefficient, reduced mod p over F_p; zero
     terms are dropped.  _add is the one loop that writes terms: the
     constructor feeds it (token, coefficient) pairs, and apply, bilinear
-    and tensor_product build their sums through the constructor.
+    and tensor_product build their sums through the constructor.  _add
+    merges by in, subscript and del alone, with no call per term.
     """
 
     __slots__ = ("ring", "terms")
@@ -254,16 +255,16 @@ class Element:
 
     def _add(self, pairs):
         terms = self.terms
-        get = terms.get
         p = self.ring.p
         for tok, c in pairs:
-            c += get(tok, 0)
+            if tok in terms:
+                c += terms[tok]
             if p:
                 c %= p
             if c:
                 terms[tok] = c
-            else:
-                terms.pop(tok, None)
+            elif tok in terms:
+                del terms[tok]
 
     def _accumulate(self, tok, c):
         self._add(((tok, c),))
@@ -356,8 +357,9 @@ class LinearMap:
     the factors before it.
     Maps are pure, so each map caches fn's image of every token it is
     applied to, keyed by the (interned) token, for as long as the map lives;
-    an element is mapped through the cached images of its tokens.  Cached
-    images are shared Elements, so callers must not mutate them.
+    an element is mapped by subscripts of the cache, calling _image only on
+    a miss, so no call per cached term.  Cached images are shared Elements,
+    so callers must not mutate them.
     """
 
     __slots__ = ("ring", "shift", "fn", "name", "_cache")
@@ -372,14 +374,16 @@ class LinearMap:
     def _image(self, tok):
         img = self._cache.get(tok)
         if img is None:
-            img = self.fn(tok)
-            self._cache[tok] = img
+            img = self._cache[tok] = self.fn(tok)
         return img
 
     def __call__(self, x):
-        if isinstance(x, Token):
+        if x.__class__ is Token:
             return self._image(x)
-        return x.apply(self._image)
+        cache = self._cache
+        return Element(self.ring, [(u, c * img[u]) for t, c in x.terms.items()
+                                   for img in [(cache[t] if t in cache else self._image(t)).terms]
+                                   for u in img])
 
     def __repr__(self):
         return "LinearMap(%s, shift=%+d)" % (self.name or "?", self.shift)
@@ -498,20 +502,14 @@ class InfiniteTypeError(Exception):
 
 
 class ChainComplex:
-    """A graded basis with a differential (shift -1)."""
+    """A graded basis with a differential (shift -1); ring and max_degree are the basis's."""
 
     def __init__(self, basis, differential, name=""):
         self.basis = basis
+        self.ring = basis.ring
+        self.max_degree = basis.max_degree
         self.d = differential
         self.name = name
-
-    @property
-    def ring(self):
-        return self.basis.ring
-
-    @property
-    def max_degree(self):
-        return self.basis.max_degree
 
     def check_d_squared(self, through_degree):
         """First token with d(d(token)) != 0, or None."""

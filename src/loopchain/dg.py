@@ -19,11 +19,7 @@ from .chains import (
 
 
 class _OnComplex:
-    """What an algebra and a coalgebra read off their one chain complex."""
-
-    @property
-    def ring(self):
-        return self.complex.ring
+    """What an algebra and a coalgebra read off their complex; constructors set ring."""
 
     @property
     def d(self):
@@ -44,10 +40,12 @@ class DGAlgebra(_OnComplex):
     elements into one Element; mult(a, b) is the product of two tokens as
     an Element.  The basis must be aligned with the augmentation: it kills
     every basis token but the unit (fixtures are stated in such a basis).
+    The constructor sets ring from the complex.
     """
 
     def __init__(self, complex_, unit, product, name=""):
         self.complex = complex_
+        self.ring = complex_.ring
         self.unit = unit
         self.product = product
         self.name = name or complex_.name
@@ -126,11 +124,12 @@ class DGCoalgebra(_OnComplex):
     The comultiplication is a LinearMap, so it caches its image of a token;
     a comult that is already a LinearMap is used as it is.  The reduced
     comultiplication filters that cached image.  The counit defaults to the
-    indicator of counit_token.
+    indicator of counit_token.  The constructor sets ring from the complex.
     """
 
     def __init__(self, complex_, counit_token, comult, counit=None, name=""):
         self.complex = complex_
+        self.ring = complex_.ring
         self.counit_token = counit_token
         self._comult = comult if isinstance(comult, LinearMap) else \
             LinearMap(complex_.ring, 0, comult, "Delta")
@@ -271,15 +270,12 @@ class TwistingCochain:
 
     def __init__(self, source, target, tmap, name="", cuts=None):
         self.source = source
+        self.ring = source.ring
         self.target = target
         self.map = tmap
         self.name = name
         if cuts is not None:
             self.cuts = cuts
-
-    @property
-    def ring(self):
-        return self.source.ring
 
     def cuts(self, y):
         if not y.degree:
@@ -505,11 +501,18 @@ def couniversal_twisting(A, bar=None):
 
 
 def algebra_realization(t):
-    """alpha_t: Cobar C -> A, the multiplicative extension of t."""
+    """alpha_t: Cobar C -> A, the multiplicative extension of t; fn returns
+    the zero image of the first letter t kills, reading no later letter."""
     A = t.target
 
     def fn(tok):
-        return A.multiply_all([t.map(suspend(letter)) for letter in tok.data])
+        images = []
+        for letter in tok.data:
+            image = t.map(suspend(letter))
+            if not image.terms:
+                return image
+            images.append(image)
+        return A.multiply_all(images)
 
     return LinearMap(t.ring, 0, fn, "alpha_t")
 

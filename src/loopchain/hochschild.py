@@ -86,11 +86,8 @@ class HochschildComplex:
         self.N = t.source
         self.M = t.target
         self.complex = complex_
+        self.ring = complex_.ring
         self.name = name
-
-    @property
-    def ring(self):
-        return self.complex.ring
 
     def include_fiber(self, x):
         """A -> H, x |-> counit (x) x."""
@@ -440,7 +437,8 @@ def _concatenation_table(t, hirsch, H, r, check_degree):
             u1, us = tens.data[0], tens.data[1:]
             alpha_us = [word[u] for u in us]
             if u1.data and all(alpha_us):  # else the term adds nothing
-                out.append((_letter_cuts(u1.data, word.__getitem__), alpha_us,
+                out.append((_letter_cuts(u1.data, word.__getitem__),
+                            [[a] if u.data else [] for a, u in zip(alpha_us, us)],
                             [u.degree for u in us], kappa))
         return out
 
@@ -458,7 +456,7 @@ def _concatenation_table(t, hirsch, H, r, check_degree):
             # w_1 . alpha(u_2) . w_2 ... alpha(u_r) . w_r, each u_i moved past w_1 ... w_{i-1}
             middle, exponent, before = ws[:1], 0, w_degrees[0]
             for a, du, w, dw in zip(alpha_us, u_degrees, ws[1:], w_degrees[1:]):
-                middle += [a, w]
+                middle += a + [w]
                 exponent += du * before
                 before += dw
             coeff = kappa * parity_sign(exponent)
@@ -483,20 +481,21 @@ def power_concatenation(t, hirsch, H, r, check_degree=None):
         c (x) wbar |-> sum kappa (-1)^(e + |x| (D - |x|))
             s(l) (x) alpha(z) . w_1 . alpha(u_2) ... alpha(u_r) . w_r . alpha(x),
 
-    D = |c| - 1 + |wbar|, an empty outer word left out of the product, and
-    (-1)^e, e = sum_i |u_i| (|w_1| + ... + |w_{i-1}|), the Koszul sign of
-    interleaving the u's and w's.  For |c| = 0 the image is c (x) w_1 ... w_r.
+    D = |c| - 1 + |wbar|, an empty outer word or u_i left out of the
+    product, and (-1)^e, e = sum_i |u_i| (|w_1| + ... + |w_{i-1}|), the Koszul
+    sign of interleaving the u's and w's.  For |c| = 0 it is c (x) w_1 ... w_r.
 
     Each structure is read once per token, into a Table: concatenation[c,
     wbar] holds the terms of mu-tilde_r(c (x) wbar).  psi[c] holds, per
     C-token c, each term of psi^(r)(s^{-1}c) with u_1 nonempty and alpha(u_2),
     ..., alpha(u_r) nonzero: the cuts (s l, |x|, [alpha(z)], [alpha(x)]) of
-    u_1, the terms of alpha(u_2), ..., alpha(u_r), their degrees, and kappa;
-    it is filled after check_power_hypotheses has run on the C-degrees
-    through |c|, from C_1.  word[u] holds the terms of alpha(u), computed once
-    and shared by all c and by the check.  The products are folded by
-    H.multiply_terms over term lists, each w_i as ((w_i, 1),), the middle
-    built once per term of psi.  This map reads concatenation as a LinearMap.
+    u_1, for each i >= 2 [alpha(u_i)], or [] for an empty u_i as for an empty
+    outer word, the degrees of u_2, ..., u_r, and kappa; it is filled after
+    check_power_hypotheses has run on the C-degrees through |c|, from C_1.
+    word[u] holds the terms of alpha(u), computed once and shared by all c
+    and by the check.  The products are folded by H.multiply_terms over term
+    lists, each w_i as ((w_i, 1),), the middle built once per term of psi.
+    This map reads concatenation as a LinearMap.
     """
     ring = t.ring
     concatenation = _concatenation_table(t, hirsch, H, r, check_degree)

@@ -1,10 +1,12 @@
+import cProfile
+import gc
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from loopchain.chains import (
-    ZZ, F2, Element, GradedBasis, ChainComplex, LinearMap, DegreeOverflowError,
+    ZZ, F2, F3, Element, GradedBasis, ChainComplex, LinearMap, DegreeOverflowError,
     generator, suspend, desuspend, tensor_token, word_token, sort_key,
     koszul_sign, tensor_map, tensor_maps, identity_map, zero_map,
     verify_chain_map, map_from_table,
@@ -17,6 +19,30 @@ def tok(name, deg):
 
 def el(t, c=1, ring=ZZ):
     return Element.from_token(ring, t, c)
+
+
+def profiled_calls(fn, *args):
+    """Every Python and builtin call of fn(*args), counted as perfbench counts
+    them, with the collector off so that no finalizer runs inside the count."""
+    prof = cProfile.Profile()
+    gc.disable()
+    try:
+        prof.runcall(fn, *args)
+    finally:
+        gc.enable()
+    return sum(e.callcount for e in prof.getstats())
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3])
+def test_sums_and_cached_maps_make_no_call_per_term(ring):
+    letters = [tok("n%d" % i, 1) for i in range(1000)]
+    # repeated tokens whose coefficients cancel, and over F3 reduce to zero
+    pairs = [(letters[i % 300], i - 500) for i in range(1000)]
+    assert profiled_calls(Element, ring, pairs[:10]) == profiled_calls(Element, ring, pairs)
+    f = LinearMap(ring, 0, lambda t: Element(ring, [(suspend(t), 2), (desuspend(t), -1)]))
+    small, large = (Element(ring, [(t, 1) for t in letters[:n]]) for n in (10, 1000))
+    f(large)  # caches the image of every token
+    assert profiled_calls(f, small) == profiled_calls(f, large)
 
 
 # --- koszul signs -----------------------------------------------------------

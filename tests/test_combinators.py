@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopchain.chains import (
-    ZZ, F2, F3, F5, Element, generator, tensor_product, tensor_token, word_token,
+    ZZ, F2, F3, F5, Element, Table, generator, tensor_product, tensor_token, word_token,
 )
 
 TOKENS = [generator(name, degree) for name, degree in
@@ -39,6 +39,24 @@ def product(s, t):
 @given(rings, pair_lists)
 def test_constructor_is_the_dict_of_sums(ring, pairs):
     assert Element(ring, pairs).terms == reference(ring, pairs)
+
+
+@given(rings, pair_lists)
+def test_constructor_reads_every_input_form_alike(ring, pairs):
+    # a dict, a Table (a dict subclass), a dict's items view and a pair list
+    merged = reference(ring, pairs)
+    table = Table(lambda tok: 0)
+    table.update(merged)
+    forms = [merged, table, merged.items(), list(merged.items())]
+    assert all(Element(ring, form).terms == merged for form in forms)
+
+
+@pytest.mark.parametrize("ring", [ZZ, F2, F3, F5])
+def test_a_token_that_cancels_and_reappears_keeps_only_its_last_coefficient(ring):
+    b, c = TOKENS[1], TOKENS[2]
+    pairs = [(b, 1), (c, 1), (b, -1), (b, -1)]
+    assert Element(ring, pairs[:3]).terms == {c: 1}
+    assert Element(ring, pairs).terms == {c: 1, b: -1 % ring.p if ring.p else -1}
 
 
 @given(rings, pair_lists)

@@ -1078,6 +1078,23 @@ def _words_through(hirsch, top):
     return [w for n in range(top + 1) for w in hirsch.cobar.complex.basis.basis(n)]
 
 
+def test_alpha_t_is_the_product_of_every_letter_image():
+    # alpha_t stops at the first letter that t kills; for the couniversal t of
+    # Z[S3] that is every letter of two or more bar entries, so killed words
+    # come with a kept letter on either side of the killed one
+    H = group_ring_hopf(BUILTIN_GROUPS["s3"])
+    bh = BarHopfStructure(H, 4)
+    t = couniversal_twisting(H, bh.barH)
+    alpha = algebra_realization(t)
+    kinds = set()
+    for w in _bar_s3_words(bh, 4):  # every word of cobar degree <= 3 and weight <= 4
+        images = [t.map(suspend(letter)) for letter in w.data]
+        assert alpha(w) == H.multiply_all(images), w
+        kinds.add(tuple(x.is_zero() for x in images))
+    assert {(False,), (True,), (False, False, False, False), (True, False), (False, True),
+            (False, True, False)} <= kinds
+
+
 def test_cached_psi_equals_the_letter_fold():
     # rp over Z and nonreal_aw_hirsch (a non-primitive top class over Z) show
     # the sign (-1)^{|b||a'|} of the closed-form product, which F2 hides
