@@ -9,6 +9,10 @@ Tokens are interned (hash-consed): one object per token, built on first
 request and returned again on every later one, so tokens compare and hash
 by identity and each keeps its sort key once computed.
 
+Memoisation has one home, Table: a dict that fills a key on its first
+read.  A LinearMap caches the image of every token in a Table filled by
+its _image, so a cached image is read by a subscript, not a call.
+
 Sums have one home, Element: its constructor is the one loop that merges
 (token, coefficient) pairs, reduces them mod p and drops zero terms.  Every
 sum in the library is built through it, by the constructor on a list of
@@ -349,46 +353,6 @@ def tensor_product(ring, factors, coeff=1, join=_flat_tensor):
 # Graded linear maps
 
 
-class LinearMap:
-    """Degree-shifting map given by images of basis tokens.
-
-    fn maps a token to an Element; linear extension over elements is
-    implicit.  tensor_maps carries the Koszul sign of passing a map over
-    the factors before it.
-    Maps are pure, so each map caches fn's image of every token it is
-    applied to, keyed by the (interned) token, for as long as the map lives;
-    an element is mapped by subscripts of the cache, calling _image only on
-    a miss, so no call per cached term.  Cached images are shared Elements,
-    so callers must not mutate them.
-    """
-
-    __slots__ = ("ring", "shift", "fn", "name", "_cache")
-
-    def __init__(self, ring, shift, fn, name=""):
-        self.ring = ring
-        self.shift = shift
-        self.fn = fn
-        self.name = name
-        self._cache = {}
-
-    def _image(self, tok):
-        img = self._cache.get(tok)
-        if img is None:
-            img = self._cache[tok] = self.fn(tok)
-        return img
-
-    def __call__(self, x):
-        if x.__class__ is Token:
-            return self._image(x)
-        cache = self._cache
-        return Element(self.ring, [(u, c * img[u]) for t, c in x.terms.items()
-                                   for img in [(cache[t] if t in cache else self._image(t)).terms]
-                                   for u in img])
-
-    def __repr__(self):
-        return "LinearMap(%s, shift=%+d)" % (self.name or "?", self.shift)
-
-
 class Table(dict):
     """A dict that fills a key with fill(key) on its first read, table[key]:
     each key is computed once, and a later read is one lookup, not a call."""
@@ -402,6 +366,43 @@ class Table(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
+
+
+class LinearMap:
+    """Degree-shifting map given by images of basis tokens.
+
+    fn maps a token to an Element; linear extension over elements is
+    implicit.  tensor_maps carries the Koszul sign of passing a map over
+    the factors before it.
+    Maps are pure, so each map caches fn's image of every token it is
+    applied to in a Table filled by _image, once per (interned) token, for
+    as long as the map lives: a token is mapped by one subscript of the
+    cache and an element by one subscript per term, with no call per cached
+    term.  Cached images are shared Elements, so callers must not mutate
+    them.
+    """
+
+    __slots__ = ("ring", "shift", "fn", "name", "_cache")
+
+    def __init__(self, ring, shift, fn, name=""):
+        self.ring = ring
+        self.shift = shift
+        self.fn = fn
+        self.name = name
+        self._cache = Table(self._image)
+
+    def _image(self, tok):
+        return self.fn(tok)
+
+    def __call__(self, x):
+        cache = self._cache
+        if x.__class__ is Token:
+            return cache[x]
+        return Element(self.ring, [(u, c * img[u]) for t, c in x.terms.items()
+                                   for img in [cache[t].terms] for u in img])
+
+    def __repr__(self):
+        return "LinearMap(%s, shift=%+d)" % (self.name or "?", self.shift)
 
 
 def identity_map(ring):

@@ -13,24 +13,11 @@ with each letter's image under psi built once.
 
 from .chains import (
     ChainComplex, DegreeOverflowError, Element, GradedBasis, InfiniteTypeError, LinearMap, Table,
-    add_maps, identity_map, parity_sign, suspend, desuspend,
-    tensor_map, tensor_maps, tensor_product, tensor_token, word_token,
+    parity_sign, suspend, desuspend, tensor_map, tensor_product, tensor_token, word_token,
 )
 
 
-class _OnComplex:
-    """What an algebra and a coalgebra read off their complex; constructors set ring."""
-
-    @property
-    def d(self):
-        return self.complex.d
-
-    @property
-    def max_degree(self):
-        return self.complex.max_degree
-
-
-class DGAlgebra(_OnComplex):
+class DGAlgebra:
     """Augmented chain algebra whose augmentation is the indicator of the unit.
 
     The algebra is given by one product function: product(a, b) on basis
@@ -40,12 +27,14 @@ class DGAlgebra(_OnComplex):
     elements into one Element; mult(a, b) is the product of two tokens as
     an Element.  The basis must be aligned with the augmentation: it kills
     every basis token but the unit (fixtures are stated in such a basis).
-    The constructor sets ring from the complex.
+    The constructor sets ring, d and max_degree from the complex.
     """
 
     def __init__(self, complex_, unit, product, name=""):
         self.complex = complex_
         self.ring = complex_.ring
+        self.d = complex_.d
+        self.max_degree = complex_.max_degree
         self.unit = unit
         self.product = product
         self.name = name or complex_.name
@@ -118,18 +107,21 @@ def _pairs(basis, top):
     return ((a, b) for a in basis.through(top) for b in basis.through(top - a.degree))
 
 
-class DGCoalgebra(_OnComplex):
+class DGCoalgebra:
     """Coaugmented chain coalgebra; connected when degree 0 is R*1.
 
     The comultiplication is a LinearMap, so it caches its image of a token;
     a comult that is already a LinearMap is used as it is.  The reduced
     comultiplication filters that cached image.  The counit defaults to the
-    indicator of counit_token.  The constructor sets ring from the complex.
+    indicator of counit_token.  The constructor sets ring, d and max_degree
+    from the complex.
     """
 
     def __init__(self, complex_, counit_token, comult, counit=None, name=""):
         self.complex = complex_
         self.ring = complex_.ring
+        self.d = complex_.d
+        self.max_degree = complex_.max_degree
         self.counit_token = counit_token
         self._comult = comult if isinstance(comult, LinearMap) else \
             LinearMap(complex_.ring, 0, comult, "Delta")
@@ -147,9 +139,19 @@ class DGCoalgebra(_OnComplex):
                                    if t.data[0].degree > 0 and t.data[1].degree > 0])
 
     def comult_iterated(self, tok, k):
-        """Full Delta^(k) as an element of k-fold tensor tokens; Delta^(2) is
-        the cached Delta(tok) itself."""
-        return _split_first_iterated(self.ring, tok, self._comult, k)
+        """Full Delta^(k) as an element of flat k-fold tensor tokens, the left
+        fold Delta^(k) = (Delta (x) Id^(k-2)) Delta^(k-1) of the cached Delta:
+        Delta^(2) is Delta(tok) itself, Delta^(1) the one-fold tensor token
+        of tok."""
+        ring, comult = self.ring, self._comult
+        if k == 1:
+            return Element.from_token(ring, tensor_token(tok))
+        out = comult(tok)
+        for _ in range(k - 2):
+            out = Element(ring, [(tensor_token(*(u.data + t.data[1:])), c * cu)
+                                 for t, c in out.terms.items()
+                                 for u, cu in comult(t.data[0]).terms.items()])
+        return out
 
     def is_connected(self):
         return self.complex.basis.basis(0) == [self.counit_token]
@@ -187,19 +189,6 @@ class DGCoalgebra(_OnComplex):
         """First checked token with tau Delta != Delta, or None."""
         return next((t for t in self._checked_tokens(through_degree)
                      if twist_tensor(self.ring, self._comult(t)) != self._comult(t)), None)
-
-
-def _split_first_iterated(ring, tok, split, k):
-    """(split (x) Id^(k-2)) ... (split (x) Id) split (tok): the left-iterated
-    k-fold splitting of tok, in flat k-fold tensor tokens.  k = 2 returns
-    split(tok) itself, k = 1 the one-fold tensor token of tok."""
-    if k == 1:
-        return Element.from_token(ring, tensor_token(tok))
-    out = split(tok)
-    for _ in range(k - 2):
-        out = Element(ring, [(tensor_token(*(u.data + t.data[1:])), c * cu)
-                             for t, c in out.items() for u, cu in split(t.data[0]).items()])
-    return out
 
 
 def _split_last(ring, tok, split):
@@ -588,38 +577,54 @@ def cobar_bar_section(A):
 
 def _tensor_complex(factors, max_degree):
     """Basis of flat tensor tokens and the Koszul-signed Leibniz differential
-    for the tensor product of the complexes of the given (co)algebras."""
+    for the tensor product of the complexes of the given (co)algebras.
+
+    Degree n of the basis is one fold over the factors: each prefix of
+    tokens x_1..x_i keeps the degree it leaves to the later factors, and
+    the prefixes that leave none are the tokens.  d is one LinearMap for
+    any number m of factors, the Leibniz rule
+        d(x_1 (x) ... (x) x_m)
+          = sum_i (-1)^(|x_1| + ... + |x_(i-1)|) x_1 (x) ... (x) dx_i (x) ... (x) x_m,
+    with dx_i read through the cache of the i-th factor's d; the passage
+    sign starts at 1 and flips after each odd factor."""
     ring = factors[0].ring
     if max_degree is None:
         max_degree = min(f.max_degree for f in factors)
-    n_factors = len(factors)
+    ds = [f.d for f in factors]
 
     def basis_fn(n):
-        out = []
+        prefixes = [((), n)]
+        for f in factors:
+            prefixes = [(xs + (x,), left - x.degree) for xs, left in prefixes
+                        for x in f.complex.basis.through(left)]
+        return [tensor_token(*xs) for xs, left in prefixes if not left]
 
-        def build(i, remaining, prefix):
-            if i == n_factors:
-                if remaining == 0:
-                    out.append(tensor_token(*prefix))
-                return
-            for d in range(0, remaining + 1):
-                if i == n_factors - 1 and d != remaining:
-                    continue
-                for t in factors[i].complex.basis.basis(d):
-                    build(i + 1, remaining - d, prefix + [t])
-
-        build(0, n, [])
-        return out
+    def leibniz(tok):
+        xs = tok.data
+        pairs = []
+        passage = 1
+        for i, x in enumerate(xs):
+            head, tail = xs[:i], xs[i + 1:]
+            pairs += [(tensor_token(*head, u, *tail), passage * c)
+                      for u, c in ds[i](x).terms.items()]
+            if x.degree % 2:
+                passage = -passage
+        return Element(ring, pairs)
 
     name = "(x)".join(f.name for f in factors)
     basis = GradedBasis(ring, basis_fn, max_degree, name)
-    d = None
-    for i in range(n_factors):
-        slot = [identity_map(ring)] * n_factors
-        slot[i] = factors[i].complex.d
-        term = tensor_maps(slot)
-        d = term if d is None else add_maps(d, term)
-    return ChainComplex(basis, d, name)
+    return ChainComplex(basis, LinearMap(ring, -1, leibniz, "d_" + name), name)
+
+
+def _interleave_exponent(left, right):
+    """The Koszul exponent of interleaving a_1..a_m b_1..b_m, the factors of
+    the tensor tokens left and right, into a_1 b_1 .. a_m b_m: each b_i passes
+    a_j for j > i.  Unshuffling a_1 b_1 .. a_m b_m back has the same sign."""
+    later, exponent = left.degree, 0
+    for a, b in zip(left.data, right.data):
+        later -= a.degree
+        exponent += b.degree * later
+    return exponent
 
 
 def tensor_algebra(*algebras, max_degree=None):
@@ -629,12 +634,7 @@ def tensor_algebra(*algebras, max_degree=None):
     products = [a.product for a in algebras]
 
     def product(s, t):
-        # interleave a_1..a_n b_1..b_n: each b_i passes a_j for j > i
-        later, exponent = s.degree, 0
-        for a, b in zip(s.data, t.data):
-            later -= a.degree
-            exponent += b.degree * later
-        partial = [((), parity_sign(exponent))]
+        partial = [((), parity_sign(_interleave_exponent(s, t)))]
         for prod, a, b in zip(products, s.data, t.data):
             factor = prod(a, b)
             partial = [(us + (u,), c * cu) for us, c in partial for u, cu in factor]
@@ -645,26 +645,19 @@ def tensor_algebra(*algebras, max_degree=None):
 
 def _tensor_comult(coalgebras):
     """The componentwise comultiplication on flat tensor tokens of the given
-    coalgebras, with the Koszul sign of the unshuffle."""
+    coalgebras, with the Koszul sign of the unshuffle
+    x_1 y_1 .. x_n y_n -> x_1 .. x_n y_1 .. y_n."""
     ring = coalgebras[0].ring
 
     def unshuffle(pairs):
         return tensor_token(tensor_token(*[t.data[0] for t in pairs]),
                             tensor_token(*[t.data[1] for t in pairs]))
 
-    def unshuffle_sign(tok):
-        # unshuffle x_1 y_1..x_n y_n to x_1..x_n y_1..y_n: each y_i passes x_j for j > i
-        left, right = tok.data
-        later, exponent = left.degree, 0
-        for x, y in zip(left.data, right.data):
-            later -= x.degree
-            exponent += y.degree * later
-        return parity_sign(exponent)
-
     def comult(tok):
         expanded = tensor_product(ring, [c.comult(part) for c, part in zip(coalgebras, tok.data)],
                                   join=unshuffle)
-        return Element(ring, [(t, c * unshuffle_sign(t)) for t, c in expanded.items()])
+        return Element(ring, [(t, c * parity_sign(_interleave_exponent(*t.data)))
+                              for t, c in expanded.terms.items()])
 
     return comult
 

@@ -448,7 +448,7 @@ def _concatenation_table(t, hirsch, H, r, check_degree):
         c, wbar = key
         ws = [((w, 1),) for w in wbar.data]
         if c.degree == 0:
-            return {tensor_token(c, v): cv for v, cv in H.multiply_terms(ws).items()}.items()
+            return {tensor_token(c, v): cv for v, cv in H.multiply_terms(ws).terms.items()}.items()
         w_degrees = [w.degree for w in wbar.data]
         total = c.degree - 1 + wbar.degree
         pairs = []
@@ -463,7 +463,7 @@ def _concatenation_table(t, hirsch, H, r, check_degree):
             for kept, p, az, ax in cuts:
                 sign = coeff * parity_sign(p * (total - p))
                 pairs += [(tensor_token(kept, v), sign * cv)
-                          for v, cv in H.multiply_terms(az + middle + ax).items()]
+                          for v, cv in H.multiply_terms(az + middle + ax).terms.items()]
         return Element(ring, pairs).terms.items()
 
     return Table(concatenate)

@@ -9,7 +9,7 @@ from loopchain.chains import (
     ZZ, F2, F3, Element, GradedBasis, ChainComplex, LinearMap, DegreeOverflowError,
     generator, suspend, desuspend, tensor_token, word_token, sort_key,
     koszul_sign, tensor_map, tensor_maps, identity_map, zero_map,
-    verify_chain_map, map_from_table,
+    verify_chain_map, map_from_table, Table,
 )
 
 
@@ -39,10 +39,22 @@ def test_sums_and_cached_maps_make_no_call_per_term(ring):
     # repeated tokens whose coefficients cancel, and over F3 reduce to zero
     pairs = [(letters[i % 300], i - 500) for i in range(1000)]
     assert profiled_calls(Element, ring, pairs[:10]) == profiled_calls(Element, ring, pairs)
-    f = LinearMap(ring, 0, lambda t: Element(ring, [(suspend(t), 2), (desuspend(t), -1)]))
+    filled = []
+
+    def fn(t):
+        filled.append(t)
+        return Element(ring, [(suspend(t), 2), (desuspend(t), -1)])
+
+    f = LinearMap(ring, 0, fn)
+    assert isinstance(f._cache, Table)
     small, large = (Element(ring, [(t, 1) for t in letters[:n]]) for n in (10, 1000))
     f(large)  # caches the image of every token
     assert profiled_calls(f, small) == profiled_calls(f, large)
+    assert f(letters[0]) is f._cache[letters[0]]
+    assert filled == letters  # fn ran once per token
+    # a warm token is one subscript of the cache: the one call counted beside
+    # the profiler's own disable() is f's __call__
+    assert profiled_calls(f, letters[0]) == profiled_calls(len, ()) == 2
 
 
 # --- koszul signs -----------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from loopchain.chains import (
     ZZ, F2, F3, Element, generator, suspend, desuspend, tensor_token, word_token,
     koszul_sign, operator_application_sign, parity_sign, sort_key, tensor_product,
-    verify_chain_map, identity_map, tensor_map, add_maps,
+    verify_chain_map, identity_map, tensor_map, tensor_maps, add_maps,
     ChainComplex, DegreeOverflowError, GradedBasis, InfiniteTypeError, zero_map,
 )
 from loopchain.dg import (
@@ -559,6 +559,37 @@ def test_tensor_coalgebra_sign_is_the_unshuffle_koszul_sign(n_factors):
             expected = expected + el(ZZ, tensor_token(tensor_token(*xs), tensor_token(*ys)), coeff)
         assert T.comult(tok) == expected, tok
     assert signs == {1, -1}
+
+
+def test_tensor_differential_is_the_sum_of_one_slot_maps():
+    # the Leibniz rule of a tensor complex equals the sum over the slots i of
+    # the factor's d in slot i and the identity elsewhere, with the Koszul
+    # sign tensor_maps gives it; every factor has a nonzero d and odd tokens
+    factors = [nonreal_aw_coalgebra(), bar_construction(small_commutative()),
+               nonreal_aw_coalgebra()]
+    T = tensor_coalgebra(*factors, max_degree=8)
+    ident = identity_map(ZZ)
+    reference = None
+    for i, C in enumerate(factors):
+        slot = tensor_maps([C.d if j == i else ident for j in range(len(factors))])
+        reference = slot if reference is None else add_maps(reference, slot)
+    tokens = list(T.complex.basis.through(8))
+    assert next((t for t in tokens if T.d(t) != reference(t)), None) is None
+    assert T.complex.check_d_squared(8) is None
+    # not vacuous: the d of each later slot is met after a prefix of odd degree
+    for i, C in enumerate(factors[1:], 1):
+        assert any(not C.d(t.data[i]).is_zero() and sum(x.degree for x in t.data[:i]) % 2
+                   for t in tokens), i
+
+
+def test_structures_read_d_and_max_degree_off_their_complex():
+    structures = [exterior_two(), nonreal_aw_coalgebra(), group_ring_hopf(BUILTIN_GROUPS["c2"]),
+                  nonreal_aw_hirsch()[1]]
+    assert [type(S).__name__ for S in structures] == \
+        ["DGAlgebra", "DGCoalgebra", "HopfAlgebra", "HirschCoalgebra"]
+    for S in structures:
+        assert S.d is S.complex.d, S.name
+        assert S.max_degree == S.complex.max_degree, S.name
 
 
 # --- Hopf fixture sanity -----------------------------------------------------
