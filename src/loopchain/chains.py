@@ -368,6 +368,11 @@ class Table(dict):
         return value
 
 
+# SIGNS[e] = parity_sign(e), filled once per exponent: a sign read per term
+# is one subscript, not a call.
+SIGNS = Table(parity_sign)
+
+
 class LinearMap:
     """Degree-shifting map given by images of basis tokens.
 

@@ -12,8 +12,8 @@ with each letter's image under psi built once.
 """
 
 from .chains import (
-    ChainComplex, DegreeOverflowError, Element, GradedBasis, InfiniteTypeError, LinearMap, Table,
-    parity_sign, suspend, desuspend, tensor_map, tensor_product, tensor_token, word_token,
+    SIGNS, ChainComplex, DegreeOverflowError, Element, GradedBasis, InfiniteTypeError, LinearMap,
+    Table, parity_sign, suspend, desuspend, tensor_map, tensor_product, tensor_token, word_token,
 )
 
 
@@ -208,11 +208,9 @@ class HopfAlgebra(DGAlgebra, DGCoalgebra):
     """Chain Hopf algebra built from its complex, unit, product and Delta
     (comult): one object that is both the DGAlgebra of the product and the
     DGCoalgebra of comult on that complex, counital at the unit.  Its counit
-    is its augmentation.  A group ring R[G] declares its group as
-    group_table, the dict (a, b) -> c of its basis tokens with
-    (1 + a)(1 + b) = 1 + c; it is None for every other Hopf algebra."""
-
-    group_table = None
+    is its augmentation.  BarHopfStructure builds psi on Cobar Bar H in
+    closed form when d = 0 on the basis, cocommutative or not, and by
+    perturbation otherwise."""
 
     def __init__(self, complex_, unit, product, comult, name=""):
         DGAlgebra.__init__(self, complex_, unit, product, name)
@@ -795,7 +793,7 @@ class HirschCoalgebra(HopfAlgebra):
         prefix, last = ([(t.data, c) for t, c in self._comult(word_token(w)).terms.items()]
                         for w in (letters[:-1], letters[-1:]))
         return Element(self.ring, [(tensor_token(concat[a, a2], concat[b, b2]),
-                                    parity_sign(b.degree * a2.degree) * c * c2)
+                                    SIGNS[b.degree * a2.degree] * c * c2)
                                    for (a, b), c in prefix for (a2, b2), c2 in last])
 
     def loop_hopf(self):

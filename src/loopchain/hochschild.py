@@ -21,7 +21,7 @@ of it; a check_degree checks C_lowest..C_check_degree when it is built.
 """
 
 from .chains import (
-    ChainComplex, Element, GradedBasis, LinearMap, Table, identity_map,
+    SIGNS, ChainComplex, Element, GradedBasis, LinearMap, Table, identity_map,
     parity_sign, suspend, desuspend, tensor_product, tensor_token, word_token,
 )
 from .dg import (
@@ -148,11 +148,11 @@ def hochschild_general(t, max_degree=None, name=""):
         for t(c_i) over the right cuts, in the order of Delta(y); shared,
         never mutated."""
         left_cuts, right_cuts = t.cuts(y)
-        left = [(u, a, -parity_sign(u.degree) * c * ca)
+        left = [(u, a, -SIGNS[u.degree] * c * ca)
                 for u, v, c in left_cuts for a, ca in tc[v].items()]
-        right = [(v, a, parity_sign(a.degree * v.degree) * c * ca)
+        right = [(v, a, SIGNS[a.degree * v.degree] * c * ca)
                  for u, v, c in right_cuts for a, ca in tc[u].items()]
-        return C.complex.d(y).terms, parity_sign(y.degree), left, right
+        return C.complex.d(y).terms, SIGNS[y.degree], left, right
 
     twisted = Table(twisted_entry)
     product = A.product
@@ -165,7 +165,7 @@ def hochschild_general(t, max_degree=None, name=""):
         for u, a, c in left:
             pairs += [(tensor_token(u, m), c * cm) for m, cm in product(a, x)]
         for u, a, c in right:
-            c *= parity_sign(a.degree * x.degree)
+            c *= SIGNS[a.degree * x.degree]
             pairs += [(tensor_token(u, m), c * cm) for m, cm in product(x, a)]
         return Element(ring, pairs)
 
@@ -459,9 +459,9 @@ def _concatenation_table(t, hirsch, H, r, check_degree):
                 middle += a + [w]
                 exponent += du * before
                 before += dw
-            coeff = kappa * parity_sign(exponent)
+            coeff = kappa * SIGNS[exponent]
             for kept, p, az, ax in cuts:
-                sign = coeff * parity_sign(p * (total - p))
+                sign = coeff * SIGNS[p * (total - p)]
                 pairs += [(tensor_token(kept, v), sign * cv)
                           for v, cv in H.multiply_terms(az + middle + ax).terms.items()]
         return Element(ring, pairs).terms.items()

@@ -16,21 +16,19 @@ filtration bound, with Delta-bar read as deconcatenation of h's words and
 only F's images cached, yields a twisting cochain Bar(A (x) A') ->
 Cobar(Bar A (x) Bar A').
 
-The loop comultiplication psi on Cobar Bar H (BarHopfStructure) takes one
-of two paths.  A group ring Z[G] in the augmentation basis, which declares
-its group as its group_table and whose bar construction is the normalized
-chains of the nerve NG, gets Baues' closed form (Compositio Math. 43, 1981;
-Invent. Math. 132, 1998): psi(s^{-1}y) is a signed sum over blocks of y of
-inner letters (x) outer face, the sign the Koszul sign of moving each inner
-letter past the outer entries before it.
-Any other H gets Milgram's q of the merged F-images of Bar(delta)(y); only
-F and psi cache images of bar words.
+The loop comultiplication psi on Cobar Bar H (BarHopfStructure) is one
+closed form when H has zero differential: Baues' formula (Compositio Math.
+43, 1981; Invent. Math. 132, 1998) with each entry split by Delta,
+psi(s^{-1}y) a signed sum over blocks of y of inner letters (x) outer word,
+the sign derived in BarHopfStructure.  On a group ring it is Baues' nerve
+formula on NG.  An H with a nonzero differential gets Milgram's q of the
+merged F-images of Bar(delta)(y); only F and psi cache images of bar words.
 """
 
 from itertools import combinations
 
 from .chains import (
-    Element, LinearMap, desuspend, parity_sign, suspend,
+    SIGNS, Element, LinearMap, Table, desuspend, parity_sign, suspend,
     tensor_map, tensor_token, word_token,
 )
 from .dg import (
@@ -329,33 +327,64 @@ def bar_shuffle_hopf(A, max_degree=None):
 # The loop comultiplication on Cobar Bar H
 
 
-def _nerve_psi(ring, table, unit):
-    """BarHopfStructure's generator map for a group ring whose group_table is table:
-    Baues' closed form, read off y = [g_1|...|g_n] with the blocks chosen left
-    to right.  partial[p] holds each choice of blocks inside g_1...g_p as its
-    inner letters, outer entries, sign exponent sum_m d_m e_m and sum of d_m
-    (p minus that sum is the number of outer entries)."""
+def _closed_form_psi(H):
+    """BarHopfStructure's generator map for an H with zero differential, in
+    closed form; see BarHopfStructure for the formula and its sign.
+
+    halves[s a] holds the terms a' (x) a'' of Delta a with a' != 1 as
+    (s a', |a''|, the a'' terms), grouped by a'.  blocks[s a_1|...|s a_k]
+    holds the block's states, one per choice of a' for each entry, as
+    (s a' letters, coefficient with the unshuffle sign, |a''| so far, the
+    a'' product terms), each extending a state of the block without its
+    last entry (blocks[()] holds the one empty state), and the block's
+    terms (inner letter, outer entry, coefficient), the product's unit term
+    dropped.  Each block is filled once, by H.product.  partial[p] holds
+    each choice of blocks inside the first p entries of y as its inner
+    letters, outer entries, coefficient with the sign, and total degree X
+    of the outer entries."""
+    ring, unit = H.ring, H.unit
     empty = word_token(())
+
+    def split(letter):
+        a = desuspend(letter)
+        groups = {}
+        for t, c in H.comult(a).items():
+            a1, a2 = t.data
+            if a1 is not unit:
+                groups.setdefault(a1, []).append((a2, c))
+        return [(suspend(a1), a.degree - a1.degree, pairs) for a1, pairs in groups.items()]
+
+    halves = Table(split)
+
+    def block(letters):
+        states = [(inner + (sa1,), c * SIGNS[P * sa1.degree], P + d2,
+                   H.multiply_terms([prod, pairs]).terms.items())
+                  for inner, c, P, prod in blocks[letters[:-1]][0]
+                  for sa1, d2, pairs in halves[letters[-1]]]
+        return states, [(desuspend(word_token(inner)), suspend(u), c * cu)
+                        for inner, c, _, prod in states for u, cu in prod if u is not unit]
+
+    blocks = Table(block)
+    blocks[()] = [((), 1, 0, ((unit, 1),))], []
 
     def gen(letter):
         y = suspend(letter).data
         n = len(y)
-        partial = [[((), (), 0, 0)]] + [[] for _ in range(n)]
+        partial = [[((), (), 1, 0)]] + [[] for _ in range(n)]
         for p in range(n):
-            states = partial[p]
-            partial[p + 1] += [(inner, outer + (y[p],), e, D) for inner, outer, e, D in states]
-            prod = unit
+            states, entry = partial[p], y[p]
+            partial[p + 1] += [(inner, outer + (entry,), c, X + entry.degree)
+                               for inner, outer, c, X in states]
             for q in range(p + 1, n + 1):
-                prod = table[prod, desuspend(y[q - 1])]
-                if prod is unit:  # a degenerate face
-                    continue
-                block, entry, d = desuspend(word_token(y[p:q])), suspend(prod), q - p - 1
-                partial[q] += [(inner + (block,), outer + (entry,), e + d * (p - D), D + d)
-                               for inner, outer, e, D in states]
+                terms = blocks[y[p:q]][1]
+                if terms:
+                    partial[q] += [(inner + (b,), outer + (o,), c * k * SIGNS[b.degree * X],
+                                    X + o.degree)
+                                   for inner, outer, c, X in states for b, o, k in terms]
         s_y = word_token((letter,))
         pairs = [(tensor_token(s_y, empty), 1), (tensor_token(empty, s_y), 1)]
-        pairs += [(tensor_token(word_token(inner), word_token((desuspend(word_token(outer)),))),
-                   parity_sign(e)) for inner, outer, e, _ in partial[n] if inner]
+        pairs += [(tensor_token(word_token(inner), word_token((desuspend(word_token(outer)),))), c)
+                  for inner, outer, c, _ in partial[n] if inner]
         return Element(ring, pairs)
 
     return gen
@@ -363,32 +392,52 @@ def _nerve_psi(ring, table, unit):
 
 class BarHopfStructure(HirschCoalgebra):
     """Bar H as a Hirsch coalgebra for a Hopf algebra H, with psi on the
-    generators s^{-1}y of Cobar Bar H built on one of two paths.
+    generators s^{-1}y of Cobar Bar H in closed form when d = 0 on H.
 
-    If H is a group ring, declaring its group as H.group_table (as
-    fixtures.group_ring_hopf does), [g_1|...|g_n] is the simplex
-    (g_1, ..., g_n) of the nerve NG and psi is Baues' closed form
+    If d vanishes on H's basis, psi is Baues' formula with each entry split
+    by Delta.  For y = [s a_1|...|s a_n],
 
-        psi(s^{-1}y) = s^{-1}y (x) 1 + 1 (x) s^{-1}y + sum eps s^{-1}[g_{i_1+1}|...|g_{j_1}]
-                           ... s^{-1}[g_{i_k+1}|...|g_{j_k}] (x) s^{-1}[outer]
+        psi(s^{-1}y) = s^{-1}y (x) 1 + 1 (x) s^{-1}y
+                       + sum eps s^{-1}b_1 ... s^{-1}b_k (x) s^{-1}[outer]
 
-    over k >= 1 and 0 <= i_1 < j_1 <= i_2 < ... < j_k <= n, where outer is y
-    with each block g_{i_m+1}...g_{j_m} replaced by its product, and a term
-    whose face is degenerate (a product is e) is dropped.  The sign
-    eps = (-1)^(sum_m d_m e_m), with d_m = j_m - i_m - 1 the degree of the m-th
-    inner letter and e_m = i_m - sum_{l<m} d_l the number of outer entries
-    before block m, is the Koszul sign of moving each inner letter left past
-    the degree-1 entries in front of it.  It is matched to the perturbation
-    path, not derived here: tests compare the two paths on Z[S3], Z[C4],
-    F2[C2] and F3[S3], and psi d = d psi on Z[C4] and Z[S3]
-    (test_bar_hopf_psi_is_coassociative_on_generators) fails with every
-    sign set to +1.
+    over k >= 1 blocks 0 <= i_1 < j_1 <= i_2 < ... < j_k <= n and, for each
+    entry l inside a block, a term a'_l (x) a''_l of Delta a_l with a'_l != 1.
+    Block m gives the inner letter s^{-1}b_m, b_m = [s a'_{i_m+1}|...|s a'_{j_m}],
+    and the outer entry s pi(a''_{i_m+1} ... a''_{j_m}), where pi drops the
+    unit component; outer is y with each block replaced by its outer entry,
+    and a term vanishes when pi kills an outer entry.  The sign is
 
-    Any other H takes the perturbation path: psi(s^{-1}y) is Milgram's q
-    (read through q.fn, uncached) of the sum of c F(w) over the terms c w of
-    Bar(delta)(y), merged into one element first, F being the transferred
-    twisting cochain of sdr.  Besides F's cache and psi's, psi fills only
-    H's Delta and the one-term images per letter of q's twisting cochain.
+        eps = (-1)^(sum_m d_m X_m + sum_m sum_{l < l' in block m} |a''_l| (1 + |a'_l'|)),
+
+    d_m the degree of s^{-1}b_m and X_m the total degree of the outer
+    entries before block m.  Derivation: Delta has degree 0, and splitting
+    the entries of a block puts s a'_l a''_l in place of s a_l; moving each
+    a''_l right past the s a'_l' after it in its block gives the second sum
+    and leaves [s a'_{i+1}|...|s a'_j] a''_{i+1} ... a''_j.  Insert s s^{-1}
+    in front of it, outer suspension first: the block reads s (s^{-1}b_m)
+    (a'' product), and s with the product is the outer entry.  Then move
+    s^{-1}b_1, ..., s^{-1}b_k in turn to the front of s^{-1}y.  s^{-1}b_m
+    passes the s^{-1} of the generator (degree -1), the outer entries before
+    its block (degree X_m) and its own block's s (degree +1), so the Koszul
+    rule gives (-1)^(d_m X_m); what is left is the inner letters (x)
+    s^{-1}[outer].  Cocommutativity is not used.  On a group ring R[G] in
+    the augmentation basis, Delta[g] = [g] (x) [g] + [g] (x) 1 + 1 (x) [g]
+    gives a' = [g] of degree 0, so the second sum vanishes and X_m is the
+    number of outer entries before block m; the choices of a'' sum to
+    pi((1 + [g_{i+1}]) ... (1 + [g_j])) = [g_{i+1} ... g_j], and the formula
+    is the nerve formula on the simplex (g_1, ..., g_n) of NG, a term
+    dropped when its face is degenerate.  Tests compare psi term for term
+    with the perturbation path on every generator of Z[S3], Z[C4], F2[C2],
+    F3[S3], T(x_1), T(x_2), E(a,b), E(x)P'(y) and the functions Z^{S3},
+    which is not cocommutative, and a sign flip in either sum, or s^{-1}
+    inserted before s, fails them.
+
+    An H with a nonzero differential takes the perturbation path:
+    psi(s^{-1}y) is Milgram's q (read through q.fn, uncached) of the sum of
+    c F(w) over the terms c w of Bar(delta)(y), merged into one element
+    first, F being the transferred twisting cochain of sdr.  Besides F's
+    cache and psi's, psi fills only H's Delta and the one-term images per
+    letter of q's twisting cochain.
 
     epsilon is the counit map Cobar Bar H -> H; counit is the inherited
     DGCoalgebra.counit of the Hopf algebra Cobar Bar H, the indicator of the
@@ -399,8 +448,8 @@ class BarHopfStructure(HirschCoalgebra):
         ring = H.ring
         self.barH = bar_construction(H, max_degree=None if max_degree is None else max_degree + 1)
         self.epsilon = cobar_bar_counit(H, self.barH)
-        if H.group_table is not None:
-            gen = _nerve_psi(ring, H.group_table, H.unit)
+        if not any(H.d(a).terms for a in H.complex.basis.through(H.max_degree)):
+            gen = _closed_form_psi(H)
         else:
             self.sdr = bar_sdr(H, H, max_degree=max_degree)
             self.F = transferred_twisting(self.sdr)

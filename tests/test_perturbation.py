@@ -12,8 +12,8 @@ from loopchain.dg import (
     tensor_algebra, universal_twisting,
 )
 from loopchain.fixtures import (
-    exterior_two, small_commutative, free_hopf_one, group_ring_hopf, monomial_algebra,
-    primitive_hopf,
+    dg_fixture_from_dict, exterior_two, small_commutative, free_hopf_one, group_ring_hopf,
+    hopf_fixtures, monomial_algebra, primitive_hopf,
 )
 from loopchain import perturbation
 from loopchain.groups import BUILTIN_GROUPS
@@ -507,10 +507,56 @@ def test_bar_hopf_psi_matches_the_composite_of_functors(s3_psi_through_4):
                 assert bh.psi(uv) == composite(uv), (bh.name, uv)
 
 
-@pytest.mark.parametrize("group, ring, top", [("c4", ZZ, 4), ("c2", F2, 6), ("s3", F3, 3)])
-def test_closed_form_psi_matches_the_perturbation_psi(group, ring, top):
-    # a group ring takes Baues' closed form; the composite runs the perturbation
-    bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS[group], ring), top)
+def _functions_on_s3():
+    """Z^{S3}, the functions on S3, in the basis {1} u {delta_g : g != e}:
+    delta_g delta_h = [g = h] delta_g and Delta delta_g = sum_{hk = g}
+    delta_h (x) delta_k with delta_e = 1 - sum_{g != e} delta_g.  It is
+    commutative but not cocommutative."""
+    G = BUILTIN_GROUPS["s3"]
+    nontrivial = [g for g in G.elements if g != G.unit]
+    name = {g: "delta_%s" % (g,) for g in nontrivial}
+    name[G.unit] = "1"
+
+    def expand(g):
+        return [(g, 1)] if g != G.unit else [(G.unit, 1)] + [(x, -1) for x in nontrivial]
+
+    def coproduct(g):  # repeated terms are merged by the builder
+        return [[cu * cv, [name[u], name[v]]] for h in G.elements for k in G.elements
+                if G.mul(h, k) == g for u, cu in expand(h) for v, cv in expand(k)]
+
+    H = dg_fixture_from_dict({
+        "name": "Z^S3", "ring": "Z", "kind": "hopf", "max_degree": 4,
+        "generators": [{"name": name[g], "degree": 0} for g in nontrivial],
+        "multiplication": {"%s|%s" % (name[g], name[g]): [[1, name[g]]] for g in nontrivial},
+        "comultiplication": {name[g]: coproduct(g) for g in nontrivial},
+    })
+    assert H.check_cocommutativity(0) is not None
+    return H
+
+
+# Hopf algebras with zero differential other than group rings, by name
+_CLOSED_FORM_HOPF = {
+    "free-odd": lambda: free_hopf_one(1, max_degree=10),
+    "exterior-two": lambda: primitive_hopf(exterior_two()),
+    "small-commutative": lambda: primitive_hopf(small_commutative()),
+    "functions-s3": _functions_on_s3,
+}
+
+
+@pytest.mark.parametrize("name, ring, top", [
+    ("c4", ZZ, 4), ("c2", F2, 6), ("s3", F3, 3),
+    pytest.param("free-odd", ZZ, 9, id="T(x1)-9"),
+    pytest.param("exterior-two", ZZ, 8, id="E(a,b)-8"),
+    pytest.param("small-commutative", ZZ, 8, id="E(x)P'(y)-8"),
+    pytest.param("functions-s3", ZZ, 2, id="Z^S3-2"),
+])
+def test_closed_form_psi_matches_the_perturbation_psi(name, ring, top):
+    # every H here has d = 0 and takes the closed form; the composite runs
+    # the perturbation
+    H = _CLOSED_FORM_HOPF[name]() if name in _CLOSED_FORM_HOPF else \
+        group_ring_hopf(BUILTIN_GROUPS[name], ring)
+    bh = BarHopfStructure(H, top)
+    assert not hasattr(bh, "F")
     composite = _composite_psi(bh)
     for g in _generators(bh, top):
         assert bh.psi(g) == composite(g), (bh.name, g)
@@ -525,28 +571,30 @@ def test_bar_hopf_is_its_own_hirsch_coalgebra_with_one_psi_cache(s3_psi_through_
         assert sum(m._cache.get(g) is img for m in maps) == 1, g
 
 
-def test_group_rings_and_only_they_take_the_closed_form(monkeypatch):
-    for name in ("s3", "c4"):
-        G = BUILTIN_GROUPS[name]
-        for ring in (ZZ, F2):
-            H = group_ring_hopf(G, ring)
-            tok = {g: H.unit if g == G.unit else generator(("grp", G.name, g), 0)
-                   for g in G.elements}
-            assert H.group_table == {(tok[g], tok[h]): tok[G.mul(g, h)]
-                                      for g in G.elements for h in G.elements}, (name, ring)
-            assert not H._comult._cache
-    for H in (free_hopf_one(1), free_hopf_one(2), primitive_hopf(exterior_two())):
-        assert H.group_table is None, H.name
-        bh = BarHopfStructure(H, 3)
-        bh.psi(_generators(bh, 3)[-1])
-        assert bh.F.map._cache, H.name
-
+def test_zero_differential_and_only_it_takes_the_closed_form(monkeypatch):
     def no_perturbation(*args, **kwargs):
-        raise AssertionError("a group ring entered the perturbation path")
+        raise AssertionError("a Hopf algebra with d = 0 entered the perturbation path")
 
-    # psi of Z[S3] builds no SDR and no F, so no map named F holds an image
-    monkeypatch.setattr(perturbation, "bar_sdr", no_perturbation)
-    monkeypatch.setattr(perturbation, "transferred_twisting", no_perturbation)
-    bh = BarHopfStructure(group_ring_hopf(BUILTIN_GROUPS["s3"]), 3)
-    assert not any(bh.psi(g).is_zero() for g in _generators(bh, 3))
-    assert not hasattr(bh, "F")
+    # psi of a Hopf fixture builds no SDR and no F, so no map named F holds an image
+    with monkeypatch.context() as patch:
+        patch.setattr(perturbation, "bar_sdr", no_perturbation)
+        patch.setattr(perturbation, "transferred_twisting", no_perturbation)
+        for ring in (ZZ, F2):
+            for name, H in hopf_fixtures(ring).items():
+                bh = BarHopfStructure(H, 3)
+                assert not any(bh.psi(g).is_zero() for g in _generators(bh, 3)), (name, ring)
+                assert not hasattr(bh, "F"), (name, ring)
+    # E(x) (x) F2[y]/y^2 with dy = x, both primitive, takes the perturbation path
+    H = dg_fixture_from_dict({
+        "name": "E(x)F2[y]/y^2", "ring": "F2", "kind": "hopf", "max_degree": 4,
+        "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 2},
+                       {"name": "xy", "degree": 3}],
+        "differential": {"y": [[1, "x"]]},
+        "multiplication": {"x|y": [[1, "xy"]], "y|x": [[1, "xy"]]},
+        "comultiplication": {"xy": [[1, ["xy", "1"]], [1, ["x", "y"]], [1, ["y", "x"]],
+                                    [1, ["1", "xy"]]]},
+    })
+    bh = BarHopfStructure(H, 3)
+    assert bh.check_coassociativity(2) is None
+    assert bh.check_comult_is_chain_map(2) is None
+    assert bh.F.map._cache
