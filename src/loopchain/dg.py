@@ -209,8 +209,7 @@ class HopfAlgebra(DGAlgebra, DGCoalgebra):
     (comult): one object that is both the DGAlgebra of the product and the
     DGCoalgebra of comult on that complex, counital at the unit.  Its counit
     is its augmentation.  BarHopfStructure builds psi on Cobar Bar H in
-    closed form when d = 0 on the basis, cocommutative or not, and by
-    perturbation otherwise."""
+    closed form, cocommutative or not, with or without a differential."""
 
     def __init__(self, complex_, unit, product, comult, name=""):
         DGAlgebra.__init__(self, complex_, unit, product, name)

@@ -307,8 +307,8 @@ def group_ring_hopf(group, ring=ZZ, max_degree=8):
     """Group ring R[G] in the augmentation basis {1} u {[g] = g - e}.
 
     [g][h] = [gh] - [g] - [h] (with [e] = 0); delta[g] = [g](x)[g] +
-    [g](x)1 + 1(x)[g]; zero differential, everything in degree 0, so
-    BarHopfStructure builds psi in closed form, here Baues' nerve formula.
+    [g](x)1 + 1(x)[g]; zero differential, everything in degree 0.
+    BarHopfStructure's closed-form psi is here Baues' nerve formula.
     The products of non-unit pairs are built once, so product is a dict read.
 
     It stays off the checked builder, whose checks hold by construction

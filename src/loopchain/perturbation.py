@@ -17,24 +17,25 @@ only F's images cached, yields a twisting cochain Bar(A (x) A') ->
 Cobar(Bar A (x) Bar A').
 
 The loop comultiplication psi on Cobar Bar H (BarHopfStructure) is one
-closed form when H has zero differential: Baues' formula (Compositio Math.
+closed form for every chain Hopf algebra H: Baues' formula (Compositio Math.
 43, 1981; Invent. Math. 132, 1998) with each entry split by Delta,
 psi(s^{-1}y) a signed sum over blocks of y of inner letters (x) outer word,
-the sign derived in BarHopfStructure.  On a group ring it is Baues' nerve
-formula on NG.  An H with a nonzero differential gets Milgram's q of the
-merged F-images of Bar(delta)(y); only F and psi cache images of bar words.
+the sign derived in BarHopfStructure, which also shows why d on H does not
+enter it.  On a group ring it is Baues' nerve formula on NG.  The SDR and
+F give a second model of psi, q o alpha_F o Cobar(Bar Delta) with
+Milgram's q.
 """
 
 from itertools import combinations
 
 from .chains import (
     SIGNS, Element, LinearMap, Table, desuspend, parity_sign, suspend,
-    tensor_map, tensor_token, word_token,
+    tensor_token, word_token,
 )
 from .dg import (
     HirschCoalgebra, HopfAlgebra, TwistingCochain,
-    bar_construction, bar_map, bar_word, cobar_construction, cobar_bar_counit,
-    cobar_tensor_splitting, tensor_algebra, tensor_coalgebra,
+    bar_construction, bar_map, cobar_construction, cobar_bar_counit,
+    tensor_algebra, tensor_coalgebra,
 )
 
 
@@ -328,17 +329,19 @@ def bar_shuffle_hopf(A, max_degree=None):
 
 
 def _closed_form_psi(H):
-    """BarHopfStructure's generator map for an H with zero differential, in
-    closed form; see BarHopfStructure for the formula and its sign.
+    """BarHopfStructure's generator map, in closed form; see BarHopfStructure
+    for the formula, its sign and why it reads no differential.
 
     halves[s a] holds the terms a' (x) a'' of Delta a with a' != 1 as
     (s a', |a''|, the a'' terms), grouped by a'.  blocks[s a_1|...|s a_k]
     holds the block's states, one per choice of a' for each entry, as
     (s a' letters, coefficient with the unshuffle sign, |a''| so far, the
     a'' product terms), each extending a state of the block without its
-    last entry (blocks[()] holds the one empty state), and the block's
-    terms (inner letter, outer entry, coefficient), the product's unit term
-    dropped.  Each block is filled once, by H.product.  partial[p] holds
+    last entry (blocks[()] holds the one empty state, with no product), and
+    the block's terms (inner letter, outer entry, coefficient), the
+    product's unit term dropped.  A one-entry block takes its a'' terms as
+    its product, so no product with the unit is formed; a longer block is
+    filled once, by H.product.  partial[p] holds
     each choice of blocks inside the first p entries of y as its inner
     letters, outer entries, coefficient with the sign, and total degree X
     of the outer entries."""
@@ -358,14 +361,14 @@ def _closed_form_psi(H):
 
     def block(letters):
         states = [(inner + (sa1,), c * SIGNS[P * sa1.degree], P + d2,
-                   H.multiply_terms([prod, pairs]).terms.items())
+                   H.multiply_terms([prod, pairs]).terms.items() if inner else pairs)
                   for inner, c, P, prod in blocks[letters[:-1]][0]
                   for sa1, d2, pairs in halves[letters[-1]]]
         return states, [(desuspend(word_token(inner)), suspend(u), c * cu)
                         for inner, c, _, prod in states for u, cu in prod if u is not unit]
 
     blocks = Table(block)
-    blocks[()] = [((), 1, 0, ((unit, 1),))], []
+    blocks[()] = [((), 1, 0, None)], []
 
     def gen(letter):
         y = suspend(letter).data
@@ -391,11 +394,11 @@ def _closed_form_psi(H):
 
 
 class BarHopfStructure(HirschCoalgebra):
-    """Bar H as a Hirsch coalgebra for a Hopf algebra H, with psi on the
-    generators s^{-1}y of Cobar Bar H in closed form when d = 0 on H.
+    """Bar H as a Hirsch coalgebra for a chain Hopf algebra H, with psi on
+    the generators s^{-1}y of Cobar Bar H in closed form.
 
-    If d vanishes on H's basis, psi is Baues' formula with each entry split
-    by Delta.  For y = [s a_1|...|s a_n],
+    psi is Baues' formula with each entry split by Delta.  For
+    y = [s a_1|...|s a_n],
 
         psi(s^{-1}y) = s^{-1}y (x) 1 + 1 (x) s^{-1}y
                        + sum eps s^{-1}b_1 ... s^{-1}b_k (x) s^{-1}[outer]
@@ -426,18 +429,24 @@ class BarHopfStructure(HirschCoalgebra):
     number of outer entries before block m; the choices of a'' sum to
     pi((1 + [g_{i+1}]) ... (1 + [g_j])) = [g_{i+1} ... g_j], and the formula
     is the nerve formula on the simplex (g_1, ..., g_n) of NG, a term
-    dropped when its face is degenerate.  Tests compare psi term for term
-    with the perturbation path on every generator of Z[S3], Z[C4], F2[C2],
-    F3[S3], T(x_1), T(x_2), E(a,b), E(x)P'(y) and the functions Z^{S3},
-    which is not cocommutative, and a sign flip in either sum, or s^{-1}
-    inserted before s, fails them.
+    dropped when its face is degenerate.
 
-    An H with a nonzero differential takes the perturbation path:
-    psi(s^{-1}y) is Milgram's q (read through q.fn, uncached) of the sum of
-    c F(w) over the terms c w of Bar(delta)(y), merged into one element
-    first, F being the transferred twisting cochain of sdr.  Besides F's
-    cache and psi's, psi fills only H's Delta and the one-term images per
-    letter of q's twisting cochain.
+    The formula serves an H with a nonzero differential as it stands.  It
+    reads only H's product, Delta and basis, and so does the perturbation
+    composite q o alpha_F o Cobar(Bar Delta): F = s^{-1}f - mu (F (x) F)
+    Delta-bar h reads f, h (built from products alone) and the filtration
+    count zeta, and never d.  So psi of H equals psi of the graded Hopf
+    algebra H with d forgotten.  That algebra has d = 0, where the
+    derivation above holds, so the closed form is psi for H too.  It is a
+    chain map for H's d because the composite is one.
+
+    Tests compare psi term for term with the perturbation composite on
+    every generator of Z[S3], Z[C4], F2[C2], F3[S3], T(x_1), T(x_2),
+    E(a,b), E(x)P'(y), the functions Z^{S3}, which is not cocommutative,
+    and, with dy = x, E(x) (x) Z[y] and Z[C2] (x) E(x) (x) Z[y]; a sign
+    flip in either sum, or s^{-1} inserted before s, fails them.  On
+    E(x) (x) Z[y] and E(x) (x) F2[y]/y^2 they also compare psi with psi of
+    the same algebra without its differential.
 
     epsilon is the counit map Cobar Bar H -> H; counit is the inherited
     DGCoalgebra.counit of the Hopf algebra Cobar Bar H, the indicator of the
@@ -445,34 +454,11 @@ class BarHopfStructure(HirschCoalgebra):
 
     def __init__(self, H, max_degree=None):
         self.H = H
-        ring = H.ring
         self.barH = bar_construction(H, max_degree=None if max_degree is None else max_degree + 1)
         self.epsilon = cobar_bar_counit(H, self.barH)
-        if not any(H.d(a).terms for a in H.complex.basis.through(H.max_degree)):
-            gen = _closed_form_psi(H)
-        else:
-            self.sdr = bar_sdr(H, H, max_degree=max_degree)
-            self.F = transferred_twisting(self.sdr)
-            q, _ = cobar_tensor_splitting(self.barH, self.barH)
-            F = self.F.map
-            unit = tensor_token(H.unit, H.unit)
-
-            def gen(letter):
-                bar_delta = bar_word(ring, [H.comult(desuspend(l)) for l in suspend(letter).data],
-                                     unit)
-                return Element(ring, [(u, c * cu) for w, c in bar_delta.items()
-                                      for u, cu in F(w).items()]).apply(q.fn)
-
-        super().__init__(self.barH, gen,
+        super().__init__(self.barH, _closed_form_psi(H),
                          name="Hirsch(Bar %s)" % H.name)
 
     def hirsch(self):
         """This structure: Bar H with psi is its own Hirsch coalgebra."""
         return self
-
-    def counit_pair(self, x):
-        """(eps (x) eps) applied to an element of the tensor square.
-
-        eps has degree 0, so no Koszul signs arise.
-        """
-        return tensor_map(self.epsilon, self.epsilon)(x)

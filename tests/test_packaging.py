@@ -82,6 +82,23 @@ def test_every_definition_is_referenced():
     assert sorted(defined - referenced) == []
 
 
+def test_every_import_is_used():
+    # every name a module-level import of loopchain binds is read in that
+    # module; __init__.py re-exports its imports, so there __all__ reads them
+    package = pathlib.Path(loopchain.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read.update(loopchain.__all__)
+        unused += ["%s: %s" % (path.name, name) for name in sorted(imported - read)]
+    assert unused == []
+
+
 def test_benchmark_layer_names_resolve():
     # the traced benchmark locates loopchain functions by name; an empty profile
     # still looks every one of them up, so a rename fails here

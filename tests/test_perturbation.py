@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from loopchain.chains import (
     ZZ, F2, F3, Element, generator, koszul_sign, suspend, desuspend, tensor_token, word_token,
-    verify_chain_map, identity_map, zero_map, LinearMap, sort_key,
+    verify_chain_map, identity_map, zero_map, LinearMap, sort_key, tensor_map,
 )
 from loopchain.dg import (
-    algebra_realization, bar_map, check_twisting, cobar_map, cobar_tensor_splitting,
-    tensor_algebra, universal_twisting,
+    HopfAlgebra, _tensor_comult, algebra_realization, bar_map, check_twisting, cobar_map,
+    cobar_tensor_splitting, tensor_algebra, universal_twisting,
 )
 from loopchain.fixtures import (
     dg_fixture_from_dict, exterior_two, small_commutative, free_hopf_one, group_ring_hopf,
@@ -378,7 +378,7 @@ def test_bar_hopf_cross_terms_match_comultiplication():
     bh = BarHopfStructure(H, max_degree=9)
     x2 = next(t for t in H.algebra.aug_ideal_basis(4))
     sa = word_token((desuspend(word_token((suspend(x2),))),))
-    assert bh.counit_pair(bh.psi(sa)) == H.comult(x2)
+    assert tensor_map(bh.epsilon, bh.epsilon)(bh.psi(sa)) == H.comult(x2)
     assert not _primitive_part_check(bh, x2)
 
 
@@ -400,12 +400,12 @@ def test_bar_hopf_counit_claims():
     for H in (group_ring_hopf(BUILTIN_GROUPS["c2"]),
               free_hopf_one(2, max_degree=10)):
         bh = BarHopfStructure(H, max_degree=9)
-        ring = bh.ring
+        counit_pair = tensor_map(bh.epsilon, bh.epsilon)  # eps has degree 0: no Koszul signs
         # claim 1: (eps (x) eps) psi (s^{-1}(s a)) = delta(a)
         for n in range(0, 5):
             for a in H.algebra.aug_ideal_basis(n):
                 sa = word_token((desuspend(word_token((suspend(a),))),))
-                assert bh.counit_pair(bh.psi(sa)) == H.comult(a), a
+                assert counit_pair(bh.psi(sa)) == H.comult(a), a
         # claim 2: zero on longer bar words
         barH = bh.barH
         for n in range(2, 6):
@@ -413,7 +413,7 @@ def test_bar_hopf_counit_claims():
                 if len(tok.data) < 2:
                     continue
                 gen = word_token((desuspend(tok),))
-                assert bh.counit_pair(bh.psi(gen)).is_zero(), tok
+                assert counit_pair(bh.psi(gen)).is_zero(), tok
 
 
 def test_bar_hopf_psi_is_coassociative_on_generators():
@@ -534,12 +534,57 @@ def _functions_on_s3():
     return H
 
 
-# Hopf algebras with zero differential other than group rings, by name
+def _exterior_polynomial(top):
+    """The document of E(x) (x) Z[y] through degree top, |x| = 1 and |y| = 2
+    primitive, with dy = x, so d y^k = k x y^(k-1) and d(x y^k) = 0."""
+    def name(i, k):
+        return ("x" if i else "") + ("y^%d" % k if k > 1 else "y" * k) or "1"
+
+    monomials = [(i, k) for k in range(top // 2 + 1) for i in (0, 1) if 0 < i + 2 * k <= top]
+    return {
+        "name": "E(x)Z[y]", "ring": "Z", "kind": "hopf", "max_degree": top,
+        "generators": [{"name": name(i, k), "degree": i + 2 * k} for i, k in monomials],
+        "differential": {name(0, k): [[k, name(1, k - 1)]] for i, k in monomials if i == 0},
+        "multiplication": {"%s|%s" % (name(i, k), name(j, l)): [[1, name(i + j, k + l)]]
+                           for i, k in monomials for j, l in monomials
+                           if i + j < 2 and i + j + 2 * (k + l) <= top},
+        "comultiplication": {name(i, k): [[comb(k, a), [name(i, a), name(0, k - a)]]
+                                          for a in range(k + 1)]
+                             + [[comb(k, a), [name(0, a), name(1, k - a)]]
+                                for a in range(k + 1) if i]
+                             for i, k in monomials},
+    }
+
+
+def _c2_exterior_polynomial(top):
+    """Z[C2] (x) E(x)Z[y], dy = x, with the componentwise structure: its
+    degree-0 part is not primitive."""
+    G = group_ring_hopf(BUILTIN_GROUPS["c2"], max_degree=top)
+    E = dg_fixture_from_dict(_exterior_polynomial(top))
+    A = tensor_algebra(G, E)
+    return HopfAlgebra(A.complex, A.unit, A.product, _tensor_comult([G, E]), name=A.name)
+
+
+# E(x) (x) F2[y]/y^2 with dy = x, both primitive
+_EXTERIOR_TRUNCATED = {
+    "name": "E(x)F2[y]/y^2", "ring": "F2", "kind": "hopf", "max_degree": 4,
+    "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 2},
+                   {"name": "xy", "degree": 3}],
+    "differential": {"y": [[1, "x"]]},
+    "multiplication": {"x|y": [[1, "xy"]], "y|x": [[1, "xy"]]},
+    "comultiplication": {"xy": [[1, ["xy", "1"]], [1, ["x", "y"]], [1, ["y", "x"]],
+                                [1, ["1", "xy"]]]},
+}
+
+
+# Hopf algebras other than group rings, by name
 _CLOSED_FORM_HOPF = {
     "free-odd": lambda: free_hopf_one(1, max_degree=10),
     "exterior-two": lambda: primitive_hopf(exterior_two()),
     "small-commutative": lambda: primitive_hopf(small_commutative()),
     "functions-s3": _functions_on_s3,
+    "exterior-polynomial": lambda: dg_fixture_from_dict(_exterior_polynomial(8)),
+    "c2-exterior-polynomial": lambda: _c2_exterior_polynomial(4),
 }
 
 
@@ -549,14 +594,14 @@ _CLOSED_FORM_HOPF = {
     pytest.param("exterior-two", ZZ, 8, id="E(a,b)-8"),
     pytest.param("small-commutative", ZZ, 8, id="E(x)P'(y)-8"),
     pytest.param("functions-s3", ZZ, 2, id="Z^S3-2"),
+    pytest.param("exterior-polynomial", ZZ, 8, id="E(x)Z[y]-8"),
+    pytest.param("c2-exterior-polynomial", ZZ, 4, id="Z[C2]E(x)Z[y]-4"),
 ])
 def test_closed_form_psi_matches_the_perturbation_psi(name, ring, top):
-    # every H here has d = 0 and takes the closed form; the composite runs
-    # the perturbation
+    # BarHopfStructure takes the closed form; the composite runs the perturbation
     H = _CLOSED_FORM_HOPF[name]() if name in _CLOSED_FORM_HOPF else \
         group_ring_hopf(BUILTIN_GROUPS[name], ring)
     bh = BarHopfStructure(H, top)
-    assert not hasattr(bh, "F")
     composite = _composite_psi(bh)
     for g in _generators(bh, top):
         assert bh.psi(g) == composite(g), (bh.name, g)
@@ -571,11 +616,11 @@ def test_bar_hopf_is_its_own_hirsch_coalgebra_with_one_psi_cache(s3_psi_through_
         assert sum(m._cache.get(g) is img for m in maps) == 1, g
 
 
-def test_zero_differential_and_only_it_takes_the_closed_form(monkeypatch):
+def test_every_hopf_algebra_takes_the_closed_form(monkeypatch):
     def no_perturbation(*args, **kwargs):
-        raise AssertionError("a Hopf algebra with d = 0 entered the perturbation path")
+        raise AssertionError("BarHopfStructure entered the perturbation path")
 
-    # psi of a Hopf fixture builds no SDR and no F, so no map named F holds an image
+    # psi builds no SDR and no F, with or without a differential on H
     with monkeypatch.context() as patch:
         patch.setattr(perturbation, "bar_sdr", no_perturbation)
         patch.setattr(perturbation, "transferred_twisting", no_perturbation)
@@ -583,18 +628,20 @@ def test_zero_differential_and_only_it_takes_the_closed_form(monkeypatch):
             for name, H in hopf_fixtures(ring).items():
                 bh = BarHopfStructure(H, 3)
                 assert not any(bh.psi(g).is_zero() for g in _generators(bh, 3)), (name, ring)
-                assert not hasattr(bh, "F"), (name, ring)
-    # E(x) (x) F2[y]/y^2 with dy = x, both primitive, takes the perturbation path
-    H = dg_fixture_from_dict({
-        "name": "E(x)F2[y]/y^2", "ring": "F2", "kind": "hopf", "max_degree": 4,
-        "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 2},
-                       {"name": "xy", "degree": 3}],
-        "differential": {"y": [[1, "x"]]},
-        "multiplication": {"x|y": [[1, "xy"]], "y|x": [[1, "xy"]]},
-        "comultiplication": {"xy": [[1, ["xy", "1"]], [1, ["x", "y"]], [1, ["y", "x"]],
-                                    [1, ["1", "xy"]]]},
-    })
-    bh = BarHopfStructure(H, 3)
-    assert bh.check_coassociativity(2) is None
-    assert bh.check_comult_is_chain_map(2) is None
-    assert bh.F.map._cache
+        bh = BarHopfStructure(dg_fixture_from_dict(_EXTERIOR_TRUNCATED), 3)
+        assert bh.check_coassociativity(2) is None
+        assert bh.check_comult_is_chain_map(2) is None
+
+
+@pytest.mark.parametrize("doc, top", [
+    pytest.param(_exterior_polynomial(8), 8, id="E(x)Z[y]-8"),
+    pytest.param(dict(_EXTERIOR_TRUNCATED, max_degree=7), 7, id="E(x)F2[y]/y^2-7"),
+])
+def test_psi_is_the_psi_of_h_with_d_forgotten(doc, top):
+    # BarHopfStructure's docstring argues that psi never reads d
+    graded = {key: value for key, value in doc.items() if key != "differential"}
+    bh, bg = (BarHopfStructure(dg_fixture_from_dict(d), top) for d in (doc, graded))
+    gens = _generators(bh, top)
+    assert gens == _generators(bg, top)
+    for g in gens:
+        assert bh.psi(g) == bg.psi(g), g
