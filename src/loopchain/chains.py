@@ -7,7 +7,8 @@ exact: integers are Python ints, prime fields are ints reduced mod p.
 
 Tokens are interned (hash-consed): one object per token, built on first
 request and returned again on every later one, so tokens compare and hash
-by identity and each keeps its sort key once computed.
+by identity.  A token's sort key is computed on its first sort and kept;
+it is built from its children's kept keys, read by attribute.
 
 Memoisation has one home, Table: a dict that fills a key on its first
 read.  A LinearMap caches the image of every token in a Table filled by
@@ -76,6 +77,8 @@ class Token:
     for each (kind, data, degree) and return it on every later request, so
     equal tokens are the same object.  Tokens therefore compare and hash by
     identity.  Build tokens only through those constructors.
+    _sort_key is None until sort_key first keys the token: only tokens that
+    are sorted pay for a key.
     """
 
     __slots__ = ("kind", "data", "degree", "_sort_key")
@@ -84,6 +87,7 @@ class Token:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_sort_key", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Token is immutable")
@@ -172,20 +176,21 @@ _KIND_RANK = {"atom": 0, "susp": 1, "desusp": 2, "tensor": 3, "word": 4}
 def sort_key(tok):
     """Total deterministic order on tokens (lexicographic on structure).
 
-    Each token computes its key once and keeps it, so the recursion stops
-    at children already keyed.
+    Each token computes its key once, on its first sort, and keeps it in
+    _sort_key.  The key is built from the children's kept keys, read by
+    attribute; sort_key calls itself only for a child not yet keyed.
     """
-    try:
-        return tok._sort_key
-    except AttributeError:
-        pass
+    key = tok._sort_key
+    if key is not None:
+        return key
     k = tok.kind
     if k == "atom":
         key = (tok.degree, 0, repr(tok.data))
     elif k in ("susp", "desusp"):
-        key = (tok.degree, _KIND_RANK[k], sort_key(tok.data))
+        key = (tok.degree, _KIND_RANK[k], tok.data._sort_key or sort_key(tok.data))
     else:
-        key = (tok.degree, _KIND_RANK[k], len(tok.data), tuple([sort_key(t) for t in tok.data]))
+        key = (tok.degree, _KIND_RANK[k], len(tok.data),
+               tuple([t._sort_key or sort_key(t) for t in tok.data]))
     object.__setattr__(tok, "_sort_key", key)
     return key
 
@@ -287,6 +292,8 @@ class Element:
         return not self.terms
 
     def __add__(self, other):
+        if self.ring.p != other.ring.p:
+            raise ValueError("cannot add elements over %r and %r" % (self.ring, other.ring))
         return Element(self.ring, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
@@ -421,6 +428,8 @@ def zero_map(ring, shift=0):
 def add_maps(f, g):
     if f.shift != g.shift:
         raise ValueError("cannot add maps of different shifts")
+    if f.ring.p != g.ring.p:
+        raise ValueError("cannot add maps over %r and %r" % (f.ring, g.ring))
     return LinearMap(f.ring, f.shift, lambda t: f(t) + g(t), "%s+%s" % (f.name, g.name))
 
 

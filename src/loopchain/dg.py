@@ -305,17 +305,23 @@ def _word_differential(ring, letters, merged=None):
     replaced by each letter tuple w of letters[l_j] and, given merged, with
     l_j|l_(j+1) replaced by each letter tuple w of merged[l_j, l_(j+1)], each
     with the coefficient of w.  The passage sign (-1)^(degree before the
-    letter) starts at 1 and flips after each odd letter."""
+    letter) starts at 1 and flips after each odd letter.  A letter or pair
+    whose entry is empty costs a lookup only: no slice, no comprehension."""
     def differential(tok):
         word = tok.data
+        last = len(word) - 1
         pairs = []
         passage = 1
         for j, letter in enumerate(word):
-            head, tail = word[:j], word[j + 1:]
-            pairs += [(word_token(head + w + tail), passage * c) for w, c in letters[letter]]
-            if merged is not None and tail:
-                pairs += [(word_token(head + w + tail[1:]), passage * c)
-                          for w, c in merged[letter, tail[0]]]
+            images = letters[letter]
+            if images:
+                head, tail = word[:j], word[j + 1:]
+                pairs += [(word_token(head + w + tail), passage * c) for w, c in images]
+            if merged is not None and j < last:
+                images = merged[letter, word[j + 1]]
+                if images:
+                    head, tail = word[:j], word[j + 2:]
+                    pairs += [(word_token(head + w + tail), passage * c) for w, c in images]
             if letter.degree % 2:
                 passage = -passage
         return Element(ring, pairs)

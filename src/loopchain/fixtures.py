@@ -6,8 +6,12 @@ The Hopf fixtures exercise the commutative/cocommutative flags
 independently: free algebra on one primitive (even and odd generator; a
 one-generator monomial algebra), exterior algebra on two generators,
 truncated polynomial algebras, and group rings of C_2 and S_3 in an
-augmentation-aligned basis.
+augmentation-aligned basis.  exterior_polynomial_document gives the
+document of E(x) (x) Z[y] with dy = x, a Hopf algebra whose d is nonzero
+on products.
 """
+
+from math import comb
 
 from .chains import (
     ChainComplex, Element, GradedBasis, Table, generator, map_from_table, parity_sign,
@@ -397,3 +401,27 @@ def dg_fixture_from_dict(doc):
         doc.get("name", "fixture"), table("differential", token),
         products=table("multiplication", pair) if kind != "coalgebra" else None,
         coproducts=table("comultiplication", token) if kind != "algebra" else None)
+
+
+def exterior_polynomial_document(max_degree):
+    """The document of E(x) (x) Z[y] through max_degree, |x| = 1 and |y| = 2
+    primitive, with dy = x, so d y^k = k x y^(k-1) and d(x y^k) = 0: its d
+    is nonzero on every power of y, and so on products."""
+    def name(i, k):
+        return ("x" if i else "") + ("y^%d" % k if k > 1 else "y" * k) or "1"
+
+    monomials = [(i, k) for k in range(max_degree // 2 + 1) for i in (0, 1)
+                 if 0 < i + 2 * k <= max_degree]
+    return {
+        "name": "E(x)Z[y]", "ring": "Z", "kind": "hopf", "max_degree": max_degree,
+        "generators": [{"name": name(i, k), "degree": i + 2 * k} for i, k in monomials],
+        "differential": {name(0, k): [[k, name(1, k - 1)]] for i, k in monomials if i == 0},
+        "multiplication": {"%s|%s" % (name(i, k), name(j, l)): [[1, name(i + j, k + l)]]
+                           for i, k in monomials for j, l in monomials
+                           if i + j < 2 and i + j + 2 * (k + l) <= max_degree},
+        "comultiplication": {name(i, k): [[comb(k, a), [name(i, a), name(0, k - a)]]
+                                          for a in range(k + 1)]
+                             + [[comb(k, a), [name(0, a), name(1, k - a)]]
+                                for a in range(k + 1) if i]
+                             for i, k in monomials},
+    }

@@ -122,7 +122,8 @@ def hochschild_general(t, max_degree=None, name=""):
     on a side of a cut ({} where t vanishes), and dA[x] those of dx.  dy, t
     and dx are read through their cached LinearMaps, and the tables hold the
     terms of the Elements these return, not copies.  Each token y (x) x then
-    only multiplies by x and applies that factor.
+    only multiplies by x and applies that factor; an empty dy or dx costs a
+    test, not a comprehension.
     """
     ring = t.ring
     C, A = t.source, t.target
@@ -160,8 +161,10 @@ def hochschild_general(t, max_degree=None, name=""):
     def differential(tok):
         y, x = tok.data
         dy, sign, left, right = twisted[y]
-        pairs = [(tensor_token(u, x), c) for u, c in dy.items()]
-        pairs += [(tensor_token(y, u), sign * c) for u, c in dA[x].items()]
+        pairs = [(tensor_token(u, x), c) for u, c in dy.items()] if dy else []
+        dx = dA[x]
+        if dx:
+            pairs += [(tensor_token(y, u), sign * c) for u, c in dx.items()]
         for u, a, c in left:
             pairs += [(tensor_token(u, m), c * cm) for m, cm in product(a, x)]
         for u, a, c in right:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from loopchain.chains import (
     ZZ, F2, F3, Element, GradedBasis, ChainComplex, LinearMap, DegreeOverflowError,
     generator, suspend, desuspend, tensor_token, word_token, sort_key,
-    koszul_sign, tensor_map, tensor_maps, identity_map, zero_map,
+    koszul_sign, tensor_map, tensor_maps, identity_map, zero_map, add_maps,
     verify_chain_map, map_from_table, Table,
 )
 
@@ -134,10 +134,21 @@ def test_tensor_differential_squares_to_zero():
     dd = tensor_map(d, identity_map(ZZ))
     di = tensor_map(identity_map(ZZ), d)
     toks = [tensor_token(a, b) for a in (x, y, z) for b in (x, y, z)]
-    from loopchain.chains import add_maps
     dT = add_maps(dd, di)
     for t in toks:
         assert dT(dT(t)).is_zero()
+
+
+@pytest.mark.parametrize("left, right", [(F2, ZZ), (ZZ, F2)])
+def test_sums_over_different_rings_raise(left, right):
+    a = tok("a", 0)
+    rings = "over %r and %r" % (left, right)
+    with pytest.raises(ValueError, match=rings):
+        el(a, ring=left) + el(a, ring=right)
+    with pytest.raises(ValueError, match=rings):
+        el(a, ring=left) - el(a, ring=right)
+    with pytest.raises(ValueError, match=rings):
+        add_maps(identity_map(left), identity_map(right))
 
 
 # --- verify_chain_map -------------------------------------------------------
@@ -184,6 +195,60 @@ def test_constructors_return_one_object_per_token():
     nested = tensor_token(word_token((suspend(a),)), desuspend(b))
     assert nested is tensor_token(word_token([suspend(generator("a", 1))]), desuspend(b))
     assert {nested: 1}[tensor_token(word_token((suspend(a),)), desuspend(b))] == 1
+
+
+def _reference_key(t):
+    """sort_key as a plain recursion that keeps nothing."""
+    rank = {"atom": 0, "susp": 1, "desusp": 2, "tensor": 3, "word": 4}[t.kind]
+    if t.kind == "atom":
+        return (t.degree, 0, repr(t.data))
+    if t.kind in ("susp", "desusp"):
+        return (t.degree, rank, _reference_key(t.data))
+    return (t.degree, rank, len(t.data), tuple(_reference_key(u) for u in t.data))
+
+
+def _subtree(t):
+    """t and every token inside it, each before its children."""
+    yield t
+    if t.kind in ("susp", "desusp"):
+        yield from _subtree(t.data)
+    elif t.kind != "atom":
+        for u in t.data:
+            yield from _subtree(u)
+
+
+_NESTED_TOKENS = st.recursive(
+    st.builds(generator, st.one_of(st.text(max_size=2), st.integers(-2, 2),
+                                   st.tuples(st.sampled_from("xy"), st.integers(0, 2))),
+              st.integers(0, 3)),
+    lambda inner: st.one_of(
+        st.builds(suspend, inner), st.builds(desuspend, inner),
+        st.lists(inner, min_size=1, max_size=3).map(lambda fs: tensor_token(*fs)),
+        st.lists(inner, max_size=3).map(word_token)),
+    max_leaves=6)
+
+
+@given(st.lists(_NESTED_TOKENS, min_size=1, max_size=6))
+def test_sort_keys_do_not_depend_on_keying_order(toks):
+    expected = [_reference_key(t) for t in toks]
+    nodes = [u for t in toks for u in _subtree(t)]
+    # each token keyed before its children, then after them
+    for order in (nodes, nodes[::-1]):
+        for u in nodes:
+            object.__setattr__(u, "_sort_key", None)
+        for u in order:
+            sort_key(u)
+        assert [sort_key(t) for t in toks] == expected
+    assert sorted(toks, key=sort_key) == sorted(toks, key=_reference_key)
+
+
+def test_tokens_are_keyed_on_their_first_sort_only():
+    a = tok(("keyed on sort", 1), 1)
+    w = word_token((suspend(a), a))
+    assert a._sort_key is None and w._sort_key is None
+    sorted([w, a], key=sort_key)
+    assert a._sort_key == _reference_key(a) and w._sort_key == _reference_key(w)
+    assert suspend(a)._sort_key == _reference_key(suspend(a))
 
 
 # The coHochschild basis of rp_hirsch in degree 4, as printed before tokens

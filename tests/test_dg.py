@@ -21,7 +21,8 @@ from loopchain.dg import (
 from loopchain.fixtures import (
     sphere_coalgebra, nonreal_aw_coalgebra, nonreal_aw_hirsch, rp_suspension_coalgebra,
     exterior_two, small_commutative, monomial_algebra, free_hopf_one,
-    group_ring_hopf, hopf_fixtures, dg_fixture_from_dict, FixtureError,
+    group_ring_hopf, hopf_fixtures, dg_fixture_from_dict, exterior_polynomial_document,
+    FixtureError,
 )
 from loopchain.groups import BUILTIN_GROUPS
 from loopchain.simplicial import get_space, normalized_chains
@@ -230,6 +231,9 @@ WORD_DIFFERENTIALS = {
     "cobar-bar-exterior": (lambda top: _cobar_of(bar_construction(exterior_two(),
                                                                   max_degree=top + 1)),
                            _literal_d_cobar, 6, True),
+    # dy = x: the internal d is nonzero on letters of words of every length
+    "bar-exterior-polynomial-z": (lambda top: _bar_of(
+        dg_fixture_from_dict(exterior_polynomial_document(top)), top), _literal_d_bar, 7, True),
 }
 
 

@@ -17,7 +17,7 @@ from loopchain.dg import (
 from loopchain.fixtures import (
     sphere_coalgebra, nonreal_aw_coalgebra, nonreal_aw_hirsch, rp_hirsch, small_commutative,
     monomial_algebra, free_hopf_one, exterior_two, group_ring_hopf, hopf_fixtures,
-    dg_fixture_from_dict,
+    dg_fixture_from_dict, exterior_polynomial_document,
 )
 from loopchain.groups import BUILTIN_GROUPS
 from loopchain.hochschild import (
@@ -198,6 +198,9 @@ D_T_FIXTURES = {
                                                            max_degree=top), 8),
     "cohoch-double-suspension-z": (partial(_double_suspension_cohoch, ZZ), 7),
     "cohoch-double-suspension-f3": (partial(_double_suspension_cohoch, F3), 7),
+    # dy = x: the coefficients' d is nonzero
+    "hoch-exterior-polynomial-z": (lambda top: hochschild_of_algebra(
+        dg_fixture_from_dict(exterior_polynomial_document(top + 2)), max_degree=top), 6),
 }
 
 

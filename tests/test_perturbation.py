@@ -12,8 +12,8 @@ from loopchain.dg import (
     cobar_tensor_splitting, tensor_algebra, universal_twisting,
 )
 from loopchain.fixtures import (
-    dg_fixture_from_dict, exterior_two, small_commutative, free_hopf_one, group_ring_hopf,
-    hopf_fixtures, monomial_algebra, primitive_hopf,
+    dg_fixture_from_dict, exterior_polynomial_document, exterior_two, small_commutative,
+    free_hopf_one, group_ring_hopf, hopf_fixtures, monomial_algebra, primitive_hopf,
 )
 from loopchain import perturbation
 from loopchain.groups import BUILTIN_GROUPS
@@ -534,33 +534,11 @@ def _functions_on_s3():
     return H
 
 
-def _exterior_polynomial(top):
-    """The document of E(x) (x) Z[y] through degree top, |x| = 1 and |y| = 2
-    primitive, with dy = x, so d y^k = k x y^(k-1) and d(x y^k) = 0."""
-    def name(i, k):
-        return ("x" if i else "") + ("y^%d" % k if k > 1 else "y" * k) or "1"
-
-    monomials = [(i, k) for k in range(top // 2 + 1) for i in (0, 1) if 0 < i + 2 * k <= top]
-    return {
-        "name": "E(x)Z[y]", "ring": "Z", "kind": "hopf", "max_degree": top,
-        "generators": [{"name": name(i, k), "degree": i + 2 * k} for i, k in monomials],
-        "differential": {name(0, k): [[k, name(1, k - 1)]] for i, k in monomials if i == 0},
-        "multiplication": {"%s|%s" % (name(i, k), name(j, l)): [[1, name(i + j, k + l)]]
-                           for i, k in monomials for j, l in monomials
-                           if i + j < 2 and i + j + 2 * (k + l) <= top},
-        "comultiplication": {name(i, k): [[comb(k, a), [name(i, a), name(0, k - a)]]
-                                          for a in range(k + 1)]
-                             + [[comb(k, a), [name(0, a), name(1, k - a)]]
-                                for a in range(k + 1) if i]
-                             for i, k in monomials},
-    }
-
-
 def _c2_exterior_polynomial(top):
     """Z[C2] (x) E(x)Z[y], dy = x, with the componentwise structure: its
     degree-0 part is not primitive."""
     G = group_ring_hopf(BUILTIN_GROUPS["c2"], max_degree=top)
-    E = dg_fixture_from_dict(_exterior_polynomial(top))
+    E = dg_fixture_from_dict(exterior_polynomial_document(top))
     A = tensor_algebra(G, E)
     return HopfAlgebra(A.complex, A.unit, A.product, _tensor_comult([G, E]), name=A.name)
 
@@ -583,7 +561,7 @@ _CLOSED_FORM_HOPF = {
     "exterior-two": lambda: primitive_hopf(exterior_two()),
     "small-commutative": lambda: primitive_hopf(small_commutative()),
     "functions-s3": _functions_on_s3,
-    "exterior-polynomial": lambda: dg_fixture_from_dict(_exterior_polynomial(8)),
+    "exterior-polynomial": lambda: dg_fixture_from_dict(exterior_polynomial_document(8)),
     "c2-exterior-polynomial": lambda: _c2_exterior_polynomial(4),
 }
 
@@ -634,7 +612,7 @@ def test_every_hopf_algebra_takes_the_closed_form(monkeypatch):
 
 
 @pytest.mark.parametrize("doc, top", [
-    pytest.param(_exterior_polynomial(8), 8, id="E(x)Z[y]-8"),
+    pytest.param(exterior_polynomial_document(8), 8, id="E(x)Z[y]-8"),
     pytest.param(dict(_EXTERIOR_TRUNCATED, max_degree=7), 7, id="E(x)F2[y]/y^2-7"),
 ])
 def test_psi_is_the_psi_of_h_with_d_forgotten(doc, top):
