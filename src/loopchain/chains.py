@@ -19,10 +19,10 @@ Sums have one home, Element: its constructor is the one loop that merges
 sum in the library is built through it, by the constructor on a list of
 pairs or by the combinators on top of it: Element.apply (linear extension
 of a token -> Element map), Element.bilinear (bilinear extension of a
-function returning unreduced (token, coefficient) pairs, such as an
-algebra's product) and tensor_product (the tensor fold into tensor or word
-tokens).  Functions that only feed a sum return pairs, not an Element, so
-a product of two elements merges into one Element, not one per term pair.
+function returning unreduced (token, coefficient) pairs) and
+tensor_product (the tensor fold into tensor or word tokens).  Functions
+that only feed a sum return pairs, not an Element, so a product of two
+elements merges into one Element, not one per term pair.
 
 Every identity check (d^2 = 0, chain maps, the twisting condition, the
 (co)algebra laws, the SDR identities, the simplicial identities) returns
@@ -103,15 +103,11 @@ class Token:
 
 # The intern table.  Only atoms need their degree in the key: every other
 # kind's degree is a function of its data, so (kind, data) names the same
-# token, and a hit skips summing the factor degrees.
+# token, and a hit skips summing the factor degrees.  Each constructor
+# builds and records its Token inline on a miss, summing a degree in a
+# plain loop: a hit is one call, a miss two (the constructor and
+# Token.__init__).
 _TOKENS = {}
-
-
-def _intern(key, degree):
-    """Build, record and return the token for key = (kind, data, ...);
-    called on a miss only."""
-    tok = _TOKENS[key] = Token(key[0], key[1], degree)
-    return tok
 
 
 def generator(name, degree):
@@ -119,7 +115,8 @@ def generator(name, degree):
     try:
         return _TOKENS["atom", name, degree]
     except KeyError:
-        return _intern(("atom", name, degree), degree)
+        tok = _TOKENS["atom", name, degree] = Token("atom", name, degree)
+        return tok
 
 
 def suspend(tok):
@@ -128,7 +125,8 @@ def suspend(tok):
     try:
         return _TOKENS["susp", tok]
     except KeyError:
-        return _intern(("susp", tok), tok.degree + 1)
+        out = _TOKENS["susp", tok] = Token("susp", tok, tok.degree + 1)
+        return out
 
 
 def desuspend(tok):
@@ -137,14 +135,19 @@ def desuspend(tok):
     try:
         return _TOKENS["desusp", tok]
     except KeyError:
-        return _intern(("desusp", tok), tok.degree - 1)
+        out = _TOKENS["desusp", tok] = Token("desusp", tok, tok.degree - 1)
+        return out
 
 
 def tensor_token(*factors):
     try:
         return _TOKENS["tensor", factors]
     except KeyError:
-        return _intern(("tensor", factors), sum([f.degree for f in factors]))
+        degree = 0
+        for f in factors:
+            degree += f.degree
+        tok = _TOKENS["tensor", factors] = Token("tensor", factors, degree)
+        return tok
 
 
 def word_token(letters):
@@ -152,7 +155,11 @@ def word_token(letters):
     try:
         return _TOKENS["word", letters]
     except KeyError:
-        return _intern(("word", letters), sum([l.degree for l in letters]))
+        degree = 0
+        for letter in letters:
+            degree += letter.degree
+        tok = _TOKENS["word", letters] = Token("word", letters, degree)
+        return tok
 
 
 def token_repr(tok):
@@ -248,35 +255,35 @@ class Element:
     """Sparse formal sum of tokens with nonzero ring coefficients.
 
     terms maps each token to its coefficient, reduced mod p over F_p; zero
-    terms are dropped.  _add is the one loop that writes terms: the
-    constructor feeds it (token, coefficient) pairs, and apply, bilinear
-    and tensor_product build their sums through the constructor.  _add
-    merges by in, subscript and del alone, with no call per term.
+    terms are dropped.  The constructor is the one loop that writes terms:
+    it merges (token, coefficient) pairs, or a dict's items, by in,
+    subscript and del alone, with no call per term and no call for a pair
+    list, and apply, bilinear and tensor_product build their sums through
+    it.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms=None):
         self.ring = ring
-        self.terms = {}
+        self.terms = out = {}
         if terms:
-            self._add(terms.items() if isinstance(terms, dict) else terms)
-
-    def _add(self, pairs):
-        terms = self.terms
-        p = self.ring.p
-        for tok, c in pairs:
-            if tok in terms:
-                c += terms[tok]
-            if p:
-                c %= p
-            if c:
-                terms[tok] = c
-            elif tok in terms:
-                del terms[tok]
+            if terms.__class__ is not list and isinstance(terms, dict):
+                terms = terms.items()
+            p = ring.p
+            for tok, c in terms:
+                if tok in out:
+                    c += out[tok]
+                if p:
+                    c %= p
+                if c:
+                    out[tok] = c
+                elif tok in out:
+                    del out[tok]
 
     def _accumulate(self, tok, c):
-        self._add(((tok, c),))
+        """Add c * tok in place, merged by the constructor."""
+        self.terms = Element(self.ring, [*self.terms.items(), (tok, c)]).terms
 
     @classmethod
     def zero(cls, ring):
@@ -450,8 +457,9 @@ def tensor_map(f, g):
 def tensor_maps(maps):
     """(f_1 (x) ... (x) f_m) on m-fold tensor tokens with Koszul signs."""
     ring = maps[0].ring
-    if any(m.ring != ring for m in maps):
-        raise ValueError("ring mismatch in tensor of maps")
+    other = next((m.ring for m in maps if m.ring != ring), None)
+    if other is not None:
+        raise ValueError("cannot tensor maps over %r and %r" % (ring, other))
     shift = sum(m.shift for m in maps)
     op_degrees = [m.shift for m in maps]
 

@@ -4,9 +4,9 @@ Includes the bar and cobar constructions, the canonical twisting cochains
 and their induced maps, bar/cobar adjunction maps, cartesian products of
 twisting cochains, tensor products of (co)algebras, convolution powers,
 and Hirsch coalgebras.  A chain Hopf algebra is built from its parts, its
-complex, unit, product and Delta, as one object that is both its DGAlgebra
-and its DGCoalgebra, so a product, a unit and a comultiplication each have
-one owner.  A Hirsch coalgebra C is the chain Hopf algebra
+complex, unit, products Table and Delta, as one object that is both its
+DGAlgebra and its DGCoalgebra, so a product, a unit and a comultiplication
+each have one owner.  A Hirsch coalgebra C is the chain Hopf algebra
 (Cobar C, psi) of its loop comultiplication psi, and so its own Cobar C,
 with each letter's image under psi built once.
 """
@@ -20,34 +20,37 @@ from .chains import (
 class DGAlgebra:
     """Augmented chain algebra whose augmentation is the indicator of the unit.
 
-    The algebra is given by one product function: product(a, b) on basis
-    tokens returns the (token, coefficient) pairs of ab as a tuple, list or
-    items view, unreduced (tokens may repeat, coefficients need not be
-    reduced mod p), and () for zero.  multiply merges all products of two
-    elements into one Element; mult(a, b) is the product of two tokens as
-    an Element.  The basis must be aligned with the augmentation: it kills
-    every basis token but the unit (fixtures are stated in such a basis).
-    The constructor sets ring, d and max_degree from the complex.
+    The algebra is given by one Table of products, keyed by pairs of basis
+    tokens: products[a, b] holds the (token, coefficient) pairs of ab as a
+    tuple, list or items view, unreduced (tokens may repeat, coefficients
+    need not be reduced mod p), and () for zero.  Its fill computes a pair's
+    product once, and every reader takes it by subscript; a structure built
+    on an existing algebra, such as a Hopf algebra, shares its Table.
+    multiply merges all products of two elements into one Element;
+    mult(a, b) is the product of two tokens as an Element.  The basis must
+    be aligned with the augmentation: it kills every basis token but the
+    unit (fixtures are stated in such a basis).  The constructor sets ring,
+    d and max_degree from the complex.
     """
 
-    def __init__(self, complex_, unit, product, name=""):
+    def __init__(self, complex_, unit, products, name=""):
         self.complex = complex_
         self.ring = complex_.ring
         self.d = complex_.d
         self.max_degree = complex_.max_degree
         self.unit = unit
-        self.product = product
+        self.products = products
         self.name = name or complex_.name
 
     def augmentation(self, tok):
         return 1 if tok is self.unit else 0
 
     def mult(self, a, b):
-        return Element(self.ring, self.product(a, b))
+        return Element(self.ring, self.products[a, b])
 
     def multiply(self, x, y):
         """Product of two elements (no Koszul signs: values, not maps)."""
-        return x.bilinear(y, self.product)
+        return self.multiply_terms([x.terms.items(), y.terms.items()])
 
     def multiply_all(self, elements):
         """The product x_1 ... x_k of a list of elements, folded by
@@ -62,18 +65,18 @@ class DGAlgebra:
         ((token, 1),), as one Element.  The left fold merges after every
         product: one product in Z[S3]'s augmentation basis has 3 terms, so an
         unmerged fold would grow like 3^k."""
-        ring, product = self.ring, self.product
+        ring, products = self.ring, self.products
         out = None
         for right in factors[1:]:
             left = factors[0] if out is None else out.terms.items()
             out = Element(ring, [(u, c1 * c2 * cu) for t1, c1 in left for t2, c2 in right
-                                 for u, cu in product(t1, t2)])
+                                 for u, cu in products[t1, t2]])
         return Element(ring, factors[0]) if out is None else out
 
     def mult_on_pairs(self, x):
         """Apply multiplication to an element of binary tensor tokens."""
-        product = self.product
-        return Element(self.ring, [(u, c * cu) for t, c in x.items() for u, cu in product(*t.data)])
+        products = self.products
+        return Element(self.ring, [(u, c * cu) for t, c in x.items() for u, cu in products[t.data]])
 
     def aug_ideal_basis(self, n):
         toks = self.complex.basis.basis(n)
@@ -205,14 +208,15 @@ def twist_tensor(ring, x):
 
 
 class HopfAlgebra(DGAlgebra, DGCoalgebra):
-    """Chain Hopf algebra built from its complex, unit, product and Delta
-    (comult): one object that is both the DGAlgebra of the product and the
-    DGCoalgebra of comult on that complex, counital at the unit.  Its counit
-    is its augmentation.  BarHopfStructure builds psi on Cobar Bar H in
-    closed form, cocommutative or not, with or without a differential."""
+    """Chain Hopf algebra built from its complex, unit, products Table and
+    Delta (comult): one object that is both the DGAlgebra of the products
+    and the DGCoalgebra of comult on that complex, counital at the unit.
+    Its counit is its augmentation.  BarHopfStructure builds psi on Cobar
+    Bar H in closed form, cocommutative or not, with or without a
+    differential."""
 
-    def __init__(self, complex_, unit, product, comult, name=""):
-        DGAlgebra.__init__(self, complex_, unit, product, name)
+    def __init__(self, complex_, unit, products, comult, name=""):
+        DGAlgebra.__init__(self, complex_, unit, products, name)
         DGCoalgebra.__init__(self, complex_, unit, comult, counit=self.augmentation,
                              name=self.name)
 
@@ -336,9 +340,9 @@ def bar_construction(A, max_degree=None):
     d_Bar is the _word_differential of two Tables, each filled once per key:
     internal[s(a)] holds the letters s(u) of da with the sign -1 of d passing
     s, read through A.d's cache; merged[s(a), s(b)] holds the letters s(u) of
-    ab, read through A.product, with the merge sign (-1)^|s(a)|.  Both hold
-    one-letter tuples; terms on the unit are dropped.  d_Bar does not read
-    Delta."""
+    ab, read from A's products Table, with the merge sign (-1)^|s(a)|.  Both
+    hold one-letter tuples; terms on the unit are dropped.  d_Bar does not
+    read Delta."""
     ring = A.ring
     if max_degree is None:
         max_degree = A.max_degree + 1
@@ -352,7 +356,7 @@ def bar_construction(A, max_degree=None):
     internal = Table(lambda letter: [((suspend(u),), -c) for u, c
                                      in A.d(desuspend(letter)).items() if u is not A.unit])
     merged = Table(lambda pair: [((suspend(u),), parity_sign(pair[0].degree) * c) for u, c
-                                 in A.product(desuspend(pair[0]), desuspend(pair[1]))
+                                 in A.products[desuspend(pair[0]), desuspend(pair[1])]
                                  if u is not A.unit])
     d = LinearMap(ring, -1, _word_differential(ring, internal, merged), "d_Bar")
     cx = ChainComplex(basis, d, name="Bar(%s)" % A.name)
@@ -428,10 +432,10 @@ def cobar_construction(C, max_degree=None):
     d = LinearMap(ring, -1, _word_differential(ring, Table(letter_terms)), "d_Cobar")
     cx = ChainComplex(basis, d, name="Cobar(%s)" % C.name)
 
-    def product(u, v):
-        return ((word_token(u.data + v.data), 1),)
+    def concatenate(pair):
+        return ((word_token(pair[0].data + pair[1].data), 1),)
 
-    return DGAlgebra(cx, word_token(()), product, name="Cobar(%s)" % C.name)
+    return DGAlgebra(cx, word_token(()), Table(concatenate), name="Cobar(%s)" % C.name)
 
 
 def cobar_map(f):
@@ -634,16 +638,17 @@ def tensor_algebra(*algebras, max_degree=None):
     """Componentwise algebra on flat tensor tokens with Koszul signs."""
     cx = _tensor_complex(algebras, max_degree)
     unit = tensor_token(*[a.unit for a in algebras])
-    products = [a.product for a in algebras]
+    tables = [a.products for a in algebras]
 
-    def product(s, t):
+    def product(pair):
+        s, t = pair
         partial = [((), parity_sign(_interleave_exponent(s, t)))]
-        for prod, a, b in zip(products, s.data, t.data):
-            factor = prod(a, b)
+        for products, a, b in zip(tables, s.data, t.data):
+            factor = products[a, b]
             partial = [(us + (u,), c * cu) for us, c in partial for u, cu in factor]
         return [(tensor_token(*us), c) for us, c in partial]
 
-    return DGAlgebra(cx, unit, product, cx.name)
+    return DGAlgebra(cx, unit, Table(product), cx.name)
 
 
 def _tensor_comult(coalgebras):
@@ -683,7 +688,7 @@ def hopf_tensor_power(H, r, max_degree=None):
     """H^{(x)r} with componentwise Hopf structure, on the complex of its
     tensor algebra."""
     algebra = tensor_algebra(*([H] * r), max_degree=max_degree)
-    return HopfAlgebra(algebra.complex, algebra.unit, algebra.product, _tensor_comult([H] * r))
+    return HopfAlgebra(algebra.complex, algebra.unit, algebra.products, _tensor_comult([H] * r))
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +698,8 @@ def hopf_tensor_power(H, r, max_degree=None):
 def cartesian_product(t, tprime):
     """t * t' = t (x) eta' eps' + eta eps (x) t' on C (x) C' -> A (x) A'."""
     if t.ring != tprime.ring:
-        raise ValueError("ring mismatch")
+        raise ValueError("cannot form the cartesian product of twisting cochains over %r and %r"
+                         % (t.ring, tprime.ring))
     ring = t.ring
     C = tensor_coalgebra(t.source, tprime.source)
     A = tensor_algebra(t.target, tprime.target)
@@ -754,8 +760,8 @@ class HirschCoalgebra(HopfAlgebra):
     """Connected coalgebra C with a coassociative loop comultiplication:
     an algebra map psi: Cobar C -> Cobar C (x) Cobar C, given on generators.
     It builds Cobar C itself and is the chain Hopf algebra (Cobar C, psi) on
-    its complex, unit and product, so it is its own Cobar C (cobar) and its
-    own loop Hopf algebra (loop_hopf).
+    its complex, unit and products Table, so it is its own Cobar C (cobar)
+    and its own loop Hopf algebra (loop_hopf).
 
     psi is the Hopf algebra's one comultiplication LinearMap, cached per
     cobar word; it is _gen on a letter.  As psi is an algebra map and Cobar C
@@ -774,7 +780,7 @@ class HirschCoalgebra(HopfAlgebra):
         self._gen = generator_images  # letter token -> Element in the square
         self._concat = Table(lambda pair: word_token(pair[0].data + pair[1].data))
         omega = cobar_construction(C)
-        super().__init__(omega.complex, omega.unit, omega.product,
+        super().__init__(omega.complex, omega.unit, omega.products,
                          LinearMap(C.ring, 0, self._psi_image, "psi"),
                          name=name or "Hirsch(%s)" % C.name)
 

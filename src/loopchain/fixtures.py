@@ -78,14 +78,14 @@ def _checked_fixture(ring, unit, generators, max_degree, name, differential=None
         on_unit = next((pair for pair in products if unit in pair), None)
         if on_unit is not None:
             raise FixtureError("multiplication entry %r has the unit as a factor" % (on_unit,))
-        table = {pair: tuple(value.items()) for pair, value in products.items()}
 
-        def product(s, t):
+        def product(pair):
+            s, t = pair
             if s is unit:
                 return ((t, 1),)
             if t is unit:
                 return ((s, 1),)
-            return table.get((s, t), ())
+            return products[pair].terms.items() if pair in products else ()
 
     if coproducts is not None:
         _check_term_degrees("comultiplication", coproducts, lambda tok: tok.degree)
@@ -95,11 +95,11 @@ def _checked_fixture(ring, unit, generators, max_degree, name, differential=None
             return coproducts[tok] if tok in coproducts else primitive(tok)
 
     if coproducts is None:
-        structure = DGAlgebra(cx, unit, product, name=name)
+        structure = DGAlgebra(cx, unit, Table(product), name=name)
     elif products is None:
         structure = DGCoalgebra(cx, unit, comult, name=name)
     else:
-        structure = HopfAlgebra(cx, unit, product, comult, name=name)
+        structure = HopfAlgebra(cx, unit, Table(product), comult, name=name)
     if products is not None:
         checks += [(structure.check_associativity, "multiplication table fails associativity"),
                    (structure.check_mult_is_chain_map, "multiplication is not a chain map")]
@@ -201,6 +201,8 @@ def _monomial_token(gens, exponents):
 def monomial_algebra(ring, gens, max_degree, name, truncations=None):
     """Algebra on generators (name, degree) with exponent truncations; the
     product adds exponents, with the Koszul sign of sorting the symbols.
+    There are finitely many basis pairs, and the algebra's products Table
+    builds each pair's product once.
 
     The truncations decide every vanishing power.  The default, 2 for an odd
     generator, gives a graded-commutative algebra; an odd generator with a
@@ -228,7 +230,9 @@ def monomial_algebra(ring, gens, max_degree, name, truncations=None):
     cx = ChainComplex(basis, zero_map(ring, -1), name)
     unit = _monomial_token(gens, [0] * len(gens))
 
-    def pair_product(pair):
+    def product(pair):
+        """The one term of st for pair = (s, t), or () if an exponent
+        reaches its truncation."""
         es, et = pair[0].data[1:], pair[1].data[1:]
         combined = [a + b for a, b in zip(es, et)]
         if any(e >= truncations[i] for i, e in enumerate(combined)):
@@ -239,12 +243,7 @@ def monomial_algebra(ring, gens, max_degree, name, truncations=None):
                        for i in range(len(gens)) for j in range(i))
         return ((_monomial_token(gens, combined), parity_sign(exponent)),)
 
-    table = Table(pair_product)  # finitely many basis pairs: each product is built once
-
-    def product(s, t):
-        return table[s, t]
-
-    return DGAlgebra(cx, unit, product, name=name)
+    return DGAlgebra(cx, unit, Table(product), name=name)
 
 
 def primitive_hopf(algebra):
@@ -274,7 +273,7 @@ def primitive_hopf(algebra):
             raise ValueError("no primitive comultiplication for %r" % (tok,))
         return out
 
-    return HopfAlgebra(algebra.complex, algebra.unit, algebra.product, comult, name=algebra.name)
+    return HopfAlgebra(algebra.complex, algebra.unit, algebra.products, comult, name=algebra.name)
 
 
 def _monomial_token_from(algebra, exps):
@@ -313,7 +312,6 @@ def group_ring_hopf(group, ring=ZZ, max_degree=8):
     [g][h] = [gh] - [g] - [h] (with [e] = 0); delta[g] = [g](x)[g] +
     [g](x)1 + 1(x)[g]; zero differential, everything in degree 0.
     BarHopfStructure's closed-form psi is here Baues' nerve formula.
-    The products of non-unit pairs are built once, so product is a dict read.
 
     It stays off the checked builder, whose checks hold by construction
     here: on Z[S3] they take about 6 ms, thirty times the construction and
@@ -326,16 +324,17 @@ def group_ring_hopf(group, ring=ZZ, max_degree=8):
     basis = GradedBasis(ring, {0: [unit] + [tok[g] for g in nontrivial]},
                         max_degree, "R[%s]" % group.name)
     cx = ChainComplex(basis, zero_map(ring, -1), "R[%s]" % group.name)
-    products = {(tok[g], tok[h]): tuple((tok[x], c) for x, c in
-                                        ((group.mul(g, h), 1), (g, -1), (h, -1)) if x != group.unit)
-                for g in nontrivial for h in nontrivial}
 
-    def product(s, t):
+    def product(pair):
+        """The terms of st for pair = (s, t): [g][h] = [gh] - [g] - [h] with
+        [e] = 0, and the other factor when one is the unit."""
+        s, t = pair
         if s is unit:
             return ((t, 1),)
         if t is unit:
             return ((s, 1),)
-        return products[s, t]
+        gh = group.mul(s.data[2], t.data[2])
+        return ((s, -1), (t, -1)) if gh == group.unit else ((tok[gh], 1), (s, -1), (t, -1))
 
     def comult(t):
         if t is unit:
@@ -343,7 +342,7 @@ def group_ring_hopf(group, ring=ZZ, max_degree=8):
         return Element(ring, [(tensor_token(t, t), 1), (tensor_token(t, unit), 1),
                               (tensor_token(unit, t), 1)])
 
-    return HopfAlgebra(cx, unit, product, comult)
+    return HopfAlgebra(cx, unit, Table(product), comult)
 
 
 def hopf_fixtures(ring=ZZ):

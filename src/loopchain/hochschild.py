@@ -122,8 +122,9 @@ def hochschild_general(t, max_degree=None, name=""):
     on a side of a cut ({} where t vanishes), and dA[x] those of dx.  dy, t
     and dx are read through their cached LinearMaps, and the tables hold the
     terms of the Elements these return, not copies.  Each token y (x) x then
-    only multiplies by x and applies that factor; an empty dy or dx costs a
-    test, not a comprehension.
+    only multiplies by x, reading each product a.x or x.a from A's products
+    Table, and applies that factor; an empty dy or dx costs a test, not a
+    comprehension.
     """
     ring = t.ring
     C, A = t.source, t.target
@@ -156,7 +157,7 @@ def hochschild_general(t, max_degree=None, name=""):
         return C.complex.d(y).terms, SIGNS[y.degree], left, right
 
     twisted = Table(twisted_entry)
-    product = A.product
+    products = A.products
 
     def differential(tok):
         y, x = tok.data
@@ -166,10 +167,10 @@ def hochschild_general(t, max_degree=None, name=""):
         if dx:
             pairs += [(tensor_token(y, u), sign * c) for u, c in dx.items()]
         for u, a, c in left:
-            pairs += [(tensor_token(u, m), c * cm) for m, cm in product(a, x)]
+            pairs += [(tensor_token(u, m), c * cm) for m, cm in products[a, x]]
         for u, a, c in right:
             c *= SIGNS[a.degree * x.degree]
-            pairs += [(tensor_token(u, m), c * cm) for m, cm in product(x, a)]
+            pairs += [(tensor_token(u, m), c * cm) for m, cm in products[x, a]]
         return Element(ring, pairs)
 
     cx = ChainComplex(basis, LinearMap(ring, -1, differential, "d_t"), label)

@@ -316,10 +316,10 @@ def bar_shuffle_hopf(A, max_degree=None):
     mmap = LinearMap(ring, 0, lambda tok: A.mult(*tok.data), "m")
     nu = bar_map(mmap, A)
 
-    def product(u, v):
-        return nu(nabla(tensor_token(u, v))).items()
+    def shuffle(pair):
+        return nu(nabla(tensor_token(*pair))).items()
 
-    hopf = HopfAlgebra(barA.complex, word_token(()), product, barA._comult,
+    hopf = HopfAlgebra(barA.complex, word_token(()), Table(shuffle), barA._comult,
                        name="Bar(%s)-shuffle" % A.name)
     return hopf, barA, nu
 
@@ -341,7 +341,7 @@ def _closed_form_psi(H):
     the block's terms (inner letter, outer entry, coefficient), the
     product's unit term dropped.  A one-entry block takes its a'' terms as
     its product, so no product with the unit is formed; a longer block is
-    filled once, by H.product.  partial[p] holds
+    filled once, from H's products.  partial[p] holds
     each choice of blocks inside the first p entries of y as its inner
     letters, outer entries, coefficient with the sign, and total degree X
     of the outer entries."""

@@ -11,6 +11,7 @@ from loopchain.chains import (
     koszul_sign, tensor_map, tensor_maps, identity_map, zero_map, add_maps,
     verify_chain_map, map_from_table, Table,
 )
+from loopchain.fixtures import exterior_two
 
 
 def tok(name, deg):
@@ -55,6 +56,27 @@ def test_sums_and_cached_maps_make_no_call_per_term(ring):
     # a warm token is one subscript of the cache: the one call counted beside
     # the profiler's own disable() is f's __call__
     assert profiled_calls(f, letters[0]) == profiled_calls(len, ()) == 2
+
+
+def test_elements_tokens_and_warm_products_cost_one_call():
+    # counts include the profiler's own disable(), as profiled_calls(len, ()) does
+    one = profiled_calls(len, ())
+    a, b = generator(object(), 1), generator(object(), 2)
+    # an Element built from a pair list is its constructor alone
+    assert profiled_calls(Element, F3, [(a, 1), (b, 2), (a, 2)]) == one
+    # a new token is its constructor and Token.__init__; a repeat is the constructor
+    for build, args in [(generator, (object(), 3)), (suspend, (a,)), (desuspend, (b,)),
+                        (tensor_token, (a, b)), (word_token, ((b, a, b),))]:
+        assert profiled_calls(build, *args) == one + 1, build
+        assert profiled_calls(build, *args) == one, build
+    # products of warm pairs are subscripts of the products Table: no call per pair
+    A = exterior_two(ZZ, max_degree=6)
+    degree_one = A.complex.basis.basis(1)
+    small, large = ([[(t, 1) for t in degree_one[:n]]] * 2 for n in (1, 2))
+    A.multiply_terms(large)
+    fills = len(A.products)
+    assert profiled_calls(A.multiply_terms, small) == profiled_calls(A.multiply_terms, large)
+    assert len(A.products) == fills
 
 
 # --- koszul signs -----------------------------------------------------------
@@ -149,6 +171,8 @@ def test_sums_over_different_rings_raise(left, right):
         el(a, ring=left) - el(a, ring=right)
     with pytest.raises(ValueError, match=rings):
         add_maps(identity_map(left), identity_map(right))
+    with pytest.raises(ValueError, match=rings):
+        tensor_maps([identity_map(left), identity_map(left), identity_map(right)])
 
 
 # --- verify_chain_map -------------------------------------------------------

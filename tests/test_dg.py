@@ -417,6 +417,13 @@ def test_cartesian_product_values():
     assert check_twisting(tt, 8) is None
 
 
+@pytest.mark.parametrize("left, right", [(F2, ZZ), (ZZ, F2)])
+def test_cartesian_product_over_different_rings_names_both(left, right):
+    t, tp = (universal_twisting(sphere_coalgebra(2, ring)) for ring in (left, right))
+    with pytest.raises(ValueError, match="over %r and %r" % (left, right)):
+        cartesian_product(t, tp)
+
+
 def test_milgram_splitting():
     C, Cp = sphere_coalgebra(2, max_degree=10), sphere_coalgebra(3, max_degree=10)
     q, target = cobar_tensor_splitting(C, Cp)

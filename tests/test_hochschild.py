@@ -1121,10 +1121,19 @@ def test_psi_multiplies_no_tensor_algebra_and_concatenates_each_pair_once(monkey
     calls, filled = [], []
     multiply = DGAlgebra.multiply
 
+    class Counted:
+        """A products Table, with every read recorded in calls."""
+
+        def __init__(self, products):
+            self.products = products
+
+        def __getitem__(self, pair):
+            calls.append("product")
+            return self.products[pair]
+
     def counted_tensor_algebra(*algebras, max_degree=None):
         square = tensor_algebra(*algebras, max_degree=max_degree)
-        product = square.product
-        square.product = lambda s, t: calls.append("product") or product(s, t)
+        square.products = Counted(square.products)
         return square
 
     monkeypatch.setattr(DGAlgebra, "multiply",

@@ -540,7 +540,7 @@ def _c2_exterior_polynomial(top):
     G = group_ring_hopf(BUILTIN_GROUPS["c2"], max_degree=top)
     E = dg_fixture_from_dict(exterior_polynomial_document(top))
     A = tensor_algebra(G, E)
-    return HopfAlgebra(A.complex, A.unit, A.product, _tensor_comult([G, E]), name=A.name)
+    return HopfAlgebra(A.complex, A.unit, A.products, _tensor_comult([G, E]), name=A.name)
 
 
 # E(x) (x) F2[y]/y^2 with dy = x, both primitive
